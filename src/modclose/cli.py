@@ -27,6 +27,7 @@ from .torsion import (
 )
 from .workspace import (
     Workspace,
+    decode_int,
     dumps_report,
     load_workspace_file,
     ring_name,
@@ -151,7 +152,9 @@ def cmd_verify(ws: Workspace, args) -> tuple[int, dict]:
 def _matrix_from_args(ws: Workspace | None, args) -> IntMatrix:
     if args.matrix is not None:
         rows = json.loads(args.matrix)
-        return IntMatrix(rows, ZZ)
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("--matrix must be a JSON list of equal-length rows")
+        return IntMatrix([[decode_int(x) for x in r] for r in rows], ZZ)
     if ws is not None and args.module is not None:
         return ws.module(args.module).relations.lift()
     raise ValueError("snf needs --matrix JSON or --workspace with --module NAME")

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import OracleInfeasibleError
-from .homs import Homomorphism, hom_group, is_injective_module, kernel_of_hom
+from .homs import Homomorphism, hom_group, is_injective_by_structure, kernel_of_hom
 from .modules import (
     FPModule,
     Submodule,
@@ -42,9 +42,10 @@ class Subcategory:
     """A subcategory of injective modules, given by an explicit object list.
 
     Over Z/n the objects are finitely presented modules, each certified
-    injective by Baer's criterion at construction.  Over Z no nonzero
-    finitely generated module is injective, so the objects are divisible:
-    a nonempty subset of {Q, Q/Z}.
+    injective at construction by the invariant-factor criterion; Baer's
+    criterion (``is_injective_module``) is kept as its oracle.  Over Z no
+    nonzero finitely generated module is injective, so the objects are
+    divisible: a nonempty subset of {Q, Q/Z}.
     """
 
     __slots__ = ("ring", "finite_objects", "divisible_objects", "_hash")
@@ -70,7 +71,7 @@ class Subcategory:
             for i, obj in enumerate(finite):
                 if obj.ring != ring:
                     raise ValueError(f"object {i} lives over {obj.ring}, not {ring}")
-                if not is_injective_module(obj):
+                if not is_injective_by_structure(obj):
                     raise ValueError(
                         f"object {i} (invariants {list(obj.invariant_factors)}) "
                         f"is not injective over {ring}"
@@ -182,6 +183,19 @@ def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResul
     )
 
 
+def _admits_nonzero_map(x: FPModule, target) -> bool:
+    """Whether some nonzero homomorphism runs from ``x`` into one object.
+
+    A finitely presented object is decided by its hom group.  Maps into Q see
+    exactly the free part of ``x``, and Q/Z separates every nonzero element.
+    """
+    if isinstance(target, FPModule):
+        return not hom_group(x, target).is_zero
+    if target is DivisibleModule.Q:
+        return x.free_rank() != 0
+    return not x.is_zero
+
+
 def is_dense(m: FPModule, n: Submodule, cat: Subcategory) -> bool:
     """Whether the closure of ``n`` is all of ``m``."""
     return regular_closure(m, n, cat).dense
@@ -196,17 +210,9 @@ def is_hom_vanishing(m: FPModule, n: Submodule, cat: Subcategory) -> bool:
     """
     _check_compat(m, n, cat)
     q = quotient_module(m, n)
-    for obj in cat.finite_objects:
-        if not hom_group(q, obj).is_zero:
-            return False
-    for div in cat.divisible_objects:
-        if div is DivisibleModule.Q:
-            if q.free_rank() != 0:
-                return False
-        else:
-            if not q.is_zero:
-                return False
-    return True
+    return not any(
+        _admits_nonzero_map(q, a) for a in cat.finite_objects + cat.divisible_objects
+    )
 
 
 def is_closed(m: FPModule, n: Submodule, cat: Subcategory) -> bool:
@@ -257,14 +263,10 @@ def closedness_witness_scan(
         if s.is_zero:
             continue
         smod, _ = sub_as_module(s)
-        flags = []
-        for obj in cat.finite_objects:
-            flags.append(not hom_group(smod, obj).is_zero)
-        for div in cat.divisible_objects:
-            if div is DivisibleModule.Q:
-                flags.append(smod.free_rank() != 0)
-            else:
-                flags.append(not smod.is_zero)
+        flags = [
+            _admits_nonzero_map(smod, a)
+            for a in cat.finite_objects + cat.divisible_objects
+        ]
         entries.append(
             ScanEntry(
                 generators=tuple(s.canonical_gens.columns()),

@@ -10,12 +10,12 @@ oracle and a Baer-criterion injectivity test live alongside.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import OracleInfeasibleError
-from .matrices import IntMatrix, _kernel_over_z, _snf_with_inverses, solve_linear
+from .matrices import IntMatrix, _kernel_over_z, _snf_with_inverses, _solve_over_z
 from .modules import FPModule, ModuleElement, Submodule
-from .rings import Ring, ZZ
+from .rings import ZZ
 
 
 class Homomorphism:
@@ -244,12 +244,10 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
                 vec[j * b + i] = q[i]
             zero_vecs.append(tuple(vec))
 
-    rel_cols = []
-    for z in zero_vecs:
-        sol, _ = solve_linear(h_mat, z)
-        if sol is None:
-            raise AssertionError("zero map not in the solution lattice")
-        rel_cols.append(sol)
+    # h_mat has full column rank, so each zero map has unique coordinates
+    rel_cols = _solve_over_z(h_mat, zero_vecs)
+    if None in rel_cols:
+        raise AssertionError("zero map not in the solution lattice")
     if m.ring.is_modular:
         nmod = m.ring.modulus
         rel_cols += [
@@ -257,7 +255,7 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
         ]
     rel_mat = IntMatrix.from_columns(rel_cols, s, ZZ)
 
-    _, d, _, uinv, _ = _snf_with_inverses(rel_mat)
+    _, d, _, uinv = _snf_with_inverses(rel_mat)
     diag_len = min(s, rel_mat.cols)
     factors = [d[i][i] if i < diag_len else 0 for i in range(s)]
 
@@ -341,10 +339,10 @@ def _divisors(n: int) -> list[int]:
 def is_injective_module(a: FPModule) -> bool:
     """Baer-criterion brute force over a modular ring.
 
-    The ideals of Z/n are exactly the cyclic ideals generated by divisors of
-    n, so injectivity reduces to: for each divisor d, every element killed by
-    n/d is divisible by d.  For the ring of integers use the divisible
-    injectives instead.
+    The oracle for :func:`is_injective_by_structure`.  The ideals of Z/n are
+    exactly the cyclic ideals generated by divisors of n, so injectivity
+    reduces to: for each divisor d, every element killed by n/d is divisible
+    by d.  For the ring of integers use the divisible injectives instead.
     """
     if not a.ring.is_modular:
         raise ValueError(

@@ -144,7 +144,7 @@ class Lattice:
         if not self.basis:
             return self
         mat = IntMatrix.from_columns(self.basis, self.dim, ZZ)
-        _, d, _, uinv, _ = _snf_with_inverses(mat)
+        _, d, _, uinv = _snf_with_inverses(mat)
         cols = []
         for i in range(min(mat.rows, mat.cols)):
             if d[i][i]:
@@ -176,7 +176,7 @@ class Lattice:
         if not self.basis:
             return tuple([0] * self.dim)
         mat = IntMatrix.from_columns(self.basis, self.dim, ZZ)
-        _, d, _, _, _ = _snf_with_inverses(mat)
+        _, d, _, _ = _snf_with_inverses(mat)
         diag_len = min(mat.rows, mat.cols)
         factors = [d[i][i] for i in range(diag_len)]
         factors += [0] * (self.dim - diag_len)

@@ -184,8 +184,8 @@ class SNFResult:
 def _snf_with_inverses(a: IntMatrix):
     """Core Smith reduction.
 
-    Returns ``(u, d, v, uinv, vinv)`` as lists of lists with
-    ``d = u @ a @ v``, ``uinv = u^-1`` and ``vinv = v^-1``.
+    Returns the four matrices ``(u, d, v, uinv)`` as lists of lists with
+    ``d = u @ a @ v`` and ``uinv = u^-1``.
 
     Pivoting is deterministic: the nonzero entry of minimal absolute value is
     chosen, ties broken by lowest (row, col), so results are reproducible.
@@ -195,7 +195,6 @@ def _snf_with_inverses(a: IntMatrix):
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i, k):
         d[i], d[k] = d[k], d[i]
@@ -208,7 +207,6 @@ def _snf_with_inverses(a: IntMatrix):
             r[j], r[l] = r[l], r[j]
         for r in v:
             r[j], r[l] = r[l], r[j]
-        vinv[j], vinv[l] = vinv[l], vinv[j]
 
     def row_sub(i, q, k):
         # row i -= q * row k
@@ -227,9 +225,6 @@ def _snf_with_inverses(a: IntMatrix):
             r[j] -= q * r[k]
         for r in v:
             r[j] -= q * r[k]
-        vj, vk = vinv[j], vinv[k]
-        for t in range(cols):
-            vk[t] += q * vj[t]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
@@ -299,7 +294,7 @@ def _snf_with_inverses(a: IntMatrix):
                 break
             row_sub(k, -1, offender)  # fold the offending row into row k
 
-    return u, d, v, uinv, vinv
+    return u, d, v, uinv
 
 
 def smith_normal_form(a: IntMatrix) -> SNFResult:
@@ -311,7 +306,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     """
     if a.ring.is_modular:
         raise ValueError("Smith reduction runs over the integers; lift the matrix first")
-    u, d, v, _, _ = _snf_with_inverses(a)
+    u, d, v, _ = _snf_with_inverses(a)
     return SNFResult(
         IntMatrix(u, ZZ, rows=a.rows, cols=a.rows),
         IntMatrix(d, ZZ, rows=a.rows, cols=a.cols),
@@ -321,13 +316,21 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 
 def _kernel_over_z(a: IntMatrix) -> IntMatrix:
     """Basis of ``{x : a @ x = 0}`` over Z, as columns (a lattice basis)."""
-    _, d, v, _, _ = _snf_with_inverses(a)
+    _, d, v, _ = _snf_with_inverses(a)
     diag_len = min(a.rows, a.cols)
     cols = []
     for j in range(a.cols):
         if j >= diag_len or d[j][j] == 0:
             cols.append(tuple(v[i][j] for i in range(a.cols)))
     return IntMatrix.from_columns(cols, a.cols, ZZ)
+
+
+def _with_modulus_columns(mat: IntMatrix) -> IntMatrix:
+    """``[a | n*I]`` over Z for a matrix ``a`` over Z/n: its integer solutions,
+    cut to the first ``a.cols`` entries, are the solutions of ``a`` mod n."""
+    n = mat.ring.modulus
+    eye = [[n if i == j else 0 for j in range(mat.rows)] for i in range(mat.rows)]
+    return mat.lift().hstack(IntMatrix(eye, ZZ))
 
 
 def kernel_basis(a: IntMatrix, ring: Ring | None = None) -> IntMatrix:
@@ -341,14 +344,7 @@ def kernel_basis(a: IntMatrix, ring: Ring | None = None) -> IntMatrix:
     if not mat.ring.is_modular:
         return _kernel_over_z(mat)
     n = mat.ring.modulus
-    lifted = mat.lift()
-    aug = lifted.hstack(
-        IntMatrix(
-            [[n if i == j else 0 for j in range(mat.rows)] for i in range(mat.rows)],
-            ZZ,
-        )
-    )
-    k = _kernel_over_z(aug)
+    k = _kernel_over_z(_with_modulus_columns(mat))
     seen = set()
     cols = []
     for c in k.columns():
@@ -359,21 +355,29 @@ def kernel_basis(a: IntMatrix, ring: Ring | None = None) -> IntMatrix:
     return IntMatrix.from_columns(cols, mat.cols, mat.ring)
 
 
-def _solve_over_z(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    u, d, v, _, _ = _snf_with_inverses(a)
-    c = [sum(u[i][k] * b[k] for k in range(a.rows)) for i in range(a.rows)]
+def _solve_over_z(
+    a: IntMatrix, bs: Sequence[Sequence[int]]
+) -> list[tuple[int, ...] | None]:
+    """One solution of ``a @ x = b`` over Z for each ``b`` in ``bs`` (``None``
+    where unsolvable), all from a single Smith reduction of ``a``."""
+    u, d, v, _ = _snf_with_inverses(a)
     diag_len = min(a.rows, a.cols)
-    y = [0] * a.cols
-    for i in range(a.rows):
-        di = d[i][i] if i < diag_len else 0
-        if di:
-            q, r = divmod(c[i], di)
-            if r:
+
+    def solve_one(b):
+        c = [sum(u[i][k] * b[k] for k in range(a.rows)) for i in range(a.rows)]
+        y = [0] * a.cols
+        for i in range(a.rows):
+            di = d[i][i] if i < diag_len else 0
+            if di:
+                q, r = divmod(c[i], di)
+                if r:
+                    return None
+                y[i] = q
+            elif c[i]:
                 return None
-            y[i] = q
-        elif c[i]:
-            return None
-    return tuple(sum(v[i][j] * y[j] for j in range(a.cols)) for i in range(a.cols))
+        return tuple(sum(v[i][j] * y[j] for j in range(a.cols)) for i in range(a.cols))
+
+    return [solve_one(b) for b in bs]
 
 
 def solve_linear(
@@ -394,15 +398,9 @@ def solve_linear(
         )
     kernel = kernel_basis(mat)
     if not mat.ring.is_modular:
-        return _solve_over_z(mat, vec), kernel
+        return _solve_over_z(mat, [vec])[0], kernel
     n = mat.ring.modulus
-    aug = mat.lift().hstack(
-        IntMatrix(
-            [[n if i == j else 0 for j in range(mat.rows)] for i in range(mat.rows)],
-            ZZ,
-        )
-    )
-    sol = _solve_over_z(aug, [x % n for x in vec])
+    sol = _solve_over_z(_with_modulus_columns(mat), [[x % n for x in vec]])[0]
     if sol is None:
         return None, kernel
     return tuple(x % n for x in sol[: mat.cols]), kernel

@@ -324,9 +324,7 @@ def quotient(m: FPModule, n: Submodule):
     Returns ``(q, projection)`` where the projection's matrix is the identity
     on generator coordinates, so lifting maps along it is trivial.
     """
-    if n.parent != m:
-        raise ValueError("submodule does not live in the module being quotiented")
-    q = FPModule(m.ring, m.n_gens, m.relations.hstack(n.canonical_gens))
+    q = quotient_module(m, n)
     from .homs import Homomorphism
 
     return q, Homomorphism(m, q, IntMatrix.identity(m.n_gens, m.ring))

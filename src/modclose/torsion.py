@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .closure import DivisibleModule, Subcategory, regular_closure
+from .closure import Subcategory, _admits_nonzero_map, regular_closure
 from .homs import hom_group
 from .modules import (
     FPModule,
@@ -66,18 +66,9 @@ def classify(x: FPModule, cat: Subcategory) -> Classification:
 
 def _in_torsion_class(x: FPModule, cat: Subcategory) -> bool:
     """Membership in T: no object of the subcategory receives a nonzero map."""
-    q = x
-    for obj in cat.finite_objects:
-        if not hom_group(q, obj).is_zero:
-            return False
-    for div in cat.divisible_objects:
-        if div is DivisibleModule.Q:
-            if q.free_rank() != 0:
-                return False
-        else:
-            if not q.is_zero:
-                return False
-    return True
+    return not any(
+        _admits_nonzero_map(x, a) for a in cat.finite_objects + cat.divisible_objects
+    )
 
 
 def _in_torsion_free_class(x: FPModule, cat: Subcategory) -> bool:

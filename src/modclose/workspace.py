@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
 
 from .closure import DivisibleModule, Subcategory
 from .modules import FPModule, Submodule
@@ -59,6 +58,8 @@ def dumps_report(report: dict, pretty: bool = False) -> str:
 
 
 def parse_ring(text: str) -> Ring:
+    if not isinstance(text, str):
+        raise ValueError(f"ring must be a string, got {text!r}")
     if text == "Z":
         return ZZ
     if text.startswith("Zmod:"):
@@ -119,24 +120,24 @@ class Workspace:
         self, name: str, finite_names: list[str], divisible: list[str]
     ) -> None:
         finite = [self.module(m) for m in finite_names]
-        if self.ring.is_modular:
-            from .homs import is_injective_module
-
-            for mname, obj in zip(finite_names, finite):
-                if not is_injective_module(obj):
-                    raise ValueError(
-                        f"module {mname!r} is not injective over {self.ring} "
-                        f"(Baer criterion fails)"
-                    )
         tags = [DivisibleModule(d) for d in divisible]
         self.subcategories[name] = Subcategory(self.ring, finite, tags)
         self.subcategory_members[name] = (list(finite_names), list(divisible))
 
 
 def _decode_columns(value, what: str) -> list[tuple[int, ...]]:
-    if not isinstance(value, list):
+    if not isinstance(value, list) or not all(isinstance(c, list) for c in value):
         raise ValueError(f"{what} must be a list of integer columns")
     return [tuple(decode_int(x) for x in col) for col in value]
+
+
+def _section(doc: dict, key: str) -> dict:
+    value = doc.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict) or not all(isinstance(s, dict) for s in value.values()):
+        raise ValueError(f"{key} must be an object mapping each name to an object")
+    return value
 
 
 def load_workspace(doc: dict) -> Workspace:
@@ -145,7 +146,7 @@ def load_workspace(doc: dict) -> Workspace:
     ring = parse_ring(doc.get("ring", "Z"))
     ws = Workspace(ring=ring)
 
-    for name, spec in (doc.get("modules") or {}).items():
+    for name, spec in _section(doc, "modules").items():
         gens = spec.get("generators")
         if not isinstance(gens, int) or isinstance(gens, bool) or gens < 0:
             raise ValueError(
@@ -160,9 +161,9 @@ def load_workspace(doc: dict) -> Workspace:
                 )
         ws.add_module(name, FPModule(ring, gens, cols))
 
-    for name, spec in (doc.get("submodules") or {}).items():
+    for name, spec in _section(doc, "submodules").items():
         parent_name = spec.get("parent")
-        if parent_name not in ws.modules:
+        if not isinstance(parent_name, str) or parent_name not in ws.modules:
             raise ValueError(
                 f"submodule {name!r}: unknown parent module {parent_name!r}"
             )
@@ -176,12 +177,14 @@ def load_workspace(doc: dict) -> Workspace:
                 )
         ws.add_submodule(name, parent_name, cols)
 
-    for name, spec in (doc.get("subcategories") or {}).items():
-        finite_names = list(spec.get("finite", []))
+    for name, spec in _section(doc, "subcategories").items():
+        finite_names = spec.get("finite", [])
+        divisible = spec.get("divisible", [])
+        if not isinstance(finite_names, list) or not isinstance(divisible, list):
+            raise ValueError(f"subcategory {name!r}: finite and divisible must be lists")
         for mname in finite_names:
-            if mname not in ws.modules:
+            if not isinstance(mname, str) or mname not in ws.modules:
                 raise ValueError(f"subcategory {name!r}: unknown module {mname!r}")
-        divisible = list(spec.get("divisible", []))
         for tag in divisible:
             if tag not in ("Q", "QmodZ"):
                 raise ValueError(

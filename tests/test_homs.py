@@ -187,7 +187,7 @@ def test_injectivity_rejects_integer_ring():
 
 
 def test_injectivity_dual_oracles_agree_small():
-    for n in (4, 6, 9, 12):
+    for n in (4, 6, 9, 12, 72, 200, 360):
         ring = Zmod(n)
         divisors = [d for d in range(1, n + 1) if n % d == 0 and d > 1]
         mods = [present_module(ring, 0)]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modclose import IntMatrix, ZZ, Zmod, kernel_basis, smith_normal_form, solve_linear
+from modclose.matrices import _solve_over_z
 from modclose.oracles import det_cofactor, minor_gcd
 
 
@@ -189,6 +190,18 @@ def test_solve_agrees_with_exhaustive_search(rows, cols, rnd):
         # a solvable system of this size has a solution with small entries)
         for x in product(range(-30, 31), repeat=cols):
             assert a.apply(x) != b
+
+
+def test_solve_over_z_many_right_hand_sides():
+    a = IntMatrix([[2, 4], [0, 6], [2, 10]])
+    bs = [(2, 0, 2), (0, 6, 6), (1, 0, 1), (4, 6, 10), (0, 0, 0)]
+    sols = _solve_over_z(a, bs)
+    assert len(sols) == len(bs)
+    assert sols[2] is None  # odd entries: no integer solution
+    for b, sol in zip(bs, sols):
+        assert sol == solve_linear(a, b)[0]
+        if sol is not None:
+            assert a.apply(sol) == b
 
 
 @pytest.mark.parametrize("n", [4, 6, 9])

@@ -177,6 +177,51 @@ def test_cli_non_injective_subcategory_exits_2(tmp_path, capsys):
     assert "injective" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"ring": "Z", "modules": [{"generators": 1}]},
+        {"ring": "Z", "submodules": ["s"]},
+        {"ring": "Z", "subcategories": "A"},
+        {"ring": "Z", "modules": {"m": 3}},
+        {"ring": "Z", "modules": {"m": {"generators": 1}}, "submodules": {"s": ["m"]}},
+        {"ring": 4},
+        {
+            "ring": "Zmod:4",
+            "modules": {"R": {"generators": 1}},
+            "subcategories": {"A": {"finite": "RR"}},
+        },
+        {"ring": "Z", "subcategories": {"A": {"finite": [["m"]], "divisible": ["Q"]}}},
+        {"ring": "Z", "modules": {"m": {"generators": 1, "relations": [5]}}},
+    ],
+    ids=[
+        "modules-not-object",
+        "submodules-not-object",
+        "subcategories-not-object",
+        "module-spec-not-object",
+        "submodule-spec-not-object",
+        "ring-not-string",
+        "finite-is-string",
+        "finite-name-not-string",
+        "relation-column-not-list",
+    ],
+)
+def test_malformed_workspace_shapes_exit_2(tmp_path, capsys, doc):
+    with pytest.raises(ValueError):
+        load_workspace(doc)
+    path = write_ws(tmp_path, doc)
+    code, out, err = run_cli(capsys, ["snf", "--workspace", path, "--module", "m"])
+    assert code == 2 and out == ""
+    assert err.startswith("modclose: error:")
+
+
+@pytest.mark.parametrize("matrix", ["5", "[[1.5]]"])
+def test_cli_snf_rejects_non_integer_matrix(capsys, matrix):
+    code, out, err = run_cli(capsys, ["snf", "--matrix", matrix])
+    assert code == 2 and out == ""
+    assert err.startswith("modclose: error:")
+
+
 def test_cli_verify_z6(tmp_path, capsys):
     doc = {
         "ring": "Zmod:6",
