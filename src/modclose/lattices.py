@@ -8,23 +8,10 @@ reduction deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from .matrices import IntMatrix, _kernel_over_z, _snf_with_inverses
+from .matrices import IntMatrix, _echelon, _kernel_over_z, _snf_with_inverses
 from .rings import Ring, ZZ
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return x, y, g
 
 
 class Lattice:
@@ -45,44 +32,12 @@ class Lattice:
 
     @classmethod
     def from_columns(cls, dim: int, columns: Iterable[Sequence[int]]) -> "Lattice":
-        basis: list[list[int]] = []
-        pivrows: list[int] = []
-        for col in columns:
-            v = [int(x) for x in col]
-            if len(v) != dim:
-                raise ValueError(f"column of length {len(v)} in Z^{dim}")
-            while True:
-                r = next((i for i, x in enumerate(v) if x), None)
-                if r is None:
-                    break
-                pos = bisect_left(pivrows, r)
-                if pos < len(pivrows) and pivrows[pos] == r:
-                    b = basis[pos]
-                    a, c = b[r], v[r]
-                    if c % a == 0:
-                        q = c // a
-                        v = [vi - q * bi for vi, bi in zip(v, b)]
-                    else:
-                        x, y, g = _xgcd(a, c)
-                        ag, cg = a // g, c // g
-                        nb = [x * bi + y * vi for bi, vi in zip(b, v)]
-                        v = [-cg * bi + ag * vi for bi, vi in zip(b, v)]
-                        basis[pos] = nb
-                else:
-                    basis.insert(pos, v)
-                    pivrows.insert(pos, r)
-                    break
-        # normalize: positive pivots, then reduce earlier columns at each
-        # pivot row into [0, pivot)
-        for j, r in enumerate(pivrows):
-            if basis[j][r] < 0:
-                basis[j] = [-x for x in basis[j]]
-        for j, r in enumerate(pivrows):
-            p = basis[j][r]
-            for j2 in range(j):
-                q = basis[j2][r] // p
-                if q:
-                    basis[j2] = [a - q * b for a, b in zip(basis[j2], basis[j])]
+        """The lattice spanned by ``columns``, in canonical form.
+
+        The echelon is reduced as it is built (see ``matrices._echelon``), so
+        intermediate entries stay near the size of the canonical basis.
+        """
+        basis, pivrows = _echelon(dim, columns)
         return cls(
             dim,
             tuple(tuple(b) for b in basis),

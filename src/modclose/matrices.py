@@ -1,15 +1,20 @@
 """Exact matrix arithmetic over Z and Z/n.
 
-Smith normal form with transformation matrices, integer kernels, and linear
-solving.  Everything runs on arbitrary-precision Python integers; modular
-computations are performed by lifting to Z and augmenting with multiples of
-the modulus, so one integer code path (and one oracle) covers both rings.
+Smith normal form with transformation matrices, the canonical column
+echelon (Hermite) basis of a lattice, integer kernels, and linear solving.
+Everything runs on arbitrary-precision Python integers; modular computations
+are performed by lifting to Z and augmenting with multiples of the modulus,
+so one integer code path (and one oracle) covers both rings.  Unreduced
+elimination over Z swells entries far past the size of the answer, so the
+echelon reduces while it builds, and the public Smith form starts from the
+Hermite form, which keeps the transforms near the size of the determinant.
 
 Matrices are immutable values and may be shared freely between threads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .rings import Ring, ZZ
@@ -159,6 +164,75 @@ class IntMatrix:
         return f"IntMatrix({list(map(list, self.entries))!r}, ring={self.ring})"
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    return x, y, g
+
+
+def _echelon(dim: int, columns: Iterable[Sequence[int]]):
+    """Canonical column echelon (Hermite) basis of the lattice the columns span.
+
+    Returns ``(basis, pivrows)``: basis columns as lists with strictly
+    increasing pivot rows, positive pivots, and entries of earlier columns
+    reduced into ``[0, pivot)`` at every pivot row.  Entries stay near the
+    size of the answer while the basis is built: an incoming entry is reduced
+    modulo the pivot before the gcd step, and each new pivot column is
+    reduced at the later pivot rows.
+    """
+    basis: list[list[int]] = []
+    pivrows: list[int] = []
+    for col in columns:
+        v = [int(x) for x in col]
+        if len(v) != dim:
+            raise ValueError(f"column of length {len(v)} in Z^{dim}")
+        while True:
+            r = next((i for i, x in enumerate(v) if x), None)
+            if r is None:
+                break
+            pos = bisect_left(pivrows, r)
+            if pos < len(pivrows) and pivrows[pos] == r:
+                b = basis[pos]
+                a = b[r]
+                q, c = divmod(v[r], a)
+                if c == 0:
+                    v = [vi - q * bi for vi, bi in zip(v, b)]
+                    continue
+                # gcd step on (a, c) for the pair (b, v - q*b), with the
+                # quotient folded into the coefficients
+                x, y, g = _xgcd(a, c)
+                ag, cg = a // g, c // g
+                s, t = x - y * q, -cg - ag * q
+                nb = [s * bi + y * vi for bi, vi in zip(b, v)]
+                v = [t * bi + ag * vi for bi, vi in zip(b, v)]
+                for j in range(pos + 1, len(pivrows)):
+                    rj, bj = pivrows[j], basis[j]
+                    qj = nb[rj] // bj[rj]
+                    if qj:
+                        nb = [ni - qj * bi for ni, bi in zip(nb, bj)]
+                basis[pos] = nb
+            else:
+                if v[r] < 0:
+                    v = [-x for x in v]
+                basis.insert(pos, v)
+                pivrows.insert(pos, r)
+                break
+    # reduce earlier columns at each pivot row into [0, pivot)
+    for j, r in enumerate(pivrows):
+        p = basis[j][r]
+        for j2 in range(j):
+            q = basis[j2][r] // p
+            if q:
+                basis[j2] = [a - q * b for a, b in zip(basis[j2], basis[j])]
+    return basis, pivrows
+
+
 class SNFResult:
     """Smith normal form ``D = U @ A @ V`` of an integer matrix.
 
@@ -301,16 +375,27 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     """Smith normal form of an integer matrix, with both transforms.
 
     Modular matrices must be lifted by the caller; the reduction itself is an
-    integer computation.  Intermediate entries can grow large, which is why
-    everything stays in arbitrary precision.
+    integer computation.  The Smith reduction runs on the column Hermite form
+    ``h = a @ w``, read off the echelon of the columns of ``[a; I]`` (its
+    lower block is the unimodular ``w``).  Its entries are reduced below the
+    pivots, which multiply to ``|det a|`` when ``a`` is nonsingular, so the
+    transforms stay near the size of the answer; the returned ``V`` is ``w``
+    times the Smith transform of ``h``.
     """
     if a.ring.is_modular:
         raise ValueError("Smith reduction runs over the integers; lift the matrix first")
-    u, d, v, _ = _snf_with_inverses(a)
+    rows, cols = a.rows, a.cols
+    basis, _ = _echelon(
+        rows + cols,
+        [a.column(j) + tuple(int(i == j) for i in range(cols)) for j in range(cols)],
+    )
+    h = IntMatrix.from_columns([c[:rows] for c in basis], rows)
+    w = IntMatrix.from_columns([c[rows:] for c in basis], cols)
+    u, d, v, _ = _snf_with_inverses(h)
     return SNFResult(
-        IntMatrix(u, ZZ, rows=a.rows, cols=a.rows),
-        IntMatrix(d, ZZ, rows=a.rows, cols=a.cols),
-        IntMatrix(v, ZZ, rows=a.cols, cols=a.cols),
+        IntMatrix(u, ZZ, rows=rows, cols=rows),
+        IntMatrix(d, ZZ, rows=rows, cols=cols),
+        w @ IntMatrix(v, ZZ, rows=cols, cols=cols),
     )
 
 

@@ -9,6 +9,7 @@ workspace is always internally consistent.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .closure import DivisibleModule, Subcategory
@@ -50,11 +51,21 @@ def encode_json_value(value):
 
 
 def dumps_report(report: dict, pretty: bool = False) -> str:
-    """Byte-deterministic JSON: canonical key order, fixed separators."""
-    doc = encode_json_value(report)
-    if pretty:
-        return json.dumps(doc, sort_keys=True, indent=2)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """Byte-deterministic JSON: canonical key order, fixed separators.
+
+    Results may carry integers of any size, so Python's int-to-decimal
+    digit limit is lifted while the report is written and restored after;
+    inputs (workspace files, ``--matrix``) are still decoded under it.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = encode_json_value(report)
+        if pretty:
+            return json.dumps(doc, sort_keys=True, indent=2)
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def parse_ring(text: str) -> Ring:

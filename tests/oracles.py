@@ -71,3 +71,82 @@ def order_statistics_of_invariants(invariants) -> dict:
             order = order * o // gcd(order, o)
         stats[order] = stats.get(order, 0) + 1
     return stats
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    return x, y, g
+
+
+def echelon_unreduced(dim: int, columns) -> tuple:
+    """Canonical column echelon basis by plain gcd elimination, with no
+    reduction until the end: ``(basis, pivots)`` as :class:`Lattice` holds
+    them.  Intermediate entries may swell; the result is the unique Hermite
+    basis, so the library's reduced echelon must match it exactly."""
+    from bisect import bisect_left
+
+    basis: list[list[int]] = []
+    pivrows: list[int] = []
+    for col in columns:
+        v = [int(x) for x in col]
+        while True:
+            r = next((i for i, x in enumerate(v) if x), None)
+            if r is None:
+                break
+            pos = bisect_left(pivrows, r)
+            if pos < len(pivrows) and pivrows[pos] == r:
+                b = basis[pos]
+                a, c = b[r], v[r]
+                if c % a == 0:
+                    q = c // a
+                    v = [vi - q * bi for vi, bi in zip(v, b)]
+                else:
+                    x, y, g = _xgcd(a, c)
+                    ag, cg = a // g, c // g
+                    nb = [x * bi + y * vi for bi, vi in zip(b, v)]
+                    v = [-cg * bi + ag * vi for bi, vi in zip(b, v)]
+                    basis[pos] = nb
+            else:
+                basis.insert(pos, v)
+                pivrows.insert(pos, r)
+                break
+    for j, r in enumerate(pivrows):
+        if basis[j][r] < 0:
+            basis[j] = [-x for x in basis[j]]
+    for j, r in enumerate(pivrows):
+        p = basis[j][r]
+        for j2 in range(j):
+            q = basis[j2][r] // p
+            if q:
+                basis[j2] = [a - q * b for a, b in zip(basis[j2], basis[j])]
+    return (
+        tuple(tuple(b) for b in basis),
+        tuple((r, basis[j][r]) for j, r in enumerate(pivrows)),
+    )
+
+
+def det_bareiss(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so the work stays polynomial."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1

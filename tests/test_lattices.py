@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from modclose.lattices import Lattice
 
+from oracles import echelon_unreduced
+
 
 def columns_strategy(dim, max_cols=4):
     return st.lists(
@@ -107,3 +109,29 @@ def test_saturation_examples():
     assert lat.saturation().saturation() == sat
     zero = Lattice.from_columns(2, [])
     assert zero.saturation() == zero
+
+
+def test_reduced_echelon_matches_unreduced_oracle():
+    # the Hermite basis is unique, so reducing while building must not change
+    # a single entry; half of the sets carry the n*I columns of a Z/n lift
+    rng = random.Random(2024)
+    for k in range(2000):
+        dim = rng.randint(1, 7)
+        cols = [
+            tuple(rng.randint(-100, 100) for _ in range(dim))
+            for _ in range(rng.randint(0, dim + 2))
+        ]
+        if k % 2:
+            n = rng.choice((4, 6, 12, 36, 72, 360))
+            cols += [tuple(n * (i == j) for i in range(dim)) for j in range(dim)]
+        lat = Lattice.from_columns(dim, cols)
+        assert (lat.basis, lat.pivots) == echelon_unreduced(dim, cols)
+
+
+def test_reduced_echelon_matches_oracle_on_wide_z_lattice():
+    # 30 relations on 32 generators: the unreduced echelon meets gcd steps
+    # on 33,437-bit entries here, while the canonical basis has 232 bits
+    rng = random.Random(26)
+    cols = [tuple(rng.randint(-100, 100) for _ in range(32)) for _ in range(30)]
+    lat = Lattice.from_columns(32, cols)
+    assert (lat.basis, lat.pivots) == echelon_unreduced(32, cols)

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 from math import gcd
@@ -7,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from modclose import IntMatrix, ZZ, Zmod, kernel_basis, smith_normal_form, solve_linear
 from modclose.matrices import _solve_over_z
+from modclose.cli import main
 from modclose.oracles import det_cofactor, minor_gcd
+
+from oracles import det_bareiss
 
 
 def snf_invariants_hold(a):
@@ -96,6 +100,33 @@ def test_snf_deterministic():
         r1 = smith_normal_form(a)
         r2 = smith_normal_form(a)
         assert r1.u == r2.u and r1.d == r2.d and r1.v == r2.v
+
+
+def swell_matrix():
+    rng = random.Random(32)
+    return [[rng.randint(-100, 100) for _ in range(32)] for _ in range(32)]
+
+
+def test_snf_transforms_stay_near_the_determinant():
+    rows = swell_matrix()
+    a = IntMatrix(rows)
+    res = smith_normal_form(a)
+    assert (res.u @ a @ res.v) == res.d
+    assert abs(det_bareiss(res.u.entries)) == 1
+    assert abs(det_bareiss(res.v.entries)) == 1
+    det_bits = abs(det_bareiss(rows)).bit_length()
+    assert det_bits > 200
+    for m in (res.u, res.v):
+        assert max(abs(x).bit_length() for r in m.entries for x in r) <= 4 * det_bits
+
+
+def test_cli_snf_on_a_swelling_matrix(capsys):
+    code = main(["snf", "--matrix", json.dumps(swell_matrix())])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert len(doc["d"]) == 32 and len(doc["u"]) == 32 and len(doc["v"]) == 32
 
 
 # -- kernels -----------------------------------------------------------------

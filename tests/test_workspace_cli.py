@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -218,6 +219,31 @@ def test_malformed_workspace_shapes_exit_2(tmp_path, capsys, doc):
 @pytest.mark.parametrize("matrix", ["5", "[[1.5]]"])
 def test_cli_snf_rejects_non_integer_matrix(capsys, matrix):
     code, out, err = run_cli(capsys, ["snf", "--matrix", matrix])
+    assert code == 2 and out == ""
+    assert err.startswith("modclose: error:")
+
+
+def test_cli_prints_results_past_the_digit_limit(capsys):
+    # d = (1, 10**5000): a 5001-digit result from inputs of 2501 digits
+    big = 10**2500
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, ["snf", "--matrix", f"[[{big},1],[0,{big}]]"])
+    assert code == 0 and err == ""
+    assert out.count("\n") == 1
+    assert json.loads(out)["d"] == [1, "1" + "0" * 5000]
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "entry", ["1" + "0" * 4999, '"1' + "0" * 4999 + '"'], ids=["number", "string"]
+)
+def test_cli_rejects_inputs_past_the_digit_limit(tmp_path, capsys, entry):
+    # a 5000-digit relation entry, as a JSON number or as a decimal string
+    path = tmp_path / "ws.json"
+    path.write_text(
+        '{"ring": "Z", "modules": {"M": {"generators": 1, "relations": [[%s]]}}}' % entry
+    )
+    code, out, err = run_cli(capsys, ["free-rank", "--workspace", str(path), "--module", "M"])
     assert code == 2 and out == ""
     assert err.startswith("modclose: error:")
 
