@@ -144,8 +144,7 @@ def divisible_closure(m: FPModule, n: Submodule, which: DivisibleModule) -> Subm
     which = which if isinstance(which, DivisibleModule) else DivisibleModule(which)
     if which is DivisibleModule.Q_MOD_Z:
         return n
-    sat = n.lattice.saturation()
-    return Submodule(m, sat.basis_matrix(m.ring))
+    return Submodule(m, n.lattice.saturation())
 
 
 def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResult:

@@ -278,8 +278,7 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
 
 def kernel_of_hom(f: Homomorphism) -> Submodule:
     """The submodule ``{x : f(x) = 0}`` of the domain."""
-    pre = f.cod.lattice.preimage(f.matrix.lift())
-    return Submodule(f.dom, pre.basis_matrix(f.dom.ring))
+    return Submodule(f.dom, f.cod.lattice.preimage(f.matrix.lift()))
 
 
 _ENUM_CACHE: dict = {}

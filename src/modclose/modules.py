@@ -206,6 +206,11 @@ class ModuleElement:
 class Submodule:
     """A submodule of a fixed parent, canonicalized by its preimage lattice.
 
+    ``gens`` is a generator matrix (or column list), or the preimage
+    :class:`Lattice` itself: a lattice in Z^g containing the parent's relation
+    lattice is taken as is, without a second echelon, and ``gens`` then
+    becomes ``canonical_gens``.
+
     ``canonical_gens`` is a deterministic generating matrix: the echelon basis
     of the preimage lattice with columns lying in the relation lattice removed
     (those map to zero) and the survivors reduced to canonical coordinates.
@@ -217,11 +222,24 @@ class Submodule:
 
     def __init__(self, parent: FPModule, gens=None):
         self.parent = parent
-        self.gens = _columns_arg(gens, parent.n_gens, parent.ring, "generator matrix")
-        lifted = [tuple(int(x) for x in c) for c in self.gens.columns()]
-        self.lattice = Lattice.from_columns(
-            parent.n_gens, list(parent.lattice.basis) + lifted
-        )
+        from_lattice = isinstance(gens, Lattice)
+        if from_lattice:
+            if gens.dim != parent.n_gens:
+                raise ValueError(
+                    f"lattice lives in Z^{gens.dim} but the module has "
+                    f"{parent.n_gens} generators"
+                )
+            if not gens.contains_lattice(parent.lattice):
+                raise ValueError("lattice does not contain the parent's relations")
+            self.lattice = gens
+        else:
+            self.gens = _columns_arg(
+                gens, parent.n_gens, parent.ring, "generator matrix"
+            )
+            lifted = [tuple(int(x) for x in c) for c in self.gens.columns()]
+            self.lattice = Lattice.from_columns(
+                parent.n_gens, list(parent.lattice.basis) + lifted
+            )
         seen = set()
         cols = []
         for c in self.lattice.basis:
@@ -232,6 +250,8 @@ class Submodule:
                 seen.add(reduced)
                 cols.append(reduced)
         self.canonical_gens = IntMatrix.from_columns(cols, parent.n_gens, parent.ring)
+        if from_lattice:
+            self.gens = self.canonical_gens
         self._hash = None
 
     # -- predicates ---------------------------------------------------------
@@ -296,13 +316,13 @@ def _check_same_parent(u: Submodule, v: Submodule) -> None:
 def sub_meet(u: Submodule, v: Submodule) -> Submodule:
     """Intersection of two submodules of the same parent."""
     _check_same_parent(u, v)
-    return Submodule(u.parent, u.lattice.intersect(v.lattice).basis_matrix())
+    return Submodule(u.parent, u.lattice.intersect(v.lattice))
 
 
 def sub_join(u: Submodule, v: Submodule) -> Submodule:
     """Sum of two submodules of the same parent."""
     _check_same_parent(u, v)
-    return Submodule(u.parent, u.lattice.sum(v.lattice).basis_matrix())
+    return Submodule(u.parent, u.lattice.sum(v.lattice))
 
 
 def sub_contains(u: Submodule, x: ModuleElement) -> bool:
@@ -349,8 +369,7 @@ def sub_preimage(f, w: Submodule) -> Submodule:
     """Preimage ``{x : f(x) in w}`` of a submodule of the codomain."""
     if w.parent != f.cod:
         raise ValueError("submodule does not live in the homomorphism's codomain")
-    pre = w.lattice.preimage(f.matrix.lift())
-    return Submodule(f.dom, pre.basis_matrix())
+    return Submodule(f.dom, w.lattice.preimage(f.matrix.lift()))
 
 
 _SUB_AS_MODULE_CACHE: dict = {}
@@ -396,32 +415,39 @@ _SUBMODULES_CACHE: dict = {}
 def all_submodules(m: FPModule) -> list[Submodule]:
     """Every submodule of a finite module.
 
-    Computed as the join-closure of the cyclic submodules; returned in a
-    deterministic order.  Results are memoized (everything is immutable).
+    Computed on preimage lattices as the join-closure of the cyclic
+    submodules: one generator is kept per distinct cyclic lattice, a lattice
+    is extended by one generator column at a time (skipping generators it
+    already contains), and a :class:`Submodule` is built only for each final
+    lattice.  Returned in a deterministic order; results are memoized
+    (everything is immutable).
     """
     cached = _SUBMODULES_CACHE.get(m)
     if cached is not None:
         return list(cached)
     if not m.is_finite:
         raise ValueError("submodule enumeration requires a finite module")
-    cyclics = []
+    dim, base = m.n_gens, m.lattice.basis
+    gens = []
     seen_cyc = set()
     for x in m.elements():
-        c = Submodule(m, IntMatrix.from_columns([x.coords], m.n_gens, m.ring))
+        c = Lattice.from_columns(dim, base + (x.coords,))
         if c not in seen_cyc:
             seen_cyc.add(c)
-            cyclics.append(c)
-    zero = m.zero_submodule()
-    found = {zero}
-    frontier = [zero]
+            gens.append(x.coords)
+    found = {m.lattice}
+    frontier = [m.lattice]
     while frontier:
         s = frontier.pop()
-        for c in cyclics:
-            j = sub_join(s, c)
+        for x in gens:
+            if s.contains(x):
+                continue
+            j = Lattice.from_columns(dim, s.basis + (x,))
             if j not in found:
                 found.add(j)
                 frontier.append(j)
-    result = sorted(found, key=lambda s: (len(s.lattice.basis), s.lattice.basis))
+    lattices = sorted(found, key=lambda lat: (len(lat.basis), lat.basis))
+    result = [Submodule(m, lat) for lat in lattices]
     _SUBMODULES_CACHE[m] = tuple(result)
     return result
 
@@ -431,7 +457,4 @@ def submodules_between(m: FPModule, n: Submodule) -> list[Submodule]:
     q = quotient_module(m, n)
     if not q.is_finite:
         raise ValueError("enumeration requires a finite quotient")
-    out = []
-    for s in all_submodules(q):
-        out.append(Submodule(m, s.lattice.basis_matrix(m.ring)))
-    return out
+    return [Submodule(m, s.lattice) for s in all_submodules(q)]

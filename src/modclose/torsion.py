@@ -15,6 +15,7 @@ statements (a map to Z is nonzero exactly when a map to Q is).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -81,7 +82,10 @@ class ModuleUniverse:
     """A finite list of modules over one ring, deduplicated up to isomorphism.
 
     Closure of the list under submodules, quotients and finite direct sums is
-    computed and recorded, never assumed.
+    computed and recorded, never assumed.  The quotient class of M by a
+    submodule S is read from S's preimage lattice, which is the relation
+    lattice of M/S, so no quotient module is built for the flags.  A flag is
+    ``None`` when an object is infinite (not decidable by enumeration).
     """
 
     __slots__ = (
@@ -117,13 +121,12 @@ class ModuleUniverse:
         self.closed_under_sums = self._sum_flag(iso_classes)
 
     def _closure_flag(self, iso_classes, class_fn):
-        try:
-            for m in self.objects:
-                for cls in class_fn(m):
-                    if cls not in iso_classes:
-                        return False
-        except ValueError:
-            return None  # infinite object: not decidable by enumeration
+        for m in self.objects:
+            if not m.is_finite:
+                return None
+            for cls in class_fn(m):
+                if cls not in iso_classes:
+                    return False
         return True
 
     @staticmethod
@@ -134,7 +137,7 @@ class ModuleUniverse:
     @staticmethod
     def _quotient_classes(m: FPModule):
         for s in all_submodules(m):
-            yield quotient_module(m, s).invariant_factors
+            yield s.lattice.quotient_invariants()
 
     def _sum_flag(self, iso_classes):
         for a in self.objects:
@@ -147,26 +150,58 @@ class ModuleUniverse:
         return f"ModuleUniverse({self.ring}, {len(self.objects)} objects)"
 
 
+# Cap on the summed orders of the modules one enumeration may return.  verify
+# enumerates every submodule of every object, so its work grows at least with
+# this total; Z/12 with at most 3 generators and order at most 300 sums to
+# 2,168.
+UNIVERSE_ORDER_CAP = 4096
+
+
+def _divisors(n: int, limit: int) -> list[int]:
+    """The divisors ``d`` of ``n`` with ``2 <= d <= limit``, ascending, found
+    in at most ``min(limit, sqrt(n))`` trial divisions."""
+    root = math.isqrt(n)
+    small = [d for d in range(2, min(root, limit) + 1) if n % d == 0]
+    large = [
+        n // d for d in reversed([1] + small) if d * d != n and n // d <= limit
+    ]
+    return small + large
+
+
 def enumerate_universe(ring: Ring, max_gens: int, max_order: int) -> list[FPModule]:
     """One module per isomorphism class: all invariant-factor chains with at
     most ``max_gens`` factors and order at most ``max_order`` (the zero module
-    included).  Over a modular ring the factors divide the modulus."""
+    included).  Over a modular ring the factors divide the modulus.
+
+    Raises ``ValueError`` once the summed orders of the modules found pass
+    ``UNIVERSE_ORDER_CAP``, instead of enumerating an unbounded universe.
+    """
     if max_gens < 0 or max_order < 1:
         raise ValueError("bounds must be nonnegative (and order at least 1)")
+    divisors = _divisors(ring.modulus, max_order) if ring.is_modular else None
     chains: list[tuple[int, ...]] = []
+    total = 0
 
     def extend(chain, product):
+        nonlocal total
+        total += product
+        if total > UNIVERSE_ORDER_CAP:
+            raise ValueError(
+                f"universe too large: the module orders found so far sum to "
+                f"{total}, past the cap of {UNIVERSE_ORDER_CAP}; lower the "
+                f"generator or order bound"
+            )
         chains.append(tuple(chain))
         if len(chain) >= max_gens:
             return
-        start = chain[-1] if chain else 2
-        for d in range(start, max_order + 1):
+        last = chain[-1] if chain else 1
+        if divisors is None:
+            steps = range(max(last, 2), max_order + 1, last)
+        else:
+            steps = (d for d in divisors if d % last == 0)
+        for d in steps:
             if product * d > max_order:
                 break
-            if chain and d % chain[-1] != 0:
-                continue
-            if ring.is_modular and ring.modulus % d != 0:
-                continue
             extend(chain + [d], product * d)
 
     extend([], 1)
@@ -213,10 +248,18 @@ def verify_torsion_theory(
 ) -> TorsionTheoryReport:
     """Run every torsion-theory law over the universe and report per check.
 
-    Objects of the subcategory are adjoined to the universe if missing.  The
+    Objects of the subcategory are adjoined to the universe if missing; when
+    none is missing, the given universe is reused rather than rebuilt.  The
     closure conditions on T and F are checked in their finite variants:
     quotients, submodules, pairwise direct sums, and extensions realizable
     inside universe objects.
+
+    Membership in T (no nonzero map into the subcategory) and in F (zero
+    radical) depends only on the isomorphism class, so each is decided once
+    per invariant-factor chain, first for the universe objects, and looked up
+    for every other presentation of that class.  The radical table and the
+    radical laws still use each object's own presentation, whose coordinates
+    the radical generators are reported in.
     """
     if universe.ring != cat.ring:
         raise ValueError("universe and subcategory must share a ring")
@@ -226,14 +269,26 @@ def verify_torsion_theory(
         if obj.invariant_factors not in known:
             known.add(obj.invariant_factors)
             objects.append(obj)
-    full = ModuleUniverse(universe.ring, objects)
-    objects = list(full.objects)
+    if len(objects) > len(universe.objects):
+        universe = ModuleUniverse(universe.ring, objects)
+    objects = list(universe.objects)
 
+    def per_class(test):
+        decided: dict[tuple[int, ...], bool] = {}
+
+        def member(x: FPModule) -> bool:
+            key = x.invariant_factors
+            if key not in decided:
+                decided[key] = test(x, cat)
+            return decided[key]
+
+        return member
+
+    in_t = per_class(_in_torsion_class)
+    in_f = per_class(_in_torsion_free_class)
     radical_table = tuple((m, torsion_radical(m, cat)) for m in objects)
-    in_t = {m: _in_torsion_class(m, cat) for m in objects}
-    in_f = {m: _in_torsion_free_class(m, cat) for m in objects}
-    t_members = tuple(m for m in objects if in_t[m])
-    f_members = tuple(m for m in objects if in_f[m])
+    t_members = tuple(m for m in objects if in_t(m))
+    f_members = tuple(m for m in objects if in_f(m))
 
     checks: list[CheckResult] = []
 
@@ -243,7 +298,7 @@ def verify_torsion_theory(
     # the subcategory must meet T only in zero, and must consist of
     # torsion-free objects
     bad = next(
-        (a for a in cat.finite_objects if not a.is_zero and _in_torsion_class(a, cat)),
+        (a for a in cat.finite_objects if not a.is_zero and in_t(a)),
         None,
     )
     add(
@@ -251,9 +306,7 @@ def verify_torsion_theory(
         bad is None,
         counterexample=None if bad is None else {"object": _label(bad)},
     )
-    bad = next(
-        (a for a in cat.finite_objects if not _in_torsion_free_class(a, cat)), None
-    )
+    bad = next((a for a in cat.finite_objects if not in_f(a)), None)
     add(
         "subcategory_inside_torsion_free_class",
         bad is None,
@@ -261,7 +314,7 @@ def verify_torsion_theory(
     )
 
     # T and F intersect trivially
-    bad = next((m for m in objects if in_t[m] and in_f[m] and not m.is_zero), None)
+    bad = next((m for m in objects if in_t(m) and in_f(m) and not m.is_zero), None)
     add(
         "torsion_and_torsion_free_intersect_trivially",
         bad is None,
@@ -288,12 +341,12 @@ def verify_torsion_theory(
         smod, incl = sub_as_module(t)
         if sub_image(incl, torsion_radical(smod, cat)) != t:
             idem_bad = idem_bad or {"module": _label(m)}
-        if not _in_torsion_class(smod, cat):
+        if not in_t(smod):
             rad_in_t_bad = rad_in_t_bad or {"module": _label(m)}
         q = quotient_module(m, t)
         if not torsion_radical(q, cat).is_zero:
             quot_rad_bad = quot_rad_bad or {"module": _label(m)}
-        if not _in_torsion_free_class(q, cat):
+        if not in_f(q):
             quot_in_f_bad = quot_in_f_bad or {"module": _label(m)}
     add("radical_is_idempotent", idem_bad is None, counterexample=idem_bad)
     add("radical_lies_in_torsion_class", rad_in_t_bad is None, counterexample=rad_in_t_bad)
@@ -323,37 +376,29 @@ def verify_torsion_theory(
     t_ext_bad = f_ext_bad = None
     for m in objects:
         for smod, qmod in profiles[m]:
-            if in_t[m]:
-                if not _in_torsion_class(qmod, cat):
+            if in_t(m):
+                if not in_t(qmod):
                     t_quot_bad = t_quot_bad or {
                         "module": _label(m),
                         "quotient": _label(qmod),
                     }
-                if not _in_torsion_class(smod, cat):
+                if not in_t(smod):
                     t_sub_bad = t_sub_bad or {
                         "module": _label(m),
                         "submodule": _label(smod),
                     }
-            if in_f[m] and not _in_torsion_free_class(smod, cat):
+            if in_f(m) and not in_f(smod):
                 f_sub_bad = f_sub_bad or {
                     "module": _label(m),
                     "submodule": _label(smod),
                 }
-            if (
-                _in_torsion_class(smod, cat)
-                and _in_torsion_class(qmod, cat)
-                and not in_t[m]
-            ):
+            if in_t(smod) and in_t(qmod) and not in_t(m):
                 t_ext_bad = t_ext_bad or {
                     "middle": _label(m),
                     "sub": _label(smod),
                     "quotient": _label(qmod),
                 }
-            if (
-                _in_torsion_free_class(smod, cat)
-                and _in_torsion_free_class(qmod, cat)
-                and not in_f[m]
-            ):
+            if in_f(smod) and in_f(qmod) and not in_f(m):
                 f_ext_bad = f_ext_bad or {
                     "middle": _label(m),
                     "sub": _label(smod),
@@ -363,11 +408,11 @@ def verify_torsion_theory(
     t_sum_bad = f_sum_bad = None
     for x in t_members:
         for y in t_members:
-            if not _in_torsion_class(direct_sum(x, y), cat):
+            if not in_t(direct_sum(x, y)):
                 t_sum_bad = t_sum_bad or {"left": _label(x), "right": _label(y)}
     for x in f_members:
         for y in f_members:
-            if not _in_torsion_free_class(direct_sum(x, y), cat):
+            if not in_f(direct_sum(x, y)):
                 f_sum_bad = f_sum_bad or {"left": _label(x), "right": _label(y)}
 
     add(
@@ -413,7 +458,7 @@ def verify_torsion_theory(
 
     return TorsionTheoryReport(
         cat=cat,
-        universe=full,
+        universe=universe,
         T_members=t_members,
         F_members=f_members,
         radical_table=radical_table,

@@ -5,7 +5,7 @@ of canonical coordinate tuples, and the lattice operations become plain set
 operations plus subgroup generation.
 """
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from modclose import FPModule, Submodule
 
@@ -29,6 +29,40 @@ def generated_subgroup(m: FPModule, seeds) -> frozenset:
                 found.add(y.coords)
                 frontier.append(y)
     return frozenset(found)
+
+
+def subgroups_by_elements(m: FPModule, k: int) -> set:
+    """Every subgroup of a finite module generated by at most ``k`` of its
+    elements, as element sets.  With ``k`` at least the number of invariant
+    factors this is every subgroup."""
+    elems = [x.coords for x in m.elements()]
+    return {
+        generated_subgroup(m, combo)
+        for combo in combinations_with_replacement(elems, k)
+    }
+
+
+def universe_chains(modulus: int, max_gens: int, max_order: int) -> list:
+    """The invariant-factor chains ``enumerate_universe`` lists, in its
+    order, by trying every factor up to ``max_order`` (small bounds only).
+    ``modulus`` 0 means the integers."""
+    chains = []
+
+    def extend(chain, product_):
+        chains.append(tuple(chain))
+        if len(chain) >= max_gens:
+            return
+        for d in range(chain[-1] if chain else 2, max_order + 1):
+            if product_ * d > max_order:
+                break
+            if chain and d % chain[-1]:
+                continue
+            if modulus and modulus % d:
+                continue
+            extend(chain + [d], product_ * d)
+
+    extend([], 1)
+    return chains
 
 
 def join_by_elements(u: Submodule, v: Submodule) -> frozenset:

@@ -10,6 +10,7 @@ from modclose import (
     Zmod,
     all_submodules,
     direct_sum,
+    enumerate_universe,
     present_module,
     quotient,
     quotient_module,
@@ -23,6 +24,7 @@ from modclose import (
     submodules_between,
 )
 from modclose.homs import Homomorphism
+from modclose.lattices import Lattice
 
 from oracles import (
     element_order_statistics,
@@ -30,6 +32,7 @@ from oracles import (
     join_by_elements,
     meet_by_elements,
     order_statistics_of_invariants,
+    subgroups_by_elements,
 )
 
 
@@ -338,6 +341,62 @@ def test_all_submodules_requires_finite():
     m = present_module(ZZ, 1)
     with pytest.raises(ValueError):
         all_submodules(m)
+
+
+def _assert_submodules_match_element_oracle(m):
+    sets = [element_set(s) for s in all_submodules(m)]
+    assert len(set(sets)) == len(sets)
+    k = max(len(m.invariant_factors), 1)
+    assert set(sets) == subgroups_by_elements(m, k)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
+def test_all_submodules_match_element_oracle_over_universe(n):
+    for m in enumerate_universe(Zmod(n), 2, 36):
+        _assert_submodules_match_element_oracle(m)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        present_module(Zmod(2), 3),  # (Z/2)^3: subgroups need three generators
+        present_module(Zmod(4), 2, [(2, 0)]),  # Z/2 + Z/4
+        present_module(Zmod(8), 2, [(2, 2), (0, 4)]),  # Z/2 + Z/4, skew coordinates
+    ],
+    ids=["z2^3", "z2+z4", "z2+z4-skew"],
+)
+def test_all_submodules_match_element_oracle_small_presentations(m):
+    _assert_submodules_match_element_oracle(m)
+
+
+def test_submodule_from_lattice_matches_generator_matrix(rng):
+    for ring in (ZZ, Zmod(12)):
+        for _ in range(40):
+            g = rng.randint(1, 3)
+            rels = [
+                tuple(rng.randint(-9, 9) for _ in range(g))
+                for _ in range(rng.randint(0, g + 1))
+            ]
+            m = present_module(ring, g, rels)
+            gens = [
+                tuple(rng.randint(-9, 9) for _ in range(g))
+                for _ in range(rng.randint(0, 3))
+            ]
+            lat = Submodule(m, gens).lattice
+            a = Submodule(m, lat)
+            b = Submodule(m, lat.basis_matrix(ring))
+            assert a.lattice == b.lattice == lat
+            assert a.canonical_gens == b.canonical_gens
+            assert a.gens == a.canonical_gens
+
+
+def test_submodule_rejects_lattice_missing_parent_relations():
+    m = present_module(ZZ, 2, [(4, 0), (0, 6)])
+    with pytest.raises(ValueError, match="relations"):
+        Submodule(m, Lattice.from_columns(2, [(8, 0), (0, 6)]))
+    with pytest.raises(ValueError, match="generators"):
+        Submodule(m, Lattice.from_columns(3, [(4, 0, 0), (0, 6, 0)]))
+    assert Submodule(m, Lattice.from_columns(2, [(2, 0), (0, 6)])).size() == 2
 
 
 def test_zero_module_ops_accept_degenerate_input():

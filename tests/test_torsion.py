@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,11 +15,20 @@ from modclose import (
     free_summand_rank,
     hom_group,
     is_bounded,
+    all_submodules,
     present_module,
+    quotient_module,
     sub_as_module,
     torsion_radical,
     verify_torsion_theory,
 )
+from modclose.torsion import (
+    UNIVERSE_ORDER_CAP,
+    _in_torsion_class,
+    _in_torsion_free_class,
+)
+
+from oracles import universe_chains
 
 
 # -- radical ------------------------------------------------------------------------
@@ -103,6 +113,38 @@ def test_enumerate_universe_over_z():
     assert all(m.is_finite for m in mods)
 
 
+def test_enumerate_universe_matches_direct_search():
+    cases = [(n, g, o) for n in range(2, 37) for g in range(4) for o in (1, 8, 36, 100)]
+    cases += [(0, g, o) for g in range(3) for o in (1, 12, 60, 100)]
+    for modulus, max_gens, max_order in cases:
+        ring = Zmod(modulus) if modulus else ZZ
+        chains = universe_chains(modulus, max_gens, max_order)
+        total = sum(math.prod(c) for c in chains)
+        if total > UNIVERSE_ORDER_CAP:
+            with pytest.raises(ValueError, match=str(UNIVERSE_ORDER_CAP)):
+                enumerate_universe(ring, max_gens, max_order)
+        else:
+            got = [m.invariant_factors for m in enumerate_universe(ring, max_gens, max_order)]
+            assert got == chains, (modulus, max_gens, max_order)
+
+
+def test_enumerate_universe_tries_divisors_only():
+    # looping the factor up to the order bound would take days here
+    mods = enumerate_universe(Zmod(12), 1, 10**12)
+    assert [m.invariant_factors for m in mods] == [(), (2,), (3,), (4,), (6,), (12,)]
+
+
+def test_enumerate_universe_admits_desk_scale_universes():
+    mods = enumerate_universe(Zmod(12), 3, 300)
+    assert sum(m.order() for m in mods) == 2168 <= UNIVERSE_ORDER_CAP
+
+
+def test_enumerate_universe_refuses_past_the_order_cap():
+    for ring, max_gens, max_order in [(Zmod(12), 10, 100_000), (ZZ, 1, 10**12)]:
+        with pytest.raises(ValueError, match=f"cap of {UNIVERSE_ORDER_CAP}"):
+            enumerate_universe(ring, max_gens, max_order)
+
+
 def test_universe_dedupes_iso_classes():
     r4 = Zmod(4)
     a = present_module(r4, 1, [(2,)])
@@ -118,6 +160,26 @@ def test_universe_closure_flags():
     assert full.closed_under_quotients is True
     partial = ModuleUniverse(r4, [present_module(r4, 1)])
     assert partial.closed_under_submodules is False
+
+
+def test_universe_flags_undecided_on_infinite_objects():
+    u = ModuleUniverse(ZZ, [present_module(ZZ, 1, [(2,)]), present_module(ZZ, 1)])
+    assert u.closed_under_submodules is None
+    assert u.closed_under_quotients is None
+    # a finite object that already fails decides the flag before Z^2 is reached
+    u = ModuleUniverse(ZZ, [present_module(ZZ, 1, [(4,)]), present_module(ZZ, 2)])
+    assert u.closed_under_submodules is False
+
+
+def test_universe_flags_propagate_enumeration_errors(monkeypatch):
+    import modclose.torsion as torsion_mod
+
+    def broken(m):
+        raise ValueError("enumeration broke")
+
+    monkeypatch.setattr(torsion_mod, "all_submodules", broken)
+    with pytest.raises(ValueError, match="enumeration broke"):
+        ModuleUniverse(Zmod(4), [present_module(Zmod(4), 1)])
 
 
 # -- verification -------------------------------------------------------------------------------
@@ -184,8 +246,42 @@ def test_verify_invariant_under_reordering(rng):
 def test_verify_adjoins_subcategory_objects():
     r6 = Zmod(6)
     cat = Subcategory(r6, [present_module(r6, 1, [(2,)])])
-    rep = verify_torsion_theory(ModuleUniverse(r6, [present_module(r6, 0)]), cat)
-    assert (2,) in {m.invariant_factors for m in rep.universe.objects}
+    u = ModuleUniverse(r6, [present_module(r6, 0)])
+    rep = verify_torsion_theory(u, cat)
+    assert rep.universe is not u
+    assert [m.invariant_factors for m in rep.universe.objects] == [(), (2,)]
+
+
+def test_verify_reuses_a_universe_holding_the_subcategory():
+    r6 = Zmod(6)
+    u = _universe(r6)
+    # Z/2 in other coordinates: its class is already in the universe
+    cat = Subcategory(r6, [present_module(r6, 2, [(2, 0), (0, 1)])])
+    rep = verify_torsion_theory(u, cat)
+    assert rep.universe is u
+    assert rep.all_passed
+
+
+def _diagonal(ring, chain):
+    cols = [tuple(d if i == j else 0 for i in range(len(chain))) for j, d in enumerate(chain)]
+    return present_module(ring, len(chain), cols)
+
+
+@pytest.mark.parametrize(
+    "n, chains",
+    [(6, [(2,)]), (6, [(3,), (2,)]), (12, [(4,)]), (12, [(3,)]), (9, [(9,)])],
+)
+def test_membership_is_an_isomorphism_invariant_over_the_scan(n, chains):
+    # verify decides T and F membership once per invariant-factor chain;
+    # every sub and quotient presentation its scan meets must agree
+    ring = Zmod(n)
+    cat = Subcategory(ring, [_diagonal(ring, c) for c in chains])
+    for m in enumerate_universe(ring, 2, 36):
+        for s in all_submodules(m):
+            for x in (sub_as_module(s)[0], quotient_module(m, s)):
+                rep = _diagonal(ring, x.invariant_factors)
+                assert _in_torsion_class(x, cat) == _in_torsion_class(rep, cat)
+                assert _in_torsion_free_class(x, cat) == _in_torsion_free_class(rep, cat)
 
 
 def test_verify_ring_mismatch():

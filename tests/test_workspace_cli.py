@@ -266,6 +266,21 @@ def test_cli_verify_z6(tmp_path, capsys):
     assert all(c["passed"] for c in rep["checks"])
 
 
+def test_cli_verify_refuses_an_oversized_universe(tmp_path, capsys):
+    doc = {
+        "ring": "Zmod:12",
+        "modules": {"Z4": {"generators": 1, "relations": [[4]]}},
+        "subcategories": {"A": {"finite": ["Z4"], "divisible": []}},
+    }
+    path = write_ws(tmp_path, doc)
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "--workspace", path, "--cat", "A", "--max-gens", "10", "--max-order", "100000"],
+    )
+    assert code == 2 and out == ""
+    assert "4096" in err
+
+
 def test_cli_verify_empty_universe_vacuous(tmp_path, capsys):
     doc = {
         "ring": "Zmod:4",
