@@ -1,19 +1,20 @@
 """Homomorphisms between finitely presented modules.
 
 Hom(M, N) is computed as a finitely generated module with an explicit
-generating set: the lattice of well-defined matrices is the kernel of a
-block system, and quotienting by the matrices that act as zero yields
-generators aligned with the invariant factors.  A brute-force enumeration
-oracle and a Baer-criterion injectivity test live alongside.
+generating set, by the gcd formula in the Smith coordinates of M and N:
+Hom(sum_j Z/d_j, sum_i Z/e_i) = sum_{i,j} Z/gcd(d_j, e_i), with
+Hom(Z/d, Z) = 0 for d != 0.  A brute-force enumeration oracle and a
+Baer-criterion injectivity test live alongside.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import gcd, isqrt
 from typing import Iterator
 
 from .errors import OracleInfeasibleError
-from .matrices import IntMatrix, _kernel_over_z, _snf_with_inverses, _solve_over_z
+from .matrices import IntMatrix, _snf_with_inverses
 from .modules import FPModule, ModuleElement, Submodule
 from .rings import ZZ
 
@@ -191,89 +192,56 @@ class HomGroup:
         return f"HomGroup(structure={list(self.structure)!r})"
 
 
-_HOM_CACHE: dict = {}
-
-
 def hom_group(m: FPModule, n: FPModule) -> HomGroup:
     """Hom(M, N) with an explicit generating set.
 
-    Solves for all matrices sending the relation lattice of M into that of N
-    (a kernel computation on a block system), then quotients by the matrices
-    whose columns lie in N's relation lattice (the zero maps).  Generators are
-    aligned with the invariant factors of the quotient, so enumerating
-    coefficient boxes walks each homomorphism exactly once.
+    In Smith coordinates M = sum_j Z/d_j and N = sum_i Z/e_i, so Hom(M, N)
+    is the sum of the pieces Hom(Z/d_j, Z/e_i) = Z/gcd(d_j, e_i), generated
+    by multiplication with e_i / gcd(d_j, e_i) (with 1 when d_j is 0, and
+    no piece when d_j is nonzero and e_i is 0).  A piece maps back to the
+    presentations as ``U_N^-1 E_ij U_M``.  The pieces are regrouped by one
+    Smith reduction of their orders, so generators are aligned with the
+    invariant factors and enumerating coefficient boxes walks each
+    homomorphism exactly once.
     """
     if m.ring != n.ring:
         raise ValueError("hom groups need a common ring")
-    key = (m, n)
-    cached = _HOM_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     a, b = m.n_gens, n.n_gens
-    p_cols = list(m.lattice.basis)
-    q_cols = list(n.lattice.basis)
-    n_p, n_q = len(p_cols), len(q_cols)
+    d, u_m, _ = m.lattice.smith_coordinates()
+    e, _, uinv_n = n.lattice.smith_coordinates()
 
-    # unknowns: vec(F) (column-major, b*a) then one coefficient vector per
-    # domain relation (n_q each); equations: F @ p_k = Q @ y_k
-    width = b * a + n_q * n_p
-    rows = []
-    for k, p in enumerate(p_cols):
-        for i in range(b):
-            row = [0] * width
-            for j in range(a):
-                if p[j]:
-                    row[j * b + i] = p[j]
-            for l, q in enumerate(q_cols):
-                if q[i]:
-                    row[b * a + k * n_q + l] = -q[i]
-            rows.append(row)
-    system = IntMatrix(rows, ZZ, rows=b * n_p, cols=width)
-    kernel = _kernel_over_z(system)
-    h_cols = [c[: b * a] for c in kernel.columns()]
-    h_mat = IntMatrix.from_columns(h_cols, b * a, ZZ)
-    s = len(h_cols)
-
-    # zero maps: one generator per (domain generator, codomain relation) pair
-    zero_vecs = []
-    for j in range(a):
-        for q in q_cols:
-            vec = [0] * (b * a)
-            for i in range(b):
-                vec[j * b + i] = q[i]
-            zero_vecs.append(tuple(vec))
-
-    # h_mat has full column rank, so each zero map has unique coordinates
-    rel_cols = _solve_over_z(h_mat, zero_vecs)
-    if None in rel_cols:
-        raise AssertionError("zero map not in the solution lattice")
-    if m.ring.is_modular:
-        nmod = m.ring.modulus
-        rel_cols += [
-            tuple(nmod if i == j else 0 for i in range(s)) for j in range(s)
-        ]
-    rel_mat = IntMatrix.from_columns(rel_cols, s, ZZ)
-
-    _, d, _, uinv = _snf_with_inverses(rel_mat)
-    diag_len = min(s, rel_mat.cols)
-    factors = [d[i][i] if i < diag_len else 0 for i in range(s)]
+    # (i, j, multiplier) per piece Z/gcd(d_j, e_i) with a nonunit order
+    pieces = []
+    orders = []
+    for j, dj in enumerate(d):
+        for i, ei in enumerate(e):
+            g = gcd(dj, ei)
+            if g == 1 or (dj and not ei):
+                continue
+            pieces.append((i, j, ei // g if dj else 1))
+            orders.append(g)
+    s = len(pieces)
+    rel_mat = IntMatrix(
+        [[orders[k] if k == l else 0 for l in range(s)] for k in range(s)], ZZ,
+        rows=s, cols=s,
+    )
+    _, dd, _, uinv = _snf_with_inverses(rel_mat)
+    left = IntMatrix(uinv_n, ZZ, rows=b, cols=b)
+    right = IntMatrix(u_m, ZZ, rows=a, cols=a)
 
     gens = []
     structure = []
-    for i, f in enumerate(factors):
+    for t in range(s):
+        f = dd[t][t]
         if f == 1:
             continue
-        coeff = tuple(uinv[r][i] for r in range(s))
-        vec = h_mat.apply(coeff)
-        cols = [tuple(vec[j * b + i2] for i2 in range(b)) for j in range(a)]
-        mat = _canonical_matrix(n, IntMatrix.from_columns(cols, b, ZZ))
-        gens.append(Homomorphism._trusted(m, n, mat))
+        phi = [[0] * a for _ in range(b)]
+        for k, (i, j, c) in enumerate(pieces):
+            phi[i][j] = c * uinv[k][t]
+        mat = left @ IntMatrix(phi, ZZ, rows=b, cols=a) @ right
+        gens.append(Homomorphism._trusted(m, n, _canonical_matrix(n, mat)))
         structure.append(f)
-
-    result = HomGroup(m, n, tuple(gens), tuple(structure))
-    _HOM_CACHE[key] = result
-    return result
+    return HomGroup(m, n, tuple(gens), tuple(structure))
 
 
 def kernel_of_hom(f: Homomorphism) -> Submodule:
@@ -330,9 +298,15 @@ def _prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def _divisors(n: int, limit: int) -> list[int]:
+    """The divisors ``d`` of ``n`` with ``2 <= d <= limit``, ascending, found
+    in at most ``min(limit, sqrt(n))`` trial divisions."""
+    root = isqrt(n)
+    small = [d for d in range(2, min(root, limit) + 1) if n % d == 0]
+    large = [
+        n // d for d in reversed([1] + small) if d * d != n and n // d <= limit
+    ]
+    return small + large
 
 
 def is_injective_module(a: FPModule) -> bool:
@@ -340,8 +314,8 @@ def is_injective_module(a: FPModule) -> bool:
 
     The oracle for :func:`is_injective_by_structure`.  The ideals of Z/n are
     exactly the cyclic ideals generated by divisors of n, so injectivity
-    reduces to: for each divisor d, every element killed by n/d is divisible
-    by d.  For the ring of integers use the divisible injectives instead.
+    reduces to: for each divisor d > 1 (d = 1 holds trivially), every
+    element killed by n/d is divisible by d.  For the ring of integers use the divisible injectives instead.
     """
     if not a.ring.is_modular:
         raise ValueError(
@@ -351,7 +325,7 @@ def is_injective_module(a: FPModule) -> bool:
     n = a.ring.modulus
     elements = [x.coords for x in a.elements()]
     lattice = a.lattice
-    for d in _divisors(n):
+    for d in _divisors(n, n):
         e = n // d
         annihilated = [x for x in elements if not any(lattice.reduce(tuple(e * c for c in x)))]
         multiples = {lattice.reduce(tuple(d * c for c in x)) for x in elements}

@@ -125,17 +125,24 @@ class Lattice:
 
     # -- quotient data ---------------------------------------------------------
 
+    def smith_coordinates(self) -> tuple[tuple[int, ...], list, list]:
+        """Smith decomposition of Z^dim / self as ``(diag, u, uinv)``.
+
+        ``diag`` has ``dim`` entries, units included, each dividing the next,
+        with 0 (free factor) last.  Coordinate ``i`` of ``u @ x`` is the image
+        of ``x`` in the summand Z/diag[i], and column ``i`` of ``uinv = u^-1``
+        generates that summand.
+        """
+        mat = IntMatrix.from_columns(self.basis, self.dim, ZZ)
+        u, d, _, uinv = _snf_with_inverses(mat)
+        diag_len = min(mat.rows, mat.cols)
+        diag = tuple(d[i][i] if i < diag_len else 0 for i in range(self.dim))
+        return diag, u, uinv
+
     def quotient_invariants(self) -> tuple[int, ...]:
         """Invariant factors of Z^dim / self: nonunits only, each dividing the
         next, with 0 (free factor) last."""
-        if not self.basis:
-            return tuple([0] * self.dim)
-        mat = IntMatrix.from_columns(self.basis, self.dim, ZZ)
-        _, d, _, _ = _snf_with_inverses(mat)
-        diag_len = min(mat.rows, mat.cols)
-        factors = [d[i][i] for i in range(diag_len)]
-        factors += [0] * (self.dim - diag_len)
-        return tuple(f for f in factors if f != 1)
+        return tuple(f for f in self.smith_coordinates()[0] if f != 1)
 
     def covolume(self) -> int | None:
         """Order of Z^dim / self, or ``None`` when the quotient is infinite."""

@@ -440,29 +440,22 @@ def kernel_basis(a: IntMatrix, ring: Ring | None = None) -> IntMatrix:
     return IntMatrix.from_columns(cols, mat.cols, mat.ring)
 
 
-def _solve_over_z(
-    a: IntMatrix, bs: Sequence[Sequence[int]]
-) -> list[tuple[int, ...] | None]:
-    """One solution of ``a @ x = b`` over Z for each ``b`` in ``bs`` (``None``
-    where unsolvable), all from a single Smith reduction of ``a``."""
+def _solve_over_z(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
+    """One solution of ``a @ x = b`` over Z, or ``None`` when unsolvable."""
     u, d, v, _ = _snf_with_inverses(a)
     diag_len = min(a.rows, a.cols)
-
-    def solve_one(b):
-        c = [sum(u[i][k] * b[k] for k in range(a.rows)) for i in range(a.rows)]
-        y = [0] * a.cols
-        for i in range(a.rows):
-            di = d[i][i] if i < diag_len else 0
-            if di:
-                q, r = divmod(c[i], di)
-                if r:
-                    return None
-                y[i] = q
-            elif c[i]:
+    c = [sum(u[i][k] * b[k] for k in range(a.rows)) for i in range(a.rows)]
+    y = [0] * a.cols
+    for i in range(a.rows):
+        di = d[i][i] if i < diag_len else 0
+        if di:
+            q, r = divmod(c[i], di)
+            if r:
                 return None
-        return tuple(sum(v[i][j] * y[j] for j in range(a.cols)) for i in range(a.cols))
-
-    return [solve_one(b) for b in bs]
+            y[i] = q
+        elif c[i]:
+            return None
+    return tuple(sum(v[i][j] * y[j] for j in range(a.cols)) for i in range(a.cols))
 
 
 def solve_linear(
@@ -483,9 +476,9 @@ def solve_linear(
         )
     kernel = kernel_basis(mat)
     if not mat.ring.is_modular:
-        return _solve_over_z(mat, [vec])[0], kernel
+        return _solve_over_z(mat, vec), kernel
     n = mat.ring.modulus
-    sol = _solve_over_z(_with_modulus_columns(mat), [[x % n for x in vec]])[0]
+    sol = _solve_over_z(_with_modulus_columns(mat), [x % n for x in vec])
     if sol is None:
         return None, kernel
     return tuple(x % n for x in sol[: mat.cols]), kernel

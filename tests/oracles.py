@@ -7,7 +7,8 @@ operations plus subgroup generation.
 
 from itertools import combinations_with_replacement, product
 
-from modclose import FPModule, Submodule
+from modclose import ZZ, FPModule, IntMatrix, Submodule
+from modclose.matrices import _kernel_over_z, _snf_with_inverses, _solve_over_z
 
 
 def element_set(sub: Submodule) -> frozenset:
@@ -184,3 +185,59 @@ def det_bareiss(rows) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1] if n else 1
+
+
+def hom_structure_block_system(m: FPModule, n: FPModule) -> tuple:
+    """Invariant factors of Hom(M, N) by a general block system: the
+    well-defined matrices are the kernel of ``F @ p_k = Q @ y_k`` over the
+    relations ``p_k`` of M, and the matrices whose columns lie in N's
+    relation lattice (the zero maps) are quotiented out."""
+    a, b = m.n_gens, n.n_gens
+    p_cols = list(m.lattice.basis)
+    q_cols = list(n.lattice.basis)
+    n_p, n_q = len(p_cols), len(q_cols)
+
+    # unknowns: vec(F) (column-major, b*a) then one coefficient vector per
+    # domain relation (n_q each); equations: F @ p_k = Q @ y_k
+    width = b * a + n_q * n_p
+    rows = []
+    for k, p in enumerate(p_cols):
+        for i in range(b):
+            row = [0] * width
+            for j in range(a):
+                if p[j]:
+                    row[j * b + i] = p[j]
+            for l, q in enumerate(q_cols):
+                if q[i]:
+                    row[b * a + k * n_q + l] = -q[i]
+            rows.append(row)
+    system = IntMatrix(rows, ZZ, rows=b * n_p, cols=width)
+    kernel = _kernel_over_z(system)
+    h_cols = [c[: b * a] for c in kernel.columns()]
+    h_mat = IntMatrix.from_columns(h_cols, b * a, ZZ)
+    s = len(h_cols)
+
+    # zero maps: one generator per (domain generator, codomain relation) pair
+    zero_vecs = []
+    for j in range(a):
+        for q in q_cols:
+            vec = [0] * (b * a)
+            for i in range(b):
+                vec[j * b + i] = q[i]
+            zero_vecs.append(tuple(vec))
+
+    # h_mat has full column rank, so each zero map has unique coordinates
+    rel_cols = [_solve_over_z(h_mat, z) for z in zero_vecs]
+    if None in rel_cols:
+        raise AssertionError("zero map not in the solution lattice")
+    if m.ring.is_modular:
+        nmod = m.ring.modulus
+        rel_cols += [
+            tuple(nmod if i == j else 0 for i in range(s)) for j in range(s)
+        ]
+    rel_mat = IntMatrix.from_columns(rel_cols, s, ZZ)
+
+    _, d, _, _ = _snf_with_inverses(rel_mat)
+    diag_len = min(s, rel_mat.cols)
+    factors = [d[i][i] if i < diag_len else 0 for i in range(s)]
+    return tuple(f for f in factors if f != 1)

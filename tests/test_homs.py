@@ -16,7 +16,10 @@ from modclose import (
     present_module,
 )
 
+from modclose.homs import _prime_factors
+
 from conftest import random_finite_module
+from oracles import hom_structure_block_system
 
 
 # -- hom groups -------------------------------------------------------------------
@@ -56,6 +59,49 @@ def test_hom_with_zero_module_is_empty():
 def test_hom_ring_mismatch():
     with pytest.raises(ValueError):
         hom_group(present_module(ZZ, 1), present_module(Zmod(4), 1))
+
+
+def _random_presentation(rng, ring, free_rank):
+    """Up to 4 generators with entries in [-9, 9]; over Z, ``free_rank``
+    fewer relations than generators."""
+    g = rng.randint(max(free_rank, 1), 4)
+    k = g - free_rank if not ring.is_modular else rng.randint(0, g + 1)
+    cols = [tuple(rng.randint(-9, 9) for _ in range(g)) for _ in range(k)]
+    return FPModule(ring, g, cols)
+
+
+def test_hom_group_matches_block_system_and_orders():
+    rng = random.Random(60061)
+    cases = [(ZZ, rng.randint(0, 2), rng.randint(0, 2)) for _ in range(300)]
+    cases += [(Zmod(n), 0, 0) for n in (8, 12, 30, 36, 72) for _ in range(60)]
+    for ring, rank_m, rank_n in cases:
+        m = _random_presentation(rng, ring, rank_m)
+        n = _random_presentation(rng, ring, rank_n)
+        hg = hom_group(m, n)
+        assert hg.structure == hom_structure_block_system(m, n)
+        for gen, d in zip(hg.generators, hg.structure):
+            assert Homomorphism(m, n, gen.matrix) == gen
+            assert not gen.is_zero
+            if d:
+                assert gen.scale(d).is_zero
+                for p in _prime_factors(d):
+                    assert not gen.scale(d // p).is_zero
+
+
+def test_hom_generators_stay_small_over_z():
+    # two 5-generator modules over Z, 3 relations each (free rank 2); a
+    # general block system printed generator entries of 9,819 digits here
+    m = present_module(
+        ZZ, 5, [(9, 3, -8, 2, -4), (7, 4, -2, -4, 7), (8, -7, 1, -7, -9)]
+    )
+    n = present_module(
+        ZZ, 5, [(4, 4, -5, 3, -1), (-6, -1, -5, -1, 0), (4, -8, -7, 4, -9)]
+    )
+    hg = hom_group(m, n)
+    assert hg.structure == hom_structure_block_system(m, n)
+    for gen in hg.generators:
+        for row in gen.matrix.entries:
+            assert all(len(str(abs(x))) < 100 for x in row)
 
 
 # -- homomorphism values ---------------------------------------------------------------
