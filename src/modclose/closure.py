@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import OracleInfeasibleError
-from .homs import Homomorphism, hom_group, is_injective_by_structure, kernel_of_hom
+from .homs import Homomorphism, hom_group, is_injective_by_structure
+from .matrices import IntMatrix
 from .modules import (
     FPModule,
     Submodule,
@@ -28,7 +30,7 @@ from .modules import (
     sub_join,
     sub_meet,
 )
-from .rings import Ring
+from .rings import ZZ, Ring
 
 
 class DivisibleModule(Enum):
@@ -151,23 +153,37 @@ def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResul
     """The closure of ``n`` in ``m`` induced by the subcategory.
 
     Every homomorphism from M that vanishes on N factors through M/N, so the
-    kernels are collected from hom-group generators of M/N into each object
+    kernels are collected from hom-group generators g of M/N into each object
     (lifted along the coordinate-preserving projection) and intersected in
     object order, then generator order; divisible contributions follow.
+
+    A generator is applied to the basis B of the running intersection first:
+    when every image lies in the object's relation lattice R, g vanishes on
+    the running intersection and is skipped.  Otherwise the intersection
+    becomes {x in running : g(x) in R}, one preimage of R under the images
+    g(B) mapped back through B, and g is recorded as a witness.  The lift needs no
+    certificate (M -> M/N -> A is a homomorphism by construction), and the
+    generator's matrix is already in canonical coordinates.
     """
     _check_compat(m, n, cat)
     running = m.whole_submodule()
     witnesses: list[ClosureWitness] = []
-    q = quotient_module(m, n)
+    if cat.finite_objects:
+        q = quotient_module(m, n)
     for obj in cat.finite_objects:
-        hg = hom_group(q, obj)
-        for gen in hg.generators:
-            lifted = Homomorphism(m, obj, gen.matrix)
-            ker = kernel_of_hom(lifted)
-            new = sub_meet(running, ker)
-            if new != running:
-                witnesses.append(ClosureWitness(source=obj, hom=lifted))
-                running = new
+        rel = obj.lattice
+        for gen in hom_group(q, obj).generators:
+            g = gen.matrix.lift()
+            basis = running.lattice.basis
+            images = [g.apply(b) for b in basis]
+            if all(rel.contains(v) for v in images):
+                continue
+            shrunk = rel.preimage(IntMatrix.from_columns(images, obj.n_gens, ZZ))
+            running = Submodule(
+                m, shrunk.transform(IntMatrix.from_columns(basis, m.n_gens, ZZ))
+            )
+            lifted = Homomorphism._trusted(m, obj, gen.matrix)
+            witnesses.append(ClosureWitness(source=obj, hom=lifted))
     for div in cat.divisible_objects:
         contrib = divisible_closure(m, n, div)
         new = sub_meet(running, contrib)
@@ -185,11 +201,18 @@ def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResul
 def _admits_nonzero_map(x: FPModule, target) -> bool:
     """Whether some nonzero homomorphism runs from ``x`` into one object.
 
-    A finitely presented object is decided by its hom group.  Maps into Q see
-    exactly the free part of ``x``, and Q/Z separates every nonzero element.
+    A finitely presented object is decided by invariant factors, as in the
+    gcd formula of ``hom_group``: Hom(Z/d, Z/e) = Z/gcd(d, e) is nonzero iff
+    the gcd is not 1, except that Hom(Z/d, Z) = 0 for d != 0.  Maps into Q
+    see exactly the free part of ``x``, and Q/Z separates every nonzero
+    element.
     """
     if isinstance(target, FPModule):
-        return not hom_group(x, target).is_zero
+        return any(
+            gcd(d, e) != 1 and not (d and not e)
+            for d in x.invariant_factors
+            for e in target.invariant_factors
+        )
     if target is DivisibleModule.Q:
         return x.free_rank() != 0
     return not x.is_zero

@@ -35,6 +35,11 @@ def _columns_arg(
 class FPModule:
     """A finitely presented module: generator count plus relation matrix.
 
+    ``relations`` is a relation matrix (or column list), or the relation
+    :class:`Lattice` itself: a lattice in Z^g (containing n*Z^g over Z/n) is
+    taken as is, without a second echelon, and ``relations`` then becomes its
+    basis matrix.
+
     ``invariant_factors`` is the canonical decomposition: nonunit factors in
     divisibility order, 0 denoting a free summand over Z.  Two values are
     equal iff they present the same quotient on the same generators.
@@ -47,15 +52,25 @@ class FPModule:
             raise ValueError("generator count must be nonnegative")
         self.ring = ring
         self.n_gens = n_gens
-        self.relations = _columns_arg(relations, n_gens, ring, "relation matrix")
-        cols = [tuple(int(x) for x in c) for c in self.relations.columns()]
-        if ring.is_modular:
-            n = ring.modulus
-            cols += [
-                tuple(n if i == j else 0 for i in range(n_gens))
-                for j in range(n_gens)
-            ]
-        self.lattice = Lattice.from_columns(n_gens, cols)
+        n = ring.modulus
+        # n*Z^g, the relations every module over Z/n has (none over Z)
+        scaled_units = [
+            tuple(n if i == j else 0 for i in range(n_gens)) for j in range(n_gens)
+        ] if n else []
+        if isinstance(relations, Lattice):
+            if relations.dim != n_gens:
+                raise ValueError(
+                    f"relation lattice lives in Z^{relations.dim} but the module "
+                    f"has {n_gens} generators"
+                )
+            if not all(relations.contains(c) for c in scaled_units):
+                raise ValueError(f"relation lattice does not contain {n}*Z^{n_gens}")
+            self.relations = relations.basis_matrix(ring)
+            self.lattice = relations
+        else:
+            self.relations = _columns_arg(relations, n_gens, ring, "relation matrix")
+            cols = [tuple(int(x) for x in c) for c in self.relations.columns()]
+            self.lattice = Lattice.from_columns(n_gens, cols + scaled_units)
         self.invariant_factors = self.lattice.quotient_invariants()
         self._hash = None
 
@@ -143,8 +158,9 @@ class FPModule:
 def present_module(ring: Ring, n_gens: int, relations=None) -> FPModule:
     """Build a finitely presented module from a relation matrix.
 
-    ``relations`` may be an :class:`IntMatrix` with ``n_gens`` rows or an
-    iterable of relation columns; ``None`` means no relations.
+    ``relations`` may be an :class:`IntMatrix` with ``n_gens`` rows, an
+    iterable of relation columns, or the relation :class:`Lattice`; ``None``
+    means no relations.
     """
     return FPModule(ring, n_gens, relations)
 
@@ -388,7 +404,7 @@ def sub_as_module(u: Submodule):
     parent = u.parent
     b = u.canonical_gens
     rel = parent.lattice.preimage(b.lift())
-    smod = FPModule(parent.ring, b.cols, rel.basis_matrix(parent.ring))
+    smod = FPModule(parent.ring, b.cols, rel)
     from .homs import Homomorphism
 
     result = (smod, Homomorphism(smod, parent, b))

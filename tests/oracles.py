@@ -7,7 +7,19 @@ operations plus subgroup generation.
 
 from itertools import combinations_with_replacement, product
 
-from modclose import ZZ, FPModule, IntMatrix, Submodule
+from modclose import (
+    ZZ,
+    FPModule,
+    Homomorphism,
+    IntMatrix,
+    Subcategory,
+    Submodule,
+    divisible_closure,
+    hom_group,
+    kernel_of_hom,
+    quotient_module,
+    sub_meet,
+)
 from modclose.matrices import _kernel_over_z, _snf_with_inverses, _solve_over_z
 
 
@@ -241,3 +253,48 @@ def hom_structure_block_system(m: FPModule, n: FPModule) -> tuple:
     diag_len = min(s, rel_mat.cols)
     factors = [d[i][i] if i < diag_len else 0 for i in range(s)]
     return tuple(f for f in factors if f != 1)
+
+
+def closure_by_kernel_meets(m: FPModule, n: Submodule, cat: Subcategory) -> tuple:
+    """The regular closure by one full kernel and one meet per hom-group
+    generator, each lift certified as a homomorphism.  Returns the closure
+    and the matrices of the generators (then ``None`` per divisible rule)
+    that strictly shrank the running intersection."""
+    running = m.whole_submodule()
+    witnesses = []
+    q = quotient_module(m, n)
+    for obj in cat.finite_objects:
+        for gen in hom_group(q, obj).generators:
+            lifted = Homomorphism(m, obj, gen.matrix)
+            new = sub_meet(running, kernel_of_hom(lifted))
+            if new != running:
+                witnesses.append(lifted.matrix)
+                running = new
+    for div in cat.divisible_objects:
+        new = sub_meet(running, divisible_closure(m, n, div))
+        if new != running:
+            witnesses.append(None)
+            running = new
+    return running, witnesses
+
+
+def closure_by_prime_support(m: FPModule, n: Submodule, cat: Subcategory) -> Submodule:
+    """The regular closure over Z/n in closed form: N + m_S*M, where m_S is
+    the product of the full prime powers p^v_p(n) over the primes p dividing
+    some invariant factor of an object.  An injective object's p-parts are
+    free over Z/p^v_p(n), so maps into it separate exactly the p-parts of
+    M/N with p in S, and m_S kills those parts and is a unit on the rest."""
+    factors = [f for obj in cat.finite_objects for f in obj.invariant_factors]
+    m_s, rest, p = 1, m.ring.modulus, 2
+    while rest > 1:
+        power = 1
+        while rest % p == 0:
+            rest //= p
+            power *= p
+        if any(f % p == 0 for f in factors):
+            m_s *= power
+        p += 1
+    scaled = [
+        tuple(m_s if i == j else 0 for i in range(m.n_gens)) for j in range(m.n_gens)
+    ]
+    return Submodule(m, list(n.canonical_gens.columns()) + scaled)

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -24,12 +25,14 @@ from modclose import (
     sub_image,
     sub_meet,
 )
+from modclose.closure import _admits_nonzero_map
 from modclose.oracles import (
     separates_every_nonzero_element,
     torsion_preimage_by_exponent,
 )
 
 from conftest import random_finite_module
+from oracles import closure_by_kernel_meets, closure_by_prime_support
 
 
 # -- subcategory validation ---------------------------------------------------------
@@ -289,6 +292,96 @@ def test_intersecting_generator_kernels_equals_all_homs(rng):
             lifted = Homomorphism(m, obj, h.matrix)
             meet = sub_meet(meet, kernel_of_hom(lifted))
         assert meet == res.closure
+
+
+def _injective_orders(n_mod):
+    """The orders d of the injective cyclic modules Z/d over Z/n: each prime
+    power of n is taken fully or not at all."""
+    return [
+        d for d in range(2, n_mod + 1) if n_mod % d == 0 and gcd(d, n_mod // d) == 1
+    ]
+
+
+def _injective_object(rng, ring, max_factors):
+    orders = [
+        rng.choice(_injective_orders(ring.modulus))
+        for _ in range(rng.randint(1, max_factors))
+    ]
+    r = len(orders)
+    diagonal = [
+        tuple(d if i == j else 0 for i in range(r)) for j, d in enumerate(orders)
+    ]
+    return present_module(ring, r, diagonal)
+
+
+def test_closure_matches_kernel_meets_on_wide_modules(rng):
+    """Modules shaped like the benchmark's closure requests: (Z/n)^k with up
+    to two relations, N on one to three generators, one or two objects."""
+    shrinking = 0
+    for _ in range(40):
+        ring = Zmod(rng.choice([72, 200, 360]))
+        k = rng.randint(6, 12)
+
+        def columns(count):
+            return [
+                tuple(rng.randrange(ring.modulus) for _ in range(k))
+                for _ in range(count)
+            ]
+
+        m = present_module(ring, k, columns(rng.randint(0, 2)))
+        n = m.submodule(columns(rng.randint(1, 3)))
+        cat = Subcategory(
+            ring, [_injective_object(rng, ring, 3) for _ in range(rng.randint(1, 2))]
+        )
+        res = regular_closure(m, n, cat)
+        closure, witness_matrices = closure_by_kernel_meets(m, n, cat)
+        assert res.closure == closure == closure_by_prime_support(m, n, cat)
+        assert [w.hom.matrix for w in res.witnesses] == witness_matrices
+        for w in res.witnesses:
+            # the uncertified lift is a homomorphism in canonical form that
+            # vanishes on N
+            assert Homomorphism(m, w.source, w.hom.matrix) == w.hom
+            assert all(w.hom(m.element(c)).is_zero for c in n.canonical_gens.columns())
+        shrinking += len(res.witnesses)
+    assert shrinking > 0
+
+
+def test_closure_matches_prime_support_form_at_desk_scale(rng):
+    for _ in range(900):
+        ring = Zmod(rng.choice([4, 6, 8, 9, 12, 18, 20, 36, 72]))
+        m = random_finite_module(rng, ring, max_gens=3, max_order=ring.modulus**3)
+        n = m.submodule(
+            [
+                tuple(rng.randrange(ring.modulus) for _ in range(m.n_gens))
+                for _ in range(rng.randint(0, 2))
+            ]
+        )
+        cat = Subcategory(
+            ring, [_injective_object(rng, ring, 2) for _ in range(rng.randint(1, 2))]
+        )
+        assert regular_closure(m, n, cat).closure == closure_by_prime_support(m, n, cat)
+
+
+def test_nonzero_map_by_invariant_factors_matches_hom_group(rng):
+    def module(ring):
+        # up to three generators and at most as many relations, so over Z
+        # free summands are common
+        g = rng.randint(0, 3)
+        rels = [
+            tuple(rng.randint(-9, 9) for _ in range(g))
+            for _ in range(rng.randint(0, g))
+        ]
+        return present_module(ring, g, rels)
+
+    free_pairs, answers = 0, set()
+    for ring in [ZZ] + [Zmod(n) for n in (4, 6, 8, 12, 30, 36, 72)]:
+        for _ in range(120):
+            x, a = module(ring), module(ring)
+            admits = _admits_nonzero_map(x, a)
+            assert admits == (not hom_group(x, a).is_zero)
+            free_pairs += x.free_rank() > 0 and a.free_rank() > 0
+            answers.add(admits)
+    assert free_pairs > 0 and answers == {True, False}
 
 
 def test_closure_is_idempotent(rng):

@@ -390,6 +390,39 @@ def test_submodule_from_lattice_matches_generator_matrix(rng):
             assert a.gens == a.canonical_gens
 
 
+def test_module_from_relation_lattice_matches_relation_matrix(rng):
+    for ring in (ZZ, Zmod(12), Zmod(72)):
+        for _ in range(40):
+            g = rng.randint(1, 3)
+            m = present_module(ring, g, [
+                tuple(rng.randint(-9, 9) for _ in range(g))
+                for _ in range(rng.randint(0, g + 1))
+            ])
+            u = m.submodule([
+                tuple(rng.randint(-9, 9) for _ in range(g))
+                for _ in range(rng.randint(0, 3))
+            ])
+            b = u.canonical_gens
+            rel = m.lattice.preimage(b.lift())
+            from_lattice = FPModule(ring, b.cols, rel)
+            from_matrix = FPModule(ring, b.cols, rel.basis_matrix(ring))
+            assert from_lattice == from_matrix
+            assert from_lattice.lattice == rel
+            assert from_lattice.relations == from_matrix.relations
+            assert from_lattice.invariant_factors == from_matrix.invariant_factors
+            assert sub_as_module(u)[0] == from_matrix
+
+
+def test_module_rejects_relation_lattice_off_the_ring():
+    with pytest.raises(ValueError, match="generators"):
+        FPModule(ZZ, 2, Lattice.from_columns(3, [(4, 0, 0)]))
+    with pytest.raises(ValueError, match=r"contain 4\*Z\^2"):
+        FPModule(Zmod(4), 2, Lattice.from_columns(2, [(4, 0), (0, 8)]))
+    assert FPModule(Zmod(4), 2, Lattice.from_columns(2, [(4, 0), (0, 2)])).order() == 8
+    z_z8 = FPModule(ZZ, 2, Lattice.from_columns(2, [(0, 8)]))
+    assert z_z8.invariant_factors == (8, 0)
+
+
 def test_submodule_rejects_lattice_missing_parent_relations():
     m = present_module(ZZ, 2, [(4, 0), (0, 6)])
     with pytest.raises(ValueError, match="relations"):
