@@ -25,7 +25,6 @@ from .modules import (
     Submodule,
     all_submodules,
     quotient_module,
-    sub_as_module,
     sub_image,
     sub_join,
     sub_meet,
@@ -198,24 +197,25 @@ def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResul
     )
 
 
-def _admits_nonzero_map(x: FPModule, target) -> bool:
-    """Whether some nonzero homomorphism runs from ``x`` into one object.
+def _admits_nonzero_map(chain: tuple[int, ...], target) -> bool:
+    """Whether some nonzero homomorphism runs from a module with invariant
+    factors ``chain`` into one object.
 
     A finitely presented object is decided by invariant factors, as in the
     gcd formula of ``hom_group``: Hom(Z/d, Z/e) = Z/gcd(d, e) is nonzero iff
     the gcd is not 1, except that Hom(Z/d, Z) = 0 for d != 0.  Maps into Q
-    see exactly the free part of ``x``, and Q/Z separates every nonzero
-    element.
+    see exactly the free part (the factors 0), and Q/Z separates every
+    nonzero element.
     """
     if isinstance(target, FPModule):
         return any(
             gcd(d, e) != 1 and not (d and not e)
-            for d in x.invariant_factors
+            for d in chain
             for e in target.invariant_factors
         )
     if target is DivisibleModule.Q:
-        return x.free_rank() != 0
-    return not x.is_zero
+        return 0 in chain
+    return bool(chain)
 
 
 def is_dense(m: FPModule, n: Submodule, cat: Subcategory) -> bool:
@@ -233,7 +233,8 @@ def is_hom_vanishing(m: FPModule, n: Submodule, cat: Subcategory) -> bool:
     _check_compat(m, n, cat)
     q = quotient_module(m, n)
     return not any(
-        _admits_nonzero_map(q, a) for a in cat.finite_objects + cat.divisible_objects
+        _admits_nonzero_map(q.invariant_factors, a)
+        for a in cat.finite_objects + cat.divisible_objects
     )
 
 
@@ -284,15 +285,15 @@ def closedness_witness_scan(
     for s in all_submodules(q):
         if s.is_zero:
             continue
-        smod, _ = sub_as_module(s)
+        invariants = s.lattice.invariants_over(q.lattice)
         flags = [
-            _admits_nonzero_map(smod, a)
+            _admits_nonzero_map(invariants, a)
             for a in cat.finite_objects + cat.divisible_objects
         ]
         entries.append(
             ScanEntry(
                 generators=tuple(s.canonical_gens.columns()),
-                invariants=smod.invariant_factors,
+                invariants=invariants,
                 nonzero_hom_per_object=tuple(flags),
                 exists_nonzero_hom=any(flags),
                 all_objects_admit_hom=all(flags),

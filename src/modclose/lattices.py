@@ -144,6 +144,29 @@ class Lattice:
         next, with 0 (free factor) last."""
         return tuple(f for f in self.smith_coordinates()[0] if f != 1)
 
+    def invariants_over(self, sub: "Lattice") -> tuple[int, ...]:
+        """Invariant factors of self / sub, for a sublattice ``sub``.
+
+        Each basis column of ``sub`` is written in this lattice's echelon
+        basis by forward substitution on the pivot rows, and a nonzero
+        remainder raises ``ValueError``.  The quotient is Z^k modulo those
+        coordinate columns, k the rank of this lattice.
+        """
+        if sub.dim != self.dim:
+            raise ValueError("lattice quotient needs a common ambient dimension")
+        coords = []
+        for vec in sub.basis:
+            v, c = list(vec), []
+            for (r, p), col in zip(self.pivots, self.basis):
+                q = v[r] // p
+                c.append(q)
+                for i in range(r, self.dim):
+                    v[i] -= q * col[i]
+            if any(v):
+                raise ValueError("lattice is not contained in this lattice")
+            coords.append(c)
+        return Lattice.from_columns(len(self.basis), coords).quotient_invariants()
+
     def covolume(self) -> int | None:
         """Order of Z^dim / self, or ``None`` when the quotient is infinite."""
         if len(self.pivots) != self.dim:

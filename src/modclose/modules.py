@@ -388,9 +388,6 @@ def sub_preimage(f, w: Submodule) -> Submodule:
     return Submodule(f.dom, w.lattice.preimage(f.matrix.lift()))
 
 
-_SUB_AS_MODULE_CACHE: dict = {}
-
-
 def sub_as_module(u: Submodule):
     """Present a submodule as a module in its own right.
 
@@ -398,34 +395,31 @@ def sub_as_module(u: Submodule):
     columns of ``canonical_gens`` and the inclusion maps those generators back
     into the parent.
     """
-    cached = _SUB_AS_MODULE_CACHE.get(u)
-    if cached is not None:
-        return cached
     parent = u.parent
     b = u.canonical_gens
     rel = parent.lattice.preimage(b.lift())
     smod = FPModule(parent.ring, b.cols, rel)
     from .homs import Homomorphism
 
-    result = (smod, Homomorphism(smod, parent, b))
-    _SUB_AS_MODULE_CACHE[u] = result
-    return result
+    return smod, Homomorphism(smod, parent, b)
 
 
 def direct_sum(m1: FPModule, m2: FPModule) -> FPModule:
-    """External direct sum, presented on the concatenated generators."""
+    """External direct sum, presented on the concatenated generators.
+
+    The two canonical relation bases, padded with zeros, are already the
+    canonical basis of the block-diagonal relation lattice.
+    """
     if m1.ring != m2.ring:
         raise ValueError("direct sum needs a common ring")
     g1, g2 = m1.n_gens, m2.n_gens
-    cols = [
-        tuple(c) + (0,) * g2 for c in m1.relations.columns()
-    ] + [
-        (0,) * g1 + tuple(c) for c in m2.relations.columns()
-    ]
-    return FPModule(m1.ring, g1 + g2, cols)
-
-
-_SUBMODULES_CACHE: dict = {}
+    a, b = m1.lattice, m2.lattice
+    block = Lattice(
+        g1 + g2,
+        tuple(c + (0,) * g2 for c in a.basis) + tuple((0,) * g1 + c for c in b.basis),
+        a.pivots + tuple((r + g1, p) for r, p in b.pivots),
+    )
+    return FPModule(m1.ring, g1 + g2, block)
 
 
 def all_submodules(m: FPModule) -> list[Submodule]:
@@ -435,12 +429,8 @@ def all_submodules(m: FPModule) -> list[Submodule]:
     submodules: one generator is kept per distinct cyclic lattice, a lattice
     is extended by one generator column at a time (skipping generators it
     already contains), and a :class:`Submodule` is built only for each final
-    lattice.  Returned in a deterministic order; results are memoized
-    (everything is immutable).
+    lattice.  Returned in a deterministic order.
     """
-    cached = _SUBMODULES_CACHE.get(m)
-    if cached is not None:
-        return list(cached)
     if not m.is_finite:
         raise ValueError("submodule enumeration requires a finite module")
     dim, base = m.n_gens, m.lattice.basis
@@ -463,9 +453,7 @@ def all_submodules(m: FPModule) -> list[Submodule]:
                 found.add(j)
                 frontier.append(j)
     lattices = sorted(found, key=lambda lat: (len(lat.basis), lat.basis))
-    result = [Submodule(m, lat) for lat in lattices]
-    _SUBMODULES_CACHE[m] = tuple(result)
-    return result
+    return [Submodule(m, lat) for lat in lattices]
 
 
 def submodules_between(m: FPModule, n: Submodule) -> list[Submodule]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .closure import Subcategory, _admits_nonzero_map, regular_closure
 from .homs import _divisors, hom_group
@@ -64,10 +65,12 @@ def classify(x: FPModule, cat: Subcategory) -> Classification:
     return Classification.MIXED
 
 
-def _in_torsion_class(x: FPModule, cat: Subcategory) -> bool:
-    """Membership in T: no object of the subcategory receives a nonzero map."""
+def _in_torsion_class(x, cat: Subcategory) -> bool:
+    """Membership in T of a module, or of the class of an invariant-factor
+    chain: no object of the subcategory receives a nonzero map."""
+    chain = x.invariant_factors if isinstance(x, FPModule) else x
     return not any(
-        _admits_nonzero_map(x, a) for a in cat.finite_objects + cat.divisible_objects
+        _admits_nonzero_map(chain, a) for a in cat.finite_objects + cat.divisible_objects
     )
 
 
@@ -80,16 +83,20 @@ def _in_torsion_free_class(x: FPModule, cat: Subcategory) -> bool:
 class ModuleUniverse:
     """A finite list of modules over one ring, deduplicated up to isomorphism.
 
-    Closure of the list under submodules, quotients and finite direct sums is
-    computed and recorded, never assumed.  The quotient class of M by a
-    submodule S is read from S's preimage lattice, which is the relation
-    lattice of M/S, so no quotient module is built for the flags.  A flag is
-    ``None`` when an object is infinite (not decidable by enumeration).
+    ``class_pairs[i]`` lists the distinct (class of S, class of M/S) over the
+    submodules S of M = ``objects[i]``, as invariant-factor chains in
+    first-seen order, both read from S's preimage lattice.  The scan stops at
+    the first infinite object, which cannot be enumerated.
+
+    Closure under submodules and quotients (projections of the pairs) and
+    under finite direct sums is computed, never assumed.  A flag is ``None``
+    when an infinite object comes before any missing class.
     """
 
     __slots__ = (
         "ring",
         "objects",
+        "class_pairs",
         "closed_under_submodules",
         "closed_under_quotients",
         "closed_under_sums",
@@ -110,33 +117,25 @@ class ModuleUniverse:
                 kept.append(m)
         self.ring = ring
         self.objects = tuple(kept)
-        iso_classes = seen
-        self.closed_under_submodules = self._closure_flag(
-            iso_classes, self._submodule_classes
-        )
-        self.closed_under_quotients = self._closure_flag(
-            iso_classes, self._quotient_classes
-        )
-        self.closed_under_sums = self._sum_flag(iso_classes)
-
-    def _closure_flag(self, iso_classes, class_fn):
+        class_pairs = []
         for m in self.objects:
             if not m.is_finite:
-                return None
-            for cls in class_fn(m):
-                if cls not in iso_classes:
-                    return False
-        return True
+                break
+            found = dict.fromkeys(
+                (s.lattice.invariants_over(m.lattice), s.lattice.quotient_invariants())
+                for s in all_submodules(m)
+            )
+            class_pairs.append(tuple(found))
+        self.class_pairs = tuple(class_pairs)
+        self.closed_under_submodules = self._closure_flag(seen, 0)
+        self.closed_under_quotients = self._closure_flag(seen, 1)
+        self.closed_under_sums = self._sum_flag(seen)
 
-    @staticmethod
-    def _submodule_classes(m: FPModule):
-        for s in all_submodules(m):
-            yield sub_as_module(s)[0].invariant_factors
-
-    @staticmethod
-    def _quotient_classes(m: FPModule):
-        for s in all_submodules(m):
-            yield s.lattice.quotient_invariants()
+    def _closure_flag(self, iso_classes, side: int):
+        for pairs in self.class_pairs:
+            if any(pair[side] not in iso_classes for pair in pairs):
+                return False
+        return None if len(self.class_pairs) < len(self.objects) else True
 
     def _sum_flag(self, iso_classes):
         for a in self.objects:
@@ -193,14 +192,14 @@ def enumerate_universe(ring: Ring, max_gens: int, max_order: int) -> list[FPModu
             extend(chain + [d], product * d)
 
     extend([], 1)
-    out = []
-    for chain in chains:
-        cols = [
-            tuple(chain[j] if i == j else 0 for i in range(len(chain)))
-            for j in range(len(chain))
-        ]
-        out.append(FPModule(ring, len(chain), cols))
-    return out
+    return [_chain_module(ring, chain) for chain in chains]
+
+
+def _chain_module(ring: Ring, chain: tuple[int, ...]) -> FPModule:
+    """Z^k / diag(chain): the module whose invariant factors are ``chain``."""
+    k = len(chain)
+    cols = [tuple(chain[j] if i == j else 0 for i in range(k)) for j in range(k)]
+    return FPModule(ring, k, cols)
 
 
 @dataclass(frozen=True)
@@ -242,12 +241,11 @@ def verify_torsion_theory(
     quotients, submodules, pairwise direct sums, and extensions realizable
     inside universe objects.
 
-    Membership in T (no nonzero map into the subcategory) and in F (zero
-    radical) depends only on the isomorphism class, so each is decided once
-    per invariant-factor chain, first for the universe objects, and looked up
-    for every other presentation of that class.  The radical table and the
-    radical laws still use each object's own presentation, whose coordinates
-    the radical generators are reported in.
+    The laws on submodules and quotients read the universe's class pairs.
+    Membership in T (no nonzero map into the subcategory) is decided on the
+    invariant-factor chain, membership in F (zero radical) once per chain:
+    on the universe object of that class, whose radical the radical table
+    reports, or else on the chain's diagonal module.
     """
     if universe.ring != cat.ring:
         raise ValueError("universe and subcategory must share a ring")
@@ -260,23 +258,22 @@ def verify_torsion_theory(
     if len(objects) > len(universe.objects):
         universe = ModuleUniverse(universe.ring, objects)
     objects = list(universe.objects)
+    if len(universe.class_pairs) < len(objects):
+        raise ValueError("submodule enumeration requires a finite module")
 
-    def per_class(test):
-        decided: dict[tuple[int, ...], bool] = {}
-
-        def member(x: FPModule) -> bool:
-            key = x.invariant_factors
-            if key not in decided:
-                decided[key] = test(x, cat)
-            return decided[key]
-
-        return member
-
-    in_t = per_class(_in_torsion_class)
-    in_f = per_class(_in_torsion_free_class)
     radical_table = tuple((m, torsion_radical(m, cat)) for m in objects)
-    t_members = tuple(m for m in objects if in_t(m))
-    f_members = tuple(m for m in objects if in_f(m))
+    presented = {m.invariant_factors: m for m in objects}
+
+    def in_t(chain: tuple[int, ...]) -> bool:
+        return _in_torsion_class(chain, cat)
+
+    @cache
+    def in_f(chain: tuple[int, ...]) -> bool:
+        m = presented.get(chain) or _chain_module(universe.ring, chain)
+        return _in_torsion_free_class(m, cat)
+
+    t_members = tuple(m for m in objects if in_t(m.invariant_factors))
+    f_members = tuple(m for m in objects if in_f(m.invariant_factors))
 
     checks: list[CheckResult] = []
 
@@ -286,7 +283,7 @@ def verify_torsion_theory(
     # the subcategory must meet T only in zero, and must consist of
     # torsion-free objects
     bad = next(
-        (a for a in cat.finite_objects if not a.is_zero and in_t(a)),
+        (a for a in cat.finite_objects if not a.is_zero and in_t(a.invariant_factors)),
         None,
     )
     add(
@@ -294,7 +291,7 @@ def verify_torsion_theory(
         bad is None,
         counterexample=None if bad is None else {"object": _label(bad)},
     )
-    bad = next((a for a in cat.finite_objects if not in_f(a)), None)
+    bad = next((a for a in cat.finite_objects if not in_f(a.invariant_factors)), None)
     add(
         "subcategory_inside_torsion_free_class",
         bad is None,
@@ -302,7 +299,7 @@ def verify_torsion_theory(
     )
 
     # T and F intersect trivially
-    bad = next((m for m in objects if in_t(m) and in_f(m) and not m.is_zero), None)
+    bad = next((m for m in t_members if m in f_members and not m.is_zero), None)
     add(
         "torsion_and_torsion_free_intersect_trivially",
         bad is None,
@@ -329,7 +326,7 @@ def verify_torsion_theory(
         smod, incl = sub_as_module(t)
         if sub_image(incl, torsion_radical(smod, cat)) != t:
             idem_bad = idem_bad or {"module": _label(m)}
-        if not in_t(smod):
+        if not in_t(smod.invariant_factors):
             rad_in_t_bad = rad_in_t_bad or {"module": _label(m)}
         # F membership of M/t(M) is the vanishing of its radical, so one
         # radical decides both laws
@@ -349,58 +346,34 @@ def verify_torsion_theory(
         counterexample=quot_in_f_bad,
     )
 
-    # closure properties, finite variants; each universe object is scanned
-    # once for (submodule class, quotient class) pairs
-    profiles = {}
-    for m in objects:
-        pairs = []
-        for s in all_submodules(m):
-            smod, _ = sub_as_module(s)
-            qmod = quotient_module(m, s)
-            pairs.append((smod, qmod))
-        profiles[m] = pairs
-
+    # closure properties, finite variants, over the (submodule class,
+    # quotient class) pairs of each universe object
     t_quot_bad = t_sub_bad = f_sub_bad = None
     t_ext_bad = f_ext_bad = None
-    for m in objects:
-        for smod, qmod in profiles[m]:
-            if in_t(m):
-                if not in_t(qmod):
-                    t_quot_bad = t_quot_bad or {
-                        "module": _label(m),
-                        "quotient": _label(qmod),
-                    }
-                if not in_t(smod):
-                    t_sub_bad = t_sub_bad or {
-                        "module": _label(m),
-                        "submodule": _label(smod),
-                    }
-            if in_f(m) and not in_f(smod):
-                f_sub_bad = f_sub_bad or {
-                    "module": _label(m),
-                    "submodule": _label(smod),
-                }
-            if in_t(smod) and in_t(qmod) and not in_t(m):
-                t_ext_bad = t_ext_bad or {
-                    "middle": _label(m),
-                    "sub": _label(smod),
-                    "quotient": _label(qmod),
-                }
-            if in_f(smod) and in_f(qmod) and not in_f(m):
-                f_ext_bad = f_ext_bad or {
-                    "middle": _label(m),
-                    "sub": _label(smod),
-                    "quotient": _label(qmod),
-                }
+    for m, pairs in zip(objects, universe.class_pairs):
+        mc = m.invariant_factors
+        for sc, qc in pairs:  # the chains of S and of M/S
+            ext = {"middle": list(mc), "sub": list(sc), "quotient": list(qc)}
+            if in_t(mc):
+                if not in_t(qc):
+                    t_quot_bad = t_quot_bad or {"module": list(mc), "quotient": list(qc)}
+                if not in_t(sc):
+                    t_sub_bad = t_sub_bad or {"module": list(mc), "submodule": list(sc)}
+            if in_f(mc) and not in_f(sc):
+                f_sub_bad = f_sub_bad or {"module": list(mc), "submodule": list(sc)}
+            if in_t(sc) and in_t(qc) and not in_t(mc):
+                t_ext_bad = t_ext_bad or ext
+            if in_f(sc) and in_f(qc) and not in_f(mc):
+                f_ext_bad = f_ext_bad or ext
 
     t_sum_bad = f_sum_bad = None
     for x in t_members:
         for y in t_members:
-            if not in_t(direct_sum(x, y)):
+            if not in_t(direct_sum(x, y).invariant_factors):
                 t_sum_bad = t_sum_bad or {"left": _label(x), "right": _label(y)}
     for x in f_members:
         for y in f_members:
-            if not in_f(direct_sum(x, y)):
+            if not in_f(direct_sum(x, y).invariant_factors):
                 f_sum_bad = f_sum_bad or {"left": _label(x), "right": _label(y)}
 
     add(

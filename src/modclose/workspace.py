@@ -9,6 +9,7 @@ workspace is always internally consistent.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -25,14 +26,18 @@ def encode_int(x: int):
     return x if _I64_MIN <= x <= _I64_MAX else str(x)
 
 
+# int() also takes "+5", " 7 ", "1_000" and non-ASCII digits; the format does not
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def decode_int(x) -> int:
     if isinstance(x, bool):
         raise ValueError(f"expected an integer, got {x!r}")
     if isinstance(x, int):
         return x
-    if isinstance(x, str):
+    if isinstance(x, str) and _DECIMAL.fullmatch(x):
         return int(x, 10)
-    raise ValueError(f"expected an integer or decimal string, got {x!r}")
+    raise ValueError(f"expected an integer or ASCII decimal string, got {x!r}")
 
 
 def encode_json_value(value):
@@ -73,8 +78,8 @@ def parse_ring(text: str) -> Ring:
         raise ValueError(f"ring must be a string, got {text!r}")
     if text == "Z":
         return ZZ
-    if text.startswith("Zmod:"):
-        return Zmod(int(text.split(":", 1)[1]))
+    if text.startswith("Zmod:") and _DECIMAL.fullmatch(text[5:]):
+        return Zmod(int(text[5:]))
     raise ValueError(f"unknown ring {text!r}; use \"Z\" or \"Zmod:<n>\"")
 
 

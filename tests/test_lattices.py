@@ -1,9 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from modclose import ZZ, Zmod, all_submodules, enumerate_universe, present_module, sub_as_module
 from modclose.lattices import Lattice
 
+from conftest import random_finite_module
 from oracles import echelon_unreduced
 
 
@@ -135,3 +138,44 @@ def test_reduced_echelon_matches_oracle_on_wide_z_lattice():
     cols = [tuple(rng.randint(-100, 100) for _ in range(32)) for _ in range(30)]
     lat = Lattice.from_columns(32, cols)
     assert (lat.basis, lat.pivots) == echelon_unreduced(32, cols)
+
+
+def test_invariants_over_matches_submodule_presentations():
+    # every submodule S of M: the invariants of S read off the lattices
+    # equal those of S presented as a module in its own right
+    rng = random.Random(20261018)
+    checked = 0
+    for n in (4, 6, 8, 9, 12, 18, 36, 72):
+        ring = Zmod(n)
+        mods = enumerate_universe(ring, 2, 72)
+        mods += [random_finite_module(rng, ring, max_gens=3, max_order=72) for _ in range(4)]
+        for m in mods:
+            for s in all_submodules(m):
+                assert s.lattice.invariants_over(m.lattice) == sub_as_module(s)[0].invariant_factors
+                checked += 1
+    # over Z, relation and submodule lattices of any rank
+    for _ in range(150):
+        g = rng.randint(1, 3)
+        m = present_module(ZZ, g, [
+            tuple(rng.randint(-9, 9) for _ in range(g)) for _ in range(rng.randint(0, g))
+        ])
+        s = m.submodule([
+            tuple(rng.randint(-9, 9) for _ in range(g)) for _ in range(rng.randint(0, 3))
+        ])
+        assert s.lattice.invariants_over(m.lattice) == sub_as_module(s)[0].invariant_factors
+    assert checked > 1300
+
+
+def test_invariants_over_rejects_a_lattice_not_contained():
+    two = Lattice.from_columns(2, [(2, 0), (0, 2)])
+    assert two.invariants_over(Lattice.from_columns(2, [(4, 0), (0, 8)])) == (2, 4)
+    assert two.invariants_over(two) == ()
+    with pytest.raises(ValueError):
+        two.invariants_over(Lattice.from_columns(2, [(1, 0)]))  # pivot not divisible
+    with pytest.raises(ValueError):
+        # pivot row divisible, remainder off the pivot rows
+        Lattice.from_columns(2, [(1, 1)]).invariants_over(Lattice.from_columns(2, [(1, 0)]))
+    with pytest.raises(ValueError):
+        Lattice.from_columns(2, [(1, 0)]).invariants_over(Lattice.from_columns(2, [(0, 1)]))
+    with pytest.raises(ValueError):
+        two.invariants_over(Lattice.from_columns(3, []))

@@ -440,3 +440,27 @@ def test_zero_module_ops_accept_degenerate_input():
     assert z.is_whole and z.is_zero
     q, proj = quotient(m, z)
     assert q.is_zero
+
+
+def test_direct_sum_matches_concatenated_relations(rng):
+    # the block-diagonal lattice of the two canonical bases is taken as is;
+    # it must equal the lattice echelonized from the concatenated relations
+    def module(ring):
+        g = rng.randint(0, 3)
+        return present_module(ring, g, [
+            tuple(rng.randint(-9, 9) for _ in range(g))
+            for _ in range(rng.randint(0, g + 1))
+        ])
+
+    for ring in (ZZ, Zmod(12), Zmod(72)):
+        for _ in range(120):
+            m1, m2 = module(ring), module(ring)
+            g1, g2 = m1.n_gens, m2.n_gens
+            cols = [tuple(c) + (0,) * g2 for c in m1.relations.columns()]
+            cols += [(0,) * g1 + tuple(c) for c in m2.relations.columns()]
+            expected = FPModule(ring, g1 + g2, cols)
+            got = direct_sum(m1, m2)
+            assert got == expected
+            assert got.lattice.pivots == expected.lattice.pivots
+            assert got.invariant_factors == expected.invariant_factors
+            assert got.relations == got.lattice.basis_matrix(ring)

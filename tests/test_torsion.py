@@ -28,6 +28,7 @@ from modclose.torsion import (
     _in_torsion_free_class,
 )
 
+from conftest import random_finite_module
 from oracles import universe_chains
 
 
@@ -182,6 +183,41 @@ def test_universe_flags_propagate_enumeration_errors(monkeypatch):
         ModuleUniverse(Zmod(4), [present_module(Zmod(4), 1)])
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 18, 36, 72])
+def test_class_pairs_match_presented_submodules_and_quotients(n, rng):
+    # brute force: present every submodule and quotient as a module, keep the
+    # distinct (submodule class, quotient class) pairs in first-seen order
+    ring = Zmod(n)
+    objs = enumerate_universe(ring, 2, 72)
+    objs += [random_finite_module(rng, ring, max_gens=3, max_order=72) for _ in range(3)]
+    u = ModuleUniverse(ring, objs)
+    assert len(u.class_pairs) == len(u.objects)
+    for m, pairs in zip(u.objects, u.class_pairs):
+        expected = dict.fromkeys(
+            (sub_as_module(s)[0].invariant_factors, quotient_module(m, s).invariant_factors)
+            for s in all_submodules(m)
+        )
+        assert pairs == tuple(expected)
+    classes = {m.invariant_factors for m in u.objects}
+    every = [pair for pairs in u.class_pairs for pair in pairs]
+    assert u.closed_under_submodules == all(sc in classes for sc, _ in every)
+    assert u.closed_under_quotients == all(qc in classes for _, qc in every)
+
+
+def test_infinite_object_leaves_flags_undecided_and_verify_refuses():
+    z2, z = present_module(ZZ, 1, [(2,)]), present_module(ZZ, 1)
+    u = ModuleUniverse(ZZ, [z2, z])
+    assert u.class_pairs == ()  # Z sorts first and stops the scan
+    assert u.closed_under_submodules is None and u.closed_under_quotients is None
+    cat = Subcategory(ZZ, divisible_objects=[DivisibleModule.Q])
+    with pytest.raises(ValueError, match="requires a finite module"):
+        verify_torsion_theory(u, cat)
+    # finite objects only: the scan covers every object
+    u = ModuleUniverse(ZZ, enumerate_universe(ZZ, 2, 8))
+    assert len(u.class_pairs) == len(u.objects)
+    assert verify_torsion_theory(u, cat).all_passed
+
+
 # -- verification -------------------------------------------------------------------------------
 
 
@@ -282,6 +318,75 @@ def test_membership_is_an_isomorphism_invariant_over_the_scan(n, chains):
                 rep = _diagonal(ring, x.invariant_factors)
                 assert _in_torsion_class(x, cat) == _in_torsion_class(rep, cat)
                 assert _in_torsion_free_class(x, cat) == _in_torsion_free_class(rep, cat)
+
+
+PAIR_CHECKS = (
+    "torsion_class_closed_under_quotients",
+    "torsion_class_closed_under_submodules",
+    "torsion_free_class_closed_under_submodules",
+    "torsion_class_closed_under_extensions",
+    "torsion_free_class_closed_under_extensions",
+)
+
+
+def _presented_scan(objects):
+    """(chain of M, chain of S, chain of M/S) over every submodule S of every
+    object M, each sub and quotient presented as a module."""
+    return [
+        (m.invariant_factors, sub_as_module(s)[0].invariant_factors,
+         quotient_module(m, s).invariant_factors)
+        for m in objects
+        for s in all_submodules(m)
+    ]
+
+
+def _first_pair_counterexamples(scan, in_t, in_f):
+    """The first counterexample of each pair law, in scan order."""
+    bad = dict.fromkeys(PAIR_CHECKS)
+
+    def note(name, value):
+        bad[name] = bad[name] or value
+
+    for mc, sc, qc in scan:
+        ext = {"middle": list(mc), "sub": list(sc), "quotient": list(qc)}
+        if in_t(mc) and not in_t(qc):
+            note(PAIR_CHECKS[0], {"module": list(mc), "quotient": list(qc)})
+        if in_t(mc) and not in_t(sc):
+            note(PAIR_CHECKS[1], {"module": list(mc), "submodule": list(sc)})
+        if in_f(mc) and not in_f(sc):
+            note(PAIR_CHECKS[2], {"module": list(mc), "submodule": list(sc)})
+        if in_t(sc) and in_t(qc) and not in_t(mc):
+            note(PAIR_CHECKS[3], ext)
+        if in_f(sc) and in_f(qc) and not in_f(mc):
+            note(PAIR_CHECKS[4], ext)
+    return bad
+
+
+@pytest.mark.parametrize("n", [12, 36])
+def test_pair_laws_report_the_first_counterexample(n, rng, monkeypatch):
+    # the laws hold for genuine subcategories, so T and F are rigged to
+    # random sets of chains to make them fail
+    import modclose.torsion as torsion_mod
+
+    ring = Zmod(n)
+    u = ModuleUniverse(ring, enumerate_universe(ring, 2, 36))
+    cat = Subcategory(ring, [present_module(ring, 1)])
+    chains = sorted({m.invariant_factors for m in u.objects})
+    scan = _presented_scan(u.objects)
+    failures = 0
+    for _ in range(15):
+        t_set = {c for c in chains if rng.random() < 0.5}
+        f_set = {c for c in chains if rng.random() < 0.5}
+        monkeypatch.setattr(torsion_mod, "_in_torsion_class", lambda x, c: x in t_set)
+        monkeypatch.setattr(
+            torsion_mod, "_in_torsion_free_class", lambda x, c: x.invariant_factors in f_set
+        )
+        rep = verify_torsion_theory(u, cat)
+        got = {c.name: c.counterexample for c in rep.checks if c.name in PAIR_CHECKS}
+        expected = _first_pair_counterexamples(scan, t_set.__contains__, f_set.__contains__)
+        assert got == expected
+        failures += sum(v is not None for v in expected.values())
+    assert failures > 0
 
 
 def test_verify_ring_mismatch():

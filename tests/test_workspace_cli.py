@@ -2,11 +2,15 @@ import json
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modclose.cli import main
 from modclose.workspace import (
+    decode_int,
     dumps_report,
+    encode_int,
     load_workspace,
+    parse_ring,
     serialize_workspace,
 )
 
@@ -248,6 +252,35 @@ def test_cli_rejects_inputs_past_the_digit_limit(tmp_path, capsys, entry):
     assert err.startswith("modclose: error:")
 
 
+@pytest.mark.parametrize(
+    "text", ["1_000", " 7 ", "+5", "\u0663"], ids=["underscore", "blanks", "plus", "arabic-indic"]
+)
+@pytest.mark.parametrize("where", ["relation", "modulus"])
+def test_cli_rejects_decimal_strings_beyond_ascii_digits(tmp_path, capsys, text, where):
+    # int() accepts every one of these; the workspace format does not
+    if where == "relation":
+        doc = {"ring": "Z", "modules": {"M": {"generators": 1, "relations": [[text]]}}}
+    else:
+        doc = {"ring": f"Zmod:{text}", "modules": {"M": {"generators": 1, "relations": []}}}
+    with pytest.raises(ValueError):
+        load_workspace(doc)
+    path = write_ws(tmp_path, doc)
+    code, out, err = run_cli(capsys, ["free-rank", "--workspace", path, "--module", "M"])
+    assert code == 2 and out == ""
+    assert err.startswith("modclose: error:") and "Traceback" not in err
+
+
+def test_decimal_strings_accept_ascii_digits_with_a_minus_sign():
+    assert decode_int("-12") == -12
+    assert decode_int("0072") == 72
+    assert decode_int(str(2**80)) == 2**80
+    assert parse_ring("Zmod:12").modulus == 12
+    with pytest.raises(ValueError):
+        decode_int("")
+    with pytest.raises(ValueError):
+        decode_int("7\n")
+
+
 def test_cli_verify_z6(tmp_path, capsys):
     doc = {
         "ring": "Zmod:6",
@@ -398,6 +431,23 @@ def test_cli_verify_explicit_universe(tmp_path, capsys):
     assert "3" in rep["torsion_members"]
 
 
+def test_cli_verify_with_an_infinite_object_exits_2(tmp_path, capsys):
+    doc = {
+        "ring": "Z",
+        "modules": {
+            "Z2": {"generators": 1, "relations": [[2]]},
+            "Z": {"generators": 1, "relations": []},
+        },
+        "subcategories": {"Q": {"finite": [], "divisible": ["Q"]}},
+    }
+    path = write_ws(tmp_path, doc)
+    code, out, err = run_cli(
+        capsys, ["verify", "--workspace", path, "--cat", "Q", "--universe", "Z2,Z"]
+    )
+    assert code == 2 and out == ""
+    assert err == "modclose: error: submodule enumeration requires a finite module\n"
+
+
 def test_cli_verify_without_universe_spec_exits_2(tmp_path, capsys):
     doc = {
         "ring": "Zmod:6",
@@ -449,3 +499,133 @@ def test_cli_hom_infinite_oracle_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "infeasible" in err
+
+
+# -- workspace documents, generated ----------------------------------------------
+
+NAMES = st.text(alphabet="abMNR01_", min_size=1, max_size=3)
+# relation and generator entries: JSON numbers, or decimal strings of any size
+ENTRIES = st.integers(min_value=-(2**70), max_value=2**70).flatmap(
+    lambda x: st.sampled_from([x, str(x), encode_int(x)])
+)
+
+
+@st.composite
+def workspace_docs(draw):
+    """Valid documents: modules of up to 3 generators, submodules of them, and
+    subcategories of injective objects (diagonal Z/d with gcd(d, n/d) = 1
+    over Z/n; Q and Q/Z over Z)."""
+    n = draw(st.sampled_from([0, 2, 4, 6, 12, 72]))
+    modules = {}
+    for name in draw(st.lists(NAMES, max_size=4, unique=True)):
+        g = draw(st.integers(0, 3))
+        cols = draw(st.lists(st.lists(ENTRIES, min_size=g, max_size=g), max_size=3))
+        modules[name] = {"generators": g, "relations": cols}
+    submodules = {}
+    if modules:
+        for name in draw(st.lists(NAMES, max_size=3, unique=True)):
+            parent = draw(st.sampled_from(sorted(modules)))
+            g = modules[parent]["generators"]
+            cols = draw(st.lists(st.lists(ENTRIES, min_size=g, max_size=g), max_size=3))
+            submodules[name] = {"parent": parent, "gens": cols}
+    subcategories = {}
+    if n:
+        units = [d for d in range(1, n + 1) if n % d == 0 and _gcd(d, n // d) == 1]
+        for d in draw(st.lists(st.sampled_from(units), max_size=2)):
+            modules[f"I{d}"] = {"generators": 1, "relations": [[d]]}
+        injective = sorted(k for k in modules if k.startswith("I"))
+        if injective:
+            subcategories["A"] = {
+                "finite": draw(st.lists(st.sampled_from(injective), min_size=1, max_size=2)),
+                "divisible": [],
+            }
+    else:
+        divisible = draw(st.lists(st.sampled_from(["Q", "QmodZ"]), min_size=1, max_size=2))
+        subcategories["A"] = {"finite": [], "divisible": divisible}
+    return {
+        "ring": "Z" if n == 0 else f"Zmod:{n}",
+        "modules": modules,
+        "submodules": submodules,
+        "subcategories": subcategories,
+    }
+
+
+def _gcd(a, b):
+    while b:
+        a, b = b, a % b
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(workspace_docs())
+def test_generated_workspaces_round_trip(doc):
+    ws = load_workspace(doc)
+    text = json.dumps(serialize_workspace(ws))
+    again = load_workspace(json.loads(text))
+    assert again == ws
+    assert serialize_workspace(again) == serialize_workspace(ws)
+
+
+KEYS = st.sampled_from([
+    "ring", "modules", "submodules", "subcategories", "generators",
+    "relations", "gens", "parent", "finite", "divisible", "M", "N", "A",
+])
+# Integers stay small: loading builds a module on g generators in time about
+# g**3 before any size check, an open fault (ROADMAP item 6).
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=4),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=5),
+    st.sampled_from(["Z", "Zmod:4", "Zmod:1", "Zmod:0", "Zmod:+6", "Zmod:", "M", "N",
+                     "Q", "QmodZ", "1_000", " 7 ", "+5", "\u0663", str(2**80)]),
+)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=3), st.dictionaries(KEYS, kids, max_size=4)),
+    max_leaves=24,
+)
+
+
+def _nodes(value, path=()):
+    """Every position in a JSON tree, as a path of keys and indices."""
+    yield path
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _nodes(v, path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _nodes(v, path + (i,))
+
+
+@st.composite
+def damaged_docs(draw):
+    """A valid document with one position (the root included) replaced by an
+    arbitrary JSON value."""
+    doc = draw(workspace_docs())
+    path = draw(st.sampled_from(list(_nodes(doc))))
+    value = draw(JSON_VALUES)
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damaged_docs())
+def test_adversarial_workspaces_fail_only_with_value_error(tmp_path, capsys, doc):
+    try:
+        ws = load_workspace(doc)
+    except ValueError:
+        pass
+    else:
+        assert load_workspace(serialize_workspace(ws)) == ws
+    # without --module, a document that loads fails too: exit 2 either way
+    path = write_ws(tmp_path, doc)
+    code, out, err = run_cli(capsys, ["free-rank", "--workspace", path])
+    assert code == 2 and out == ""
+    assert err.startswith("modclose: error:")
