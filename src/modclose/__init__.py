@@ -5,122 +5,45 @@ operators generate.
 Everything is exact: arbitrary-precision integer arithmetic through Smith
 and Hermite normal forms, with brute-force enumeration oracles alongside the
 structural algorithms.
+
+The public names are loaded lazily (PEP 562): ``from modclose import X``
+imports only the submodule that defines X, so a command-line run loads only
+the code its command uses.
 """
 
-from .closure import (
-    AxiomReport,
-    ClosednessScan,
-    ClosureResult,
-    ClosureWitness,
-    DivisibleModule,
-    ScanEntry,
-    Subcategory,
-    axiom_suite,
-    closedness_witness_scan,
-    divisible_closure,
-    is_closed,
-    is_dense,
-    is_hom_vanishing,
-    regular_closure,
-)
-from .errors import OracleInfeasibleError
-from .homs import (
-    HomGroup,
-    Homomorphism,
-    enumerate_homs,
-    hom_group,
-    is_injective_by_structure,
-    is_injective_module,
-    kernel_of_hom,
-)
-from .matrices import IntMatrix, SNFResult, kernel_basis, smith_normal_form, solve_linear
-from .modules import (
-    FPModule,
-    ModuleElement,
-    Submodule,
-    all_submodules,
-    direct_sum,
-    present_module,
-    quotient,
-    quotient_module,
-    sub_as_module,
-    sub_contains,
-    sub_equal,
-    sub_image,
-    sub_join,
-    sub_meet,
-    sub_preimage,
-    submodules_between,
-)
-from .rings import Ring, ZZ, Zmod
-from .torsion import (
-    Classification,
-    CheckResult,
-    ModuleUniverse,
-    TorsionTheoryReport,
-    classify,
-    enumerate_universe,
-    free_summand_rank,
-    is_bounded,
-    torsion_radical,
-    verify_torsion_theory,
-)
+import importlib
 
-__all__ = [
-    "AxiomReport",
-    "Classification",
-    "CheckResult",
-    "ClosednessScan",
-    "ClosureResult",
-    "ClosureWitness",
-    "DivisibleModule",
-    "FPModule",
-    "HomGroup",
-    "Homomorphism",
-    "IntMatrix",
-    "ModuleElement",
-    "ModuleUniverse",
-    "OracleInfeasibleError",
-    "Ring",
-    "SNFResult",
-    "ScanEntry",
-    "Subcategory",
-    "Submodule",
-    "TorsionTheoryReport",
-    "ZZ",
-    "Zmod",
-    "all_submodules",
-    "axiom_suite",
-    "classify",
-    "closedness_witness_scan",
-    "direct_sum",
-    "divisible_closure",
-    "enumerate_homs",
-    "enumerate_universe",
-    "free_summand_rank",
-    "hom_group",
-    "is_bounded",
-    "is_closed",
-    "is_dense",
-    "is_hom_vanishing",
-    "is_injective_by_structure",
-    "is_injective_module",
-    "kernel_basis",
-    "kernel_of_hom",
-    "present_module",
-    "quotient",
-    "quotient_module",
-    "regular_closure",
-    "smith_normal_form",
-    "solve_linear",
-    "sub_as_module",
-    "sub_contains",
-    "sub_equal",
-    "sub_image",
-    "sub_join",
-    "sub_meet",
-    "sub_preimage",
-    "submodules_between",
-    "torsion_radical",
+# public name -> defining submodule, space-separated per submodule
+_EXPORTS = {
+    "closure": "AxiomReport ClosednessScan ClosureResult ClosureWitness "
+    "DivisibleModule ScanEntry Subcategory axiom_suite closedness_witness_scan "
+    "divisible_closure is_closed is_dense is_hom_vanishing regular_closure",
+    "errors": "OracleInfeasibleError",
+    "homs": "HomGroup Homomorphism enumerate_homs hom_group "
+    "is_injective_by_structure is_injective_module kernel_of_hom",
+    "matrices": "IntMatrix SNFResult kernel_basis smith_normal_form solve_linear",
+    "modules": "FPModule ModuleElement Submodule all_submodules direct_sum "
+    "present_module quotient quotient_module sub_as_module sub_contains sub_equal "
+    "sub_image sub_join sub_meet sub_preimage submodules_between",
+    "rings": "Ring ZZ Zmod",
+    "torsion": "Classification CheckResult ModuleUniverse TorsionTheoryReport "
+    "classify enumerate_universe free_summand_rank is_bounded torsion_radical "
     "verify_torsion_theory",
-]
+}
+
+_SUBMODULE = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    mod = _SUBMODULE.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{mod}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(__all__) | set(globals()))

@@ -3,6 +3,9 @@
 One JSON document goes to stdout; diagnostics go to stderr.  Exit codes:
 0 success (and, for verify, all checks passed), 1 verification failure or
 oracle mismatch, 2 input or validation error.
+
+Each command imports the code it runs when it runs, so a process loads only
+what its command needs; the brute-force oracles load only with ``--oracle``.
 """
 
 from __future__ import annotations
@@ -10,21 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import OracleInfeasibleError
-from .homs import enumerate_homs, hom_group
-from .matrices import IntMatrix, smith_normal_form
-from .modules import FPModule
-from .oracles import closure_by_full_enumeration, det_cofactor, minor_gcd
-from .rings import ZZ
-from .closure import regular_closure
-from .torsion import (
-    ModuleUniverse,
-    enumerate_universe,
-    free_summand_rank,
-    is_bounded,
-    verify_torsion_theory,
-)
 from .workspace import (
     Workspace,
     decode_int,
@@ -32,6 +23,10 @@ from .workspace import (
     load_workspace_file,
     ring_name,
 )
+
+if TYPE_CHECKING:
+    from .matrices import IntMatrix
+    from .modules import FPModule
 
 
 def _label(module: FPModule) -> str:
@@ -61,6 +56,7 @@ def cmd_closure(ws: Workspace, args) -> tuple[int, dict]:
     cat = ws.subcategory(cname)
     if n.parent != m:
         raise ValueError(f"submodule {sname!r} does not live in module {mname!r}")
+    from .closure import regular_closure
     res = regular_closure(m, n, cat)
     finite_names, _ = ws.subcategory_members[cname]
     witnesses = []
@@ -82,6 +78,7 @@ def cmd_closure(ws: Workspace, args) -> tuple[int, dict]:
         "witnesses": witnesses,
     }
     if args.oracle:
+        from .oracles import closure_by_full_enumeration
         recomputed = closure_by_full_enumeration(m, n, cat)
         agree = recomputed == res.closure
         report["oracle"] = {
@@ -96,6 +93,7 @@ def cmd_closure(ws: Workspace, args) -> tuple[int, dict]:
 
 
 def cmd_verify(ws: Workspace, args) -> tuple[int, dict]:
+    from .torsion import ModuleUniverse, enumerate_universe, verify_torsion_theory
     cname = _require(ws, args.cat, "cat")
     cat = ws.subcategory(cname)
     if args.universe:
@@ -136,6 +134,7 @@ def cmd_verify(ws: Workspace, args) -> tuple[int, dict]:
         "all_passed": report_obj.all_passed,
     }
     if args.oracle:
+        from .homs import enumerate_homs, hom_group
         mismatches = []
         for x in report_obj.universe.objects:
             for i, obj in enumerate(cat.finite_objects):
@@ -150,6 +149,8 @@ def cmd_verify(ws: Workspace, args) -> tuple[int, dict]:
 
 
 def _matrix_from_args(ws: Workspace | None, args) -> IntMatrix:
+    from .matrices import IntMatrix
+    from .rings import ZZ
     if args.matrix is not None:
         rows = json.loads(args.matrix)
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
@@ -161,6 +162,7 @@ def _matrix_from_args(ws: Workspace | None, args) -> IntMatrix:
 
 
 def cmd_snf(ws: Workspace | None, args) -> tuple[int, dict]:
+    from .matrices import smith_normal_form
     mat = _matrix_from_args(ws, args)
     res = smith_normal_form(mat)
     report = {
@@ -169,6 +171,7 @@ def cmd_snf(ws: Workspace | None, args) -> tuple[int, dict]:
         "v": _matrix_rows(res.v),
     }
     if args.oracle:
+        from .oracles import det_cofactor, minor_gcd
         checks = {"unimodular": True, "determinant_divisors": True}
         if abs(det_cofactor([list(r) for r in res.u.entries])) != 1:
             checks["unimodular"] = False
@@ -187,6 +190,7 @@ def cmd_snf(ws: Workspace | None, args) -> tuple[int, dict]:
 
 
 def cmd_hom(ws: Workspace, args) -> tuple[int, dict]:
+    from .homs import hom_group
     mname = _require(ws, args.module, "module")
     if args.cod is None:
         raise ValueError("--cod NAME is required for hom")
@@ -205,6 +209,7 @@ def cmd_hom(ws: Workspace, args) -> tuple[int, dict]:
             raise OracleInfeasibleError(
                 "oracle infeasible: the hom group is infinite"
             )
+        from .homs import enumerate_homs
         listed = {h.matrix for h in enumerate_homs(m, n)}
         agree = spanned == listed
         report["oracle"] = {"agrees": agree, "hom_count": len(listed)}
@@ -213,14 +218,22 @@ def cmd_hom(ws: Workspace, args) -> tuple[int, dict]:
     return 0, report
 
 
+def _hom_to_z(m: FPModule):
+    """Hom(M, Z), the oracle of ``bounded`` and ``free-rank``."""
+    from .homs import hom_group
+    from .modules import FPModule
+    from .rings import ZZ
+    return hom_group(m, FPModule(ZZ, 1))
+
+
 def cmd_bounded(ws: Workspace, args) -> tuple[int, dict]:
+    from .torsion import is_bounded
     mname = _require(ws, args.module, "module")
     m = ws.module(mname)
     value = is_bounded(m)
     report = {"module": mname, "bounded": value}
     if args.oracle:
-        free = FPModule(ZZ, 1)
-        agree = hom_group(m, free).is_zero == value
+        agree = _hom_to_z(m).is_zero == value
         report["oracle"] = {"agrees": agree}
         if not agree:
             return 1, report
@@ -228,13 +241,13 @@ def cmd_bounded(ws: Workspace, args) -> tuple[int, dict]:
 
 
 def cmd_free_rank(ws: Workspace, args) -> tuple[int, dict]:
+    from .torsion import free_summand_rank
     mname = _require(ws, args.module, "module")
     m = ws.module(mname)
     value = free_summand_rank(m)
     report = {"module": mname, "free_rank": value}
     if args.oracle:
-        free = FPModule(ZZ, 1)
-        rank_by_hom = sum(1 for d in hom_group(m, free).structure if d == 0)
+        rank_by_hom = sum(1 for d in _hom_to_z(m).structure if d == 0)
         agree = rank_by_hom == value
         report["oracle"] = {"agrees": agree, "rank_by_hom": rank_by_hom}
         if not agree:

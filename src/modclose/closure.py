@@ -12,10 +12,9 @@ f1 and f2 both contain the kernel of any combination r1*f1 + r2*f2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import OracleInfeasibleError
 from .homs import Homomorphism, hom_group, is_injective_by_structure
@@ -107,16 +106,14 @@ class Subcategory:
         return f"Subcategory({self.ring}, [{', '.join(parts)}])"
 
 
-@dataclass(frozen=True)
-class ClosureWitness:
+class ClosureWitness(NamedTuple):
     """One contribution that strictly shrank the running intersection."""
 
     source: object  # an FPModule of the subcategory, or a DivisibleModule
     hom: Homomorphism | None  # None for divisible rules
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     closure: Submodule
     dense: bool
     closed: bool
@@ -243,8 +240,7 @@ def is_closed(m: FPModule, n: Submodule, cat: Subcategory) -> bool:
     return regular_closure(m, n, cat).closed
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     """One nonzero submodule T/N of M/N and its hom-existence profile."""
 
     generators: tuple[tuple[int, ...], ...]  # coordinates in M/N
@@ -254,8 +250,7 @@ class ScanEntry:
     all_objects_admit_hom: bool
 
 
-@dataclass(frozen=True)
-class ClosednessScan:
+class ClosednessScan(NamedTuple):
     """Exhaustive closedness check over all nonzero submodules of M/N.
 
     ``exists_reading_closed`` is the verdict under "some object receives a
@@ -311,8 +306,7 @@ def closedness_witness_scan(
     )
 
 
-@dataclass(frozen=True)
-class AxiomSampleResult:
+class AxiomSampleResult(NamedTuple):
     extension: bool
     monotonicity_applicable: bool
     monotonicity: bool
@@ -322,8 +316,7 @@ class AxiomSampleResult:
     additivity_held: bool
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of the closure-operator axiom checks on a list of samples.
 
     Extension, monotonicity, continuity and idempotency are requirements;

@@ -15,9 +15,9 @@ statements (a map to Z is nonzero exactly when a map to Q is).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 from .closure import Subcategory, _admits_nonzero_map, regular_closure
 from .homs import _divisors, hom_group
@@ -138,8 +138,10 @@ class ModuleUniverse:
         return None if len(self.class_pairs) < len(self.objects) else True
 
     def _sum_flag(self, iso_classes):
-        for a in self.objects:
-            for b in self.objects:
+        # a + b and b + a are isomorphic, so unordered pairs suffice
+        objs = self.objects
+        for i, a in enumerate(objs):
+            for b in objs[i:]:
                 if direct_sum(a, b).invariant_factors not in iso_classes:
                     return False
         return True
@@ -202,16 +204,14 @@ def _chain_module(ring: Ring, chain: tuple[int, ...]) -> FPModule:
     return FPModule(ring, k, cols)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
     counterexample: dict | None = None
 
 
-@dataclass(frozen=True)
-class TorsionTheoryReport:
+class TorsionTheoryReport(NamedTuple):
     """Verification record of the pair (T, F) over a finite module universe."""
 
     cat: Subcategory
@@ -366,15 +366,17 @@ def verify_torsion_theory(
             if in_f(sc) and in_f(qc) and not in_f(mc):
                 f_ext_bad = f_ext_bad or ext
 
-    t_sum_bad = f_sum_bad = None
-    for x in t_members:
-        for y in t_members:
-            if not in_t(direct_sum(x, y).invariant_factors):
-                t_sum_bad = t_sum_bad or {"left": _label(x), "right": _label(y)}
-    for x in f_members:
-        for y in f_members:
-            if not in_f(direct_sum(x, y).invariant_factors):
-                f_sum_bad = f_sum_bad or {"left": _label(x), "right": _label(y)}
+    def first_bad_sum(members, member_of):
+        # x + y and y + x are isomorphic, so the first failing ordered pair
+        # is the first failing pair with x at or before y
+        for i, x in enumerate(members):
+            for y in members[i:]:
+                if not member_of(direct_sum(x, y).invariant_factors):
+                    return {"left": _label(x), "right": _label(y)}
+        return None
+
+    t_sum_bad = first_bad_sum(t_members, in_t)
+    f_sum_bad = first_bad_sum(f_members, in_f)
 
     add(
         "torsion_class_closed_under_quotients",

@@ -11,14 +11,21 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .closure import DivisibleModule, Subcategory
-from .modules import FPModule, Submodule
 from .rings import Ring, ZZ, Zmod
+
+if TYPE_CHECKING:
+    from .closure import Subcategory
+    from .modules import FPModule, Submodule
 
 _I64_MAX = 2**63 - 1
 _I64_MIN = -(2**63)
+
+# Cap on the generators of one module in a document.  Building a module on g
+# generators takes time about g^3, so a larger count is refused before its
+# relations are decoded; the benchmark's largest module has 32.
+MAX_GENERATORS = 256
 
 
 def encode_int(x: int):
@@ -87,23 +94,25 @@ def ring_name(ring: Ring) -> str:
     return f"Zmod:{ring.modulus}" if ring.is_modular else "Z"
 
 
-@dataclass
 class Workspace:
     """Named definitions resolved into live objects.
 
     Name structure (parent names, subcategory member names) is tracked so
     that serialization reproduces the document it was loaded from:
-    load -> serialize -> load is the identity.
+    load -> serialize -> load is the identity.  Workspaces compare equal
+    when all their fields do.
     """
 
-    ring: Ring
-    modules: dict[str, FPModule] = field(default_factory=dict)
-    submodules: dict[str, Submodule] = field(default_factory=dict)
-    subcategories: dict[str, Subcategory] = field(default_factory=dict)
-    submodule_parents: dict[str, str] = field(default_factory=dict)
-    subcategory_members: dict[str, tuple[list[str], list[str]]] = field(
-        default_factory=dict
-    )
+    def __init__(self, ring: Ring):
+        self.ring = ring
+        self.modules: dict[str, FPModule] = {}
+        self.submodules: dict[str, Submodule] = {}
+        self.subcategories: dict[str, Subcategory] = {}
+        self.submodule_parents: dict[str, str] = {}
+        self.subcategory_members: dict[str, tuple[list[str], list[str]]] = {}
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Workspace) and vars(self) == vars(other)
 
     def module(self, name: str) -> FPModule:
         if name not in self.modules:
@@ -128,6 +137,7 @@ class Workspace:
         self.modules[name] = module
 
     def add_submodule(self, name: str, parent_name: str, gens) -> None:
+        from .modules import Submodule
         parent = self.module(parent_name)
         self.submodules[name] = Submodule(parent, gens)
         self.submodule_parents[name] = parent_name
@@ -135,6 +145,7 @@ class Workspace:
     def add_subcategory(
         self, name: str, finite_names: list[str], divisible: list[str]
     ) -> None:
+        from .closure import DivisibleModule, Subcategory
         finite = [self.module(m) for m in finite_names]
         tags = [DivisibleModule(d) for d in divisible]
         self.subcategories[name] = Subcategory(self.ring, finite, tags)
@@ -157,6 +168,7 @@ def _section(doc: dict, key: str) -> dict:
 
 
 def load_workspace(doc: dict) -> Workspace:
+    from .modules import FPModule
     if not isinstance(doc, dict):
         raise ValueError("workspace document must be a JSON object")
     ring = parse_ring(doc.get("ring", "Z"))
@@ -167,6 +179,10 @@ def load_workspace(doc: dict) -> Workspace:
         if not isinstance(gens, int) or isinstance(gens, bool) or gens < 0:
             raise ValueError(
                 f"module {name!r}: generators must be a nonnegative integer"
+            )
+        if gens > MAX_GENERATORS:
+            raise ValueError(
+                f"module {name!r}: {gens} generators, past the cap of {MAX_GENERATORS}"
             )
         cols = _decode_columns(spec.get("relations", []), f"module {name!r} relations")
         for c in cols:

@@ -11,6 +11,7 @@ from modclose import (
     ZZ,
     Zmod,
     classify,
+    direct_sum,
     enumerate_universe,
     free_summand_rank,
     hom_group,
@@ -362,6 +363,25 @@ def _first_pair_counterexamples(scan, in_t, in_f):
     return bad
 
 
+SUM_CHECKS = (
+    "torsion_class_closed_under_finite_sums",
+    "torsion_free_class_closed_under_finite_products",
+)
+
+
+def _first_sum_counterexamples(chains, sums, in_t, in_f):
+    """The first counterexample of each sum law, scanning every ordered pair
+    of members in universe order."""
+    bad = dict.fromkeys(SUM_CHECKS)
+    for name, member in zip(SUM_CHECKS, (in_t, in_f)):
+        members = [c for c in chains if member(c)]
+        for x in members:
+            for y in members:
+                if bad[name] is None and not member(sums[x, y]):
+                    bad[name] = {"left": list(x), "right": list(y)}
+    return bad
+
+
 @pytest.mark.parametrize("n", [12, 36])
 def test_pair_laws_report_the_first_counterexample(n, rng, monkeypatch):
     # the laws hold for genuine subcategories, so T and F are rigged to
@@ -373,6 +393,12 @@ def test_pair_laws_report_the_first_counterexample(n, rng, monkeypatch):
     cat = Subcategory(ring, [present_module(ring, 1)])
     chains = sorted({m.invariant_factors for m in u.objects})
     scan = _presented_scan(u.objects)
+    ordered = [m.invariant_factors for m in u.objects]
+    sums = {
+        (x.invariant_factors, y.invariant_factors): direct_sum(x, y).invariant_factors
+        for x in u.objects
+        for y in u.objects
+    }
     failures = 0
     for _ in range(15):
         t_set = {c for c in chains if rng.random() < 0.5}
@@ -382,8 +408,14 @@ def test_pair_laws_report_the_first_counterexample(n, rng, monkeypatch):
             torsion_mod, "_in_torsion_free_class", lambda x, c: x.invariant_factors in f_set
         )
         rep = verify_torsion_theory(u, cat)
-        got = {c.name: c.counterexample for c in rep.checks if c.name in PAIR_CHECKS}
-        expected = _first_pair_counterexamples(scan, t_set.__contains__, f_set.__contains__)
+        got = {
+            c.name: c.counterexample
+            for c in rep.checks
+            if c.name in PAIR_CHECKS + SUM_CHECKS
+        }
+        in_t, in_f = t_set.__contains__, f_set.__contains__
+        expected = _first_pair_counterexamples(scan, in_t, in_f)
+        expected.update(_first_sum_counterexamples(ordered, sums, in_t, in_f))
         assert got == expected
         failures += sum(v is not None for v in expected.values())
     assert failures > 0

@@ -1,11 +1,13 @@
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modclose.cli import main
 from modclose.workspace import (
+    MAX_GENERATORS,
     decode_int,
     dumps_report,
     encode_int,
@@ -314,6 +316,25 @@ def test_cli_verify_refuses_an_oversized_universe(tmp_path, capsys):
     assert "4096" in err
 
 
+def test_cli_refuses_a_module_past_the_generator_cap(tmp_path, capsys):
+    # a module on g generators is built in time about g^3, so the count is
+    # refused before any relation is decoded
+    doc = {"ring": "Zmod:2", "modules": {"M": {"generators": 20_000}}}
+    path = write_ws(tmp_path, doc)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["snf", "--workspace", path, "--module", "M"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert str(MAX_GENERATORS) in err
+    with pytest.raises(ValueError, match=str(MAX_GENERATORS)):
+        load_workspace({"modules": {"M": {"generators": MAX_GENERATORS + 1}}})
+
+
+def test_a_module_at_the_generator_cap_loads():
+    ws = load_workspace({"modules": {"M": {"generators": MAX_GENERATORS}}})
+    assert ws.module("M").n_gens == MAX_GENERATORS
+
+
 def test_cli_verify_empty_universe_vacuous(tmp_path, capsys):
     doc = {
         "ring": "Zmod:4",
@@ -463,18 +484,17 @@ def test_cli_verify_without_universe_spec_exits_2(tmp_path, capsys):
 def test_cli_verify_exit_1_on_failing_check(tmp_path, capsys, monkeypatch):
     # the laws hold for genuinely injective subcategories, so a failing check
     # is forced here to pin down the exit-code contract
+    import modclose.torsion as torsion_mod
     from modclose.torsion import CheckResult
-    import modclose.cli as cli_mod
 
-    real = cli_mod.verify_torsion_theory
+    real = torsion_mod.verify_torsion_theory
 
     def rigged(universe, cat):
         rep = real(universe, cat)
         bad = CheckResult("rigged_check", False, counterexample={"module": [2]})
-        object.__setattr__(rep, "checks", rep.checks + (bad,))
-        return rep
+        return rep._replace(checks=rep.checks + (bad,))
 
-    monkeypatch.setattr(cli_mod, "verify_torsion_theory", rigged)
+    monkeypatch.setattr(torsion_mod, "verify_torsion_theory", rigged)
     doc = {
         "ring": "Zmod:6",
         "modules": {"Z2": {"generators": 1, "relations": [[2]]}},
