@@ -23,12 +23,12 @@ _EXPORTS = {
     "is_injective_by_structure is_injective_module kernel_of_hom",
     "matrices": "IntMatrix SNFResult kernel_basis smith_normal_form solve_linear",
     "modules": "FPModule ModuleElement Submodule all_submodules direct_sum "
-    "present_module quotient quotient_module sub_as_module sub_contains sub_equal "
-    "sub_image sub_join sub_meet sub_preimage submodules_between",
+    "free_summand_rank is_bounded present_module quotient quotient_module "
+    "sub_as_module sub_contains sub_equal sub_image sub_join sub_meet "
+    "sub_preimage submodules_between",
     "rings": "Ring ZZ Zmod",
     "torsion": "Classification CheckResult ModuleUniverse TorsionTheoryReport "
-    "classify enumerate_universe free_summand_rank is_bounded torsion_radical "
-    "verify_torsion_theory",
+    "classify enumerate_universe torsion_radical verify_torsion_theory",
 }
 
 _SUBMODULE = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

@@ -227,7 +227,7 @@ def _hom_to_z(m: FPModule):
 
 
 def cmd_bounded(ws: Workspace, args) -> tuple[int, dict]:
-    from .torsion import is_bounded
+    from .modules import is_bounded
     mname = _require(ws, args.module, "module")
     m = ws.module(mname)
     value = is_bounded(m)
@@ -241,7 +241,7 @@ def cmd_bounded(ws: Workspace, args) -> tuple[int, dict]:
 
 
 def cmd_free_rank(ws: Workspace, args) -> tuple[int, dict]:
-    from .torsion import free_summand_rank
+    from .modules import free_summand_rank
     mname = _require(ws, args.module, "module")
     m = ws.module(mname)
     value = free_summand_rank(m)

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import OracleInfeasibleError
 from .homs import Homomorphism, hom_group, is_injective_by_structure
-from .matrices import IntMatrix
+from .lattices import Lattice
 from .modules import (
     FPModule,
     Submodule,
@@ -28,7 +28,7 @@ from .modules import (
     sub_join,
     sub_meet,
 )
-from .rings import ZZ, Ring
+from .rings import Ring
 
 
 class DivisibleModule(Enum):
@@ -156,8 +156,8 @@ def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResul
     A generator is applied to the basis B of the running intersection first:
     when every image lies in the object's relation lattice R, g vanishes on
     the running intersection and is skipped.  Otherwise the intersection
-    becomes {x in running : g(x) in R}, one preimage of R under the images
-    g(B) mapped back through B, and g is recorded as a witness.  The lift needs no
+    becomes {x in running : g(x) in R}, read from the stacked columns (g(b), b)
+    and (r, 0), r in R, and g is recorded as a witness.  The lift needs no
     certificate (M -> M/N -> A is a homomorphism by construction), and the
     generator's matrix is already in canonical coordinates.
     """
@@ -174,10 +174,9 @@ def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResul
             images = [g.apply(b) for b in basis]
             if all(rel.contains(v) for v in images):
                 continue
-            shrunk = rel.preimage(IntMatrix.from_columns(images, obj.n_gens, ZZ))
-            running = Submodule(
-                m, shrunk.transform(IntMatrix.from_columns(basis, m.n_gens, ZZ))
-            )
+            stacked = [v + b for v, b in zip(images, basis)]
+            stacked += [r + (0,) * m.n_gens for r in rel.basis]
+            running = Submodule(m, Lattice.from_stacked(obj.n_gens, m.n_gens, stacked))
             lifted = Homomorphism._trusted(m, obj, gen.matrix)
             witnesses.append(ClosureWitness(source=obj, hom=lifted))
     for div in cat.divisible_objects:

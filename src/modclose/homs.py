@@ -41,13 +41,11 @@ class Homomorphism:
             raise ValueError(
                 f"matrix must be {cod.n_gens}x{dom.n_gens}, got {mat.rows}x{mat.cols}"
             )
-        lifted = mat.lift()
-        for c in dom.lattice.basis:
-            if not cod.lattice.contains(lifted.apply(c)):
-                raise ValueError(
-                    "matrix does not define a homomorphism: a relation of the "
-                    "domain is not sent into the relation lattice of the codomain"
-                )
+        if not _is_compatible(dom, cod, mat.columns()):
+            raise ValueError(
+                "matrix does not define a homomorphism: a relation of the "
+                "domain is not sent into the relation lattice of the codomain"
+            )
         self.dom = dom
         self.cod = cod
         self.matrix = _canonical_matrix(cod, mat)
@@ -129,7 +127,8 @@ def _canonical_matrix(cod: FPModule, mat: IntMatrix) -> IntMatrix:
 
 
 def _is_compatible(dom: FPModule, cod: FPModule, columns: list) -> bool:
-    """Well-definedness certificate without building a Homomorphism."""
+    """Well-definedness certificate: every relation of the domain is sent,
+    by the image columns, into the relation lattice of the codomain."""
     contains = cod.lattice.contains
     for rel in dom.lattice.basis:
         img = tuple(

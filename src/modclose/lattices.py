@@ -4,13 +4,17 @@ Every finitely presented module in this package is a quotient Z^g / L for a
 lattice L, and every submodule is an intermediate lattice; keeping each
 lattice in Hermite-style canonical form makes equality syntactic and coset
 reduction deterministic.
+
+Intersections and preimages are read from one echelon of stacked columns
+(``from_stacked``); Smith reduction is used only for the quotient's Smith
+coordinates, from which the saturation is read.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .matrices import IntMatrix, _echelon, _kernel_over_z, _snf_with_inverses
+from .matrices import IntMatrix, _identity_stack, _snf_with_inverses, _stacked_echelon
 from .rings import Ring, ZZ
 
 
@@ -37,7 +41,15 @@ class Lattice:
         The echelon is reduced as it is built (see ``matrices._echelon``), so
         intermediate entries stay near the size of the canonical basis.
         """
-        basis, pivrows = _echelon(dim, columns)
+        return cls.from_stacked(0, dim, columns)
+
+    @classmethod
+    def from_stacked(
+        cls, top: int, dim: int, columns: Iterable[Sequence[int]]
+    ) -> "Lattice":
+        """The lattice ``{y in Z^dim : (0, y) in span(columns)}`` of columns
+        stacked in Z^(top + dim), read from their echelon."""
+        basis, pivrows = _stacked_echelon(top, dim, columns)
         return cls(
             dim,
             tuple(tuple(b) for b in basis),
@@ -72,56 +84,30 @@ class Lattice:
         return Lattice.from_columns(self.dim, self.basis + other.basis)
 
     def intersect(self, other: "Lattice") -> "Lattice":
+        """The intersection, from the stacked columns ``(b, b)`` for b in
+        self and ``(c, 0)`` for c in other: the lower blocks of their
+        combinations with a zero upper block are the vectors of both."""
         if self.dim != other.dim:
             raise ValueError("lattice intersection needs a common ambient dimension")
-        if not self.basis or not other.basis:
-            return Lattice.from_columns(self.dim, [])
-        block = IntMatrix.from_columns(
-            list(self.basis) + [tuple(-x for x in c) for c in other.basis],
-            self.dim,
-            ZZ,
-        )
-        k = _kernel_over_z(block)
-        s = len(self.basis)
-        cols = []
-        for c in k.columns():
-            coeff = c[:s]
-            cols.append(
-                tuple(
-                    sum(self.basis[j][i] * coeff[j] for j in range(s))
-                    for i in range(self.dim)
-                )
-            )
-        return Lattice.from_columns(self.dim, cols)
+        zero = (0,) * self.dim
+        cols = [b + b for b in self.basis] + [c + zero for c in other.basis]
+        return Lattice.from_stacked(self.dim, self.dim, cols)
 
     def saturation(self) -> "Lattice":
-        """The lattice of all x with k*x in self for some k >= 1."""
-        if not self.basis:
-            return self
-        mat = IntMatrix.from_columns(self.basis, self.dim, ZZ)
-        _, d, _, uinv = _snf_with_inverses(mat)
-        cols = []
-        for i in range(min(mat.rows, mat.cols)):
-            if d[i][i]:
-                cols.append(tuple(uinv[r][i] for r in range(self.dim)))
-        return Lattice.from_columns(self.dim, cols)
-
-    def transform(self, f: IntMatrix) -> "Lattice":
-        """Image lattice ``{f @ x : x in self}`` inside Z^(f.rows)."""
-        if f.cols != self.dim:
-            raise ValueError("matrix does not act on this lattice's ambient space")
-        return Lattice.from_columns(f.rows, [f.apply(c) for c in self.basis])
+        """The lattice of all x with k*x in self for some k >= 1: the Smith
+        generators of the summands on which self has a nonzero factor."""
+        diag, _, uinv = self.smith_coordinates()
+        return Lattice.from_columns(
+            self.dim, [tuple(row[i] for row in uinv) for i, d in enumerate(diag) if d]
+        )
 
     def preimage(self, f: IntMatrix) -> "Lattice":
-        """The lattice ``{x in Z^(f.cols) : f @ x in self}``."""
+        """The lattice ``{x in Z^(f.cols) : f @ x in self}``, from the columns
+        ``(f e_j, e_j)`` and ``(l, 0)`` for l in self."""
         if f.rows != self.dim:
             raise ValueError("matrix does not map into this lattice's ambient space")
-        cols = [f.column(j) for j in range(f.cols)] + [
-            tuple(-x for x in c) for c in self.basis
-        ]
-        block = IntMatrix.from_columns(cols, self.dim, ZZ)
-        k = _kernel_over_z(block)
-        return Lattice.from_columns(f.cols, [c[: f.cols] for c in k.columns()])
+        cols = _identity_stack(f) + [c + (0,) * f.cols for c in self.basis]
+        return Lattice.from_stacked(self.dim, f.cols, cols)
 
     # -- quotient data ---------------------------------------------------------
 

@@ -1,13 +1,15 @@
 """Exact matrix arithmetic over Z and Z/n.
 
-Smith normal form with transformation matrices, the canonical column
-echelon (Hermite) basis of a lattice, integer kernels, and linear solving.
+The canonical column echelon (Hermite) basis of a lattice, Smith normal form
+with transformation matrices, integer kernels, and linear solving.
 Everything runs on arbitrary-precision Python integers; modular computations
 are performed by lifting to Z and augmenting with multiples of the modulus,
 so one integer code path (and one oracle) covers both rings.  Unreduced
 elimination over Z swells entries far past the size of the answer, so the
-echelon reduces while it builds, and the public Smith form starts from the
-Hermite form, which keeps the transforms near the size of the determinant.
+echelon reduces while it builds.  Kernels and solutions are read from one
+echelon of the stacked columns of ``[a; I]``; Smith reduction is used only
+for invariants and Smith coordinates, and the public Smith form starts from
+the Hermite form, which keeps the transforms near the size of the determinant.
 
 Matrices are immutable values and may be shared freely between threads.
 """
@@ -76,9 +78,6 @@ class IntMatrix:
 
     # -- accessors ---------------------------------------------------------
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
 
@@ -124,10 +123,6 @@ class IntMatrix:
             raise ValueError("hstack needs equal row counts and a common ring")
         grid = [self.entries[i] + other.entries[i] for i in range(self.rows)]
         return IntMatrix(grid, self.ring, rows=self.rows, cols=self.cols + other.cols)
-
-    def transpose(self) -> "IntMatrix":
-        grid = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return IntMatrix(grid, self.ring, rows=self.cols, cols=self.rows)
 
     def lift(self) -> "IntMatrix":
         """The same entries viewed over the integers."""
@@ -231,6 +226,22 @@ def _echelon(dim: int, columns: Iterable[Sequence[int]]):
             if q:
                 basis[j2] = [a - q * b for a, b in zip(basis[j2], basis[j])]
     return basis, pivrows
+
+
+def _stacked_echelon(top: int, dim: int, columns: Iterable[Sequence[int]]):
+    """``(basis, pivrows)`` of ``{y in Z^dim : (0, y) in span(columns)}``,
+    for columns in Z^(top + dim): the lower blocks of the echelon columns
+    whose pivot row is at or below ``top`` (their upper blocks are zero).
+    Cohen, GTM 138, section 2.4."""
+    basis, pivrows = _echelon(top + dim, columns)
+    k = bisect_left(pivrows, top)
+    return [b[top:] for b in basis[k:]], [r - top for r in pivrows[k:]]
+
+
+def _identity_stack(a: IntMatrix) -> list[tuple[int, ...]]:
+    """The columns ``(a e_j, e_j)`` of ``[a; I]``."""
+    cols = a.cols
+    return [a.column(j) + tuple(int(i == j) for i in range(cols)) for j in range(cols)]
 
 
 class SNFResult:
@@ -385,10 +396,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     if a.ring.is_modular:
         raise ValueError("Smith reduction runs over the integers; lift the matrix first")
     rows, cols = a.rows, a.cols
-    basis, _ = _echelon(
-        rows + cols,
-        [a.column(j) + tuple(int(i == j) for i in range(cols)) for j in range(cols)],
-    )
+    basis, _ = _echelon(rows + cols, _identity_stack(a))
     h = IntMatrix.from_columns([c[:rows] for c in basis], rows)
     w = IntMatrix.from_columns([c[rows:] for c in basis], cols)
     u, d, v, _ = _snf_with_inverses(h)
@@ -400,14 +408,9 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 
 
 def _kernel_over_z(a: IntMatrix) -> IntMatrix:
-    """Basis of ``{x : a @ x = 0}`` over Z, as columns (a lattice basis)."""
-    _, d, v, _ = _snf_with_inverses(a)
-    diag_len = min(a.rows, a.cols)
-    cols = []
-    for j in range(a.cols):
-        if j >= diag_len or d[j][j] == 0:
-            cols.append(tuple(v[i][j] for i in range(a.cols)))
-    return IntMatrix.from_columns(cols, a.cols, ZZ)
+    """Canonical basis of ``{x : a @ x = 0}`` over Z, as columns."""
+    basis, _ = _stacked_echelon(a.rows, a.cols, _identity_stack(a))
+    return IntMatrix.from_columns(basis, a.cols, ZZ)
 
 
 def _with_modulus_columns(mat: IntMatrix) -> IntMatrix:
@@ -441,21 +444,23 @@ def kernel_basis(a: IntMatrix, ring: Ring | None = None) -> IntMatrix:
 
 
 def _solve_over_z(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One solution of ``a @ x = b`` over Z, or ``None`` when unsolvable."""
-    u, d, v, _ = _snf_with_inverses(a)
-    diag_len = min(a.rows, a.cols)
-    c = [sum(u[i][k] * b[k] for k in range(a.rows)) for i in range(a.rows)]
-    y = [0] * a.cols
-    for i in range(a.rows):
-        di = d[i][i] if i < diag_len else 0
-        if di:
-            q, r = divmod(c[i], di)
-            if r:
-                return None
-            y[i] = q
-        elif c[i]:
+    """One solution of ``a @ x = b`` over Z, or ``None`` when unsolvable.
+
+    The echelon columns of ``[a; I]`` with a pivot in the upper block are
+    ``(a w, w)``.  Forward substitution on their pivot rows reduces
+    ``(b, 0)`` to ``(0, -x)`` exactly when ``b`` lies in their span.
+    """
+    rows = a.rows
+    basis, pivrows = _echelon(rows + a.cols, _identity_stack(a))
+    v = [*b] + [0] * a.cols
+    for col, r in zip(basis, pivrows):
+        if r >= rows:
+            break
+        q, rem = divmod(v[r], col[r])
+        if rem:
             return None
-    return tuple(sum(v[i][j] * y[j] for j in range(a.cols)) for i in range(a.cols))
+        v = [vi - q * ci for vi, ci in zip(v, col)]
+    return None if any(v[:rows]) else tuple(-x for x in v[rows:])
 
 
 def solve_linear(

@@ -4,6 +4,8 @@ A module is a quotient Z^g / L where L is the column span of a relation
 matrix (plus n*Z^g in the modular case).  Submodules are stored by generator
 matrices, never by element sets; element enumeration exists for finite
 modules so that test oracles can cross-check the lattice arithmetic.
+Boundedness and free-summand rank over the integers are read off the free
+rank.
 """
 
 from __future__ import annotations
@@ -153,6 +155,21 @@ class FPModule:
             f"FPModule({self.ring}, gens={self.n_gens}, "
             f"invariants={list(self.invariant_factors)})"
         )
+
+
+def is_bounded(m: FPModule) -> bool:
+    """Whether a Z-module admits no nonzero map to Z: for finitely generated
+    modules, no free summand, i.e. no zero among the invariant factors."""
+    if m.ring.is_modular:
+        raise ValueError("boundedness is defined over the integers; use ring Z")
+    return m.free_rank() == 0
+
+
+def free_summand_rank(m: FPModule) -> int:
+    """Rank of the largest free direct summand of a Z-module."""
+    if m.ring.is_modular:
+        raise ValueError("free-summand rank is defined over the integers; use ring Z")
+    return m.free_rank()
 
 
 def present_module(ring: Ring, n_gens: int, relations=None) -> FPModule:

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .closure import DivisibleModule, Subcategory
 from .errors import OracleInfeasibleError
-from .homs import enumerate_homs, kernel_of_hom
 from .matrices import IntMatrix
-from .modules import FPModule, Submodule, quotient_module, sub_meet
 from .rings import ZZ
+
+if TYPE_CHECKING:
+    from .closure import Subcategory
+    from .modules import FPModule, Submodule
 
 
 def det_cofactor(rows) -> int:
@@ -104,7 +106,9 @@ def closure_by_full_enumeration(
     independent formulas: annihilator-by-exponent for Q, and for Q/Z the
     identity rule is cross-checked by a separation scan when feasible.
     """
-    from .homs import Homomorphism
+    from .closure import DivisibleModule
+    from .homs import Homomorphism, enumerate_homs, kernel_of_hom
+    from .modules import quotient_module, sub_meet
 
     q = quotient_module(m, n)
     running = m.whole_submodule()
@@ -127,6 +131,8 @@ def torsion_preimage_by_exponent(m: FPModule, n: Submodule) -> Submodule:
     invariant factors of M/N multiplies it into the relation lattice of the
     quotient; this avoids the saturation computation entirely.
     """
+    from .modules import Submodule, quotient_module
+
     if m.ring.is_modular:
         raise ValueError("the torsion preimage rule is for modules over the integers")
     q = quotient_module(m, n)
@@ -149,6 +155,9 @@ def separates_every_nonzero_element(m: FPModule, n: Submodule, cap: int = 200_00
     This is the enumeration oracle behind "every submodule is closed under
     the rationals-mod-1 rule".
     """
+    from .homs import enumerate_homs
+    from .modules import FPModule, quotient_module
+
     if m.ring.is_modular:
         raise ValueError("the separation scan is for modules over the integers")
     q = quotient_module(m, n)

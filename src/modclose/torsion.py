@@ -6,11 +6,6 @@ to themselves form the torsion class T, modules with vanishing radical the
 torsion-free class F; ``verify_torsion_theory`` checks the defining laws and
 the closure properties of both classes over a finite universe of modules,
 with finite stand-ins for the infinitary closure conditions.
-
-Boundedness and free-summand detection over the integers live here too: a
-finitely generated Z-module admits no nonzero map to Z exactly when its free
-rank is zero, and the rationals serve as the injective stand-in for density
-statements (a map to Z is nonzero exactly when a map to Q is).
 """
 
 from __future__ import annotations
@@ -80,6 +75,17 @@ def _in_torsion_free_class(x: FPModule, cat: Subcategory) -> bool:
     return torsion_radical(x, cat).is_zero
 
 
+def _first_bad_sum(members, member_of):
+    """The first pair, x at or before y in ``members``, whose direct sum's
+    chain fails ``member_of``, as a counterexample, or ``None``.  x + y and
+    y + x are isomorphic, so the unordered pairs decide every ordered one."""
+    for i, x in enumerate(members):
+        for y in members[i:]:
+            if not member_of(direct_sum(x, y).invariant_factors):
+                return {"left": _label(x), "right": _label(y)}
+    return None
+
+
 class ModuleUniverse:
     """A finite list of modules over one ring, deduplicated up to isomorphism.
 
@@ -103,6 +109,17 @@ class ModuleUniverse:
     )
 
     def __init__(self, ring: Ring, objects):
+        self._fill(ring, objects, {})
+
+    def adjoin(self, extra) -> "ModuleUniverse":
+        """This universe with the modules ``extra`` adjoined, reusing the
+        class pairs already computed, so each object is enumerated once."""
+        known = {m.invariant_factors: p for m, p in zip(self.objects, self.class_pairs)}
+        grown = object.__new__(ModuleUniverse)
+        grown._fill(self.ring, self.objects + tuple(extra), known)
+        return grown
+
+    def _fill(self, ring: Ring, objects, known: dict) -> None:
         objs = sorted(
             objects,
             key=lambda m: (len(m.invariant_factors), m.invariant_factors, m.n_gens),
@@ -121,30 +138,20 @@ class ModuleUniverse:
         for m in self.objects:
             if not m.is_finite:
                 break
-            found = dict.fromkeys(
+            class_pairs.append(known.get(m.invariant_factors) or tuple(dict.fromkeys(
                 (s.lattice.invariants_over(m.lattice), s.lattice.quotient_invariants())
                 for s in all_submodules(m)
-            )
-            class_pairs.append(tuple(found))
+            )))
         self.class_pairs = tuple(class_pairs)
         self.closed_under_submodules = self._closure_flag(seen, 0)
         self.closed_under_quotients = self._closure_flag(seen, 1)
-        self.closed_under_sums = self._sum_flag(seen)
+        self.closed_under_sums = _first_bad_sum(self.objects, seen.__contains__) is None
 
     def _closure_flag(self, iso_classes, side: int):
         for pairs in self.class_pairs:
             if any(pair[side] not in iso_classes for pair in pairs):
                 return False
         return None if len(self.class_pairs) < len(self.objects) else True
-
-    def _sum_flag(self, iso_classes):
-        # a + b and b + a are isomorphic, so unordered pairs suffice
-        objs = self.objects
-        for i, a in enumerate(objs):
-            for b in objs[i:]:
-                if direct_sum(a, b).invariant_factors not in iso_classes:
-                    return False
-        return True
 
     def __repr__(self) -> str:
         return f"ModuleUniverse({self.ring}, {len(self.objects)} objects)"
@@ -235,11 +242,11 @@ def verify_torsion_theory(
 ) -> TorsionTheoryReport:
     """Run every torsion-theory law over the universe and report per check.
 
-    Objects of the subcategory are adjoined to the universe if missing; when
-    none is missing, the given universe is reused rather than rebuilt.  The
-    closure conditions on T and F are checked in their finite variants:
-    quotients, submodules, pairwise direct sums, and extensions realizable
-    inside universe objects.
+    Objects of the subcategory are adjoined to the universe if missing,
+    reusing the class pairs already computed; when none is missing, the
+    given universe is reused as it is.  The closure conditions on T and F
+    are checked in their finite variants: quotients, submodules, pairwise
+    direct sums, and extensions realizable inside universe objects.
 
     The laws on submodules and quotients read the universe's class pairs.
     Membership in T (no nonzero map into the subcategory) is decided on the
@@ -256,7 +263,7 @@ def verify_torsion_theory(
             known.add(obj.invariant_factors)
             objects.append(obj)
     if len(objects) > len(universe.objects):
-        universe = ModuleUniverse(universe.ring, objects)
+        universe = universe.adjoin(objects[len(universe.objects):])
     objects = list(universe.objects)
     if len(universe.class_pairs) < len(objects):
         raise ValueError("submodule enumeration requires a finite module")
@@ -366,17 +373,8 @@ def verify_torsion_theory(
             if in_f(sc) and in_f(qc) and not in_f(mc):
                 f_ext_bad = f_ext_bad or ext
 
-    def first_bad_sum(members, member_of):
-        # x + y and y + x are isomorphic, so the first failing ordered pair
-        # is the first failing pair with x at or before y
-        for i, x in enumerate(members):
-            for y in members[i:]:
-                if not member_of(direct_sum(x, y).invariant_factors):
-                    return {"left": _label(x), "right": _label(y)}
-        return None
-
-    t_sum_bad = first_bad_sum(t_members, in_t)
-    f_sum_bad = first_bad_sum(f_members, in_f)
+    t_sum_bad = _first_bad_sum(t_members, in_t)
+    f_sum_bad = _first_bad_sum(f_members, in_f)
 
     add(
         "torsion_class_closed_under_quotients",
@@ -427,21 +425,3 @@ def verify_torsion_theory(
         radical_table=radical_table,
         checks=tuple(checks),
     )
-
-
-def is_bounded(m: FPModule) -> bool:
-    """Whether the module admits no nonzero map to the base ring (over Z).
-
-    For finitely generated Z-modules this is exactly "no free summand", i.e.
-    no zero among the invariant factors.
-    """
-    if m.ring.is_modular:
-        raise ValueError("boundedness is defined over the integers; use ring Z")
-    return m.free_rank() == 0
-
-
-def free_summand_rank(m: FPModule) -> int:
-    """Rank of the largest free direct summand of a Z-module."""
-    if m.ring.is_modular:
-        raise ValueError("free-summand rank is defined over the integers; use ring Z")
-    return m.free_rank()

@@ -3,11 +3,26 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modclose import ZZ, Zmod, all_submodules, enumerate_universe, present_module, sub_as_module
+from modclose import (
+    ZZ,
+    IntMatrix,
+    Zmod,
+    all_submodules,
+    enumerate_universe,
+    present_module,
+    sub_as_module,
+)
 from modclose.lattices import Lattice
+from modclose.matrices import _kernel_over_z, _with_modulus_columns
 
 from conftest import random_finite_module
-from oracles import echelon_unreduced
+from oracles import (
+    echelon_unreduced,
+    intersect_by_smith,
+    kernel_by_smith,
+    preimage_by_smith,
+    saturation_by_smith,
+)
 
 
 def columns_strategy(dim, max_cols=4):
@@ -179,3 +194,51 @@ def test_invariants_over_rejects_a_lattice_not_contained():
         Lattice.from_columns(2, [(1, 0)]).invariants_over(Lattice.from_columns(2, [(0, 1)]))
     with pytest.raises(ValueError):
         two.invariants_over(Lattice.from_columns(3, []))
+
+
+def _random_block(rng, rows, cols, entry):
+    return IntMatrix(
+        [[rng.randint(-entry, entry) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def _random_lattice(rng, dim, rank, entry, n=0):
+    """``rank`` random columns in Z^dim, with n*Z^dim adjoined when n > 0."""
+    cols = [tuple(rng.randint(-entry, entry) for _ in range(dim)) for _ in range(rank)]
+    cols += [tuple(n * (i == j) for i in range(dim)) for j in range(dim)] if n else []
+    return Lattice.from_columns(dim, cols)
+
+
+def _check_against_smith(a, l1, l2, f):
+    k = _kernel_over_z(a)
+    kernel = Lattice.from_columns(a.cols, k.columns())
+    assert kernel.basis == tuple(k.columns())  # already canonical
+    assert kernel == kernel_by_smith(a)
+    assert l1.intersect(l2) == intersect_by_smith(l1, l2)
+    assert l1.preimage(f) == preimage_by_smith(l1, f)
+    assert l1.saturation() == saturation_by_smith(l1)
+
+
+def test_stacked_echelon_matches_smith_oracles():
+    # kernels, intersections, preimages and saturations read from one stacked
+    # echelon equal the Smith-form routes; over Z/n the kernel is that of the
+    # lifted [a | n*I] and the lattices contain n*Z^dim
+    rng = random.Random(4410)
+    for k in range(600):
+        n = (0, 4, 6, 12, 36, 72)[k % 6]
+        dim, g = rng.randint(1, 6), rng.randint(1, 6)
+        a = _random_block(rng, dim, g, 30)
+        if n:
+            a = _with_modulus_columns(a.with_ring(Zmod(n)))
+        l1 = _random_lattice(rng, dim, rng.randint(0, dim + 1), 30, n)
+        l2 = _random_lattice(rng, dim, rng.randint(0, dim + 1), 30, n)
+        _check_against_smith(a, l1, l2, _random_block(rng, dim, g, 30))
+    # 30 x 32 integer blocks, where a raw Smith reduction swells to entries
+    # of about 340,000 bits
+    for _ in range(3):
+        _check_against_smith(
+            _random_block(rng, 30, 32, 100),
+            _random_lattice(rng, 32, 30, 100),
+            _random_lattice(rng, 32, 28, 100),
+            _random_block(rng, 32, 32, 100),
+        )

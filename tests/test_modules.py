@@ -23,8 +23,10 @@ from modclose import (
     sub_preimage,
     submodules_between,
 )
-from modclose.homs import Homomorphism
+from modclose.homs import Homomorphism, enumerate_homs
 from modclose.lattices import Lattice
+
+from conftest import random_finite_module
 
 from oracles import (
     element_order_statistics,
@@ -197,6 +199,34 @@ def test_lattice_laws_against_element_oracle(rng):
         # order agrees with containment
         assert u.is_subset_of(sub_join(u, v))
         assert sub_meet(u, v).is_subset_of(u)
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 36])
+def test_meets_and_preimages_match_element_sets_exhaustively(n):
+    # every pair of submodules of each small module, and every submodule's
+    # preimage under every homomorphism between two of them, on diagonal and
+    # on random presentations
+    rng = random.Random(7100 + n)
+    ring = Zmod(n)
+    mods = [m for m in enumerate_universe(ring, 2, 12) if not m.is_zero]
+    mods += [random_finite_module(rng, ring, max_gens=3, max_order=12) for _ in range(2)]
+    subs = {m: [(s, element_set(s)) for s in all_submodules(m)] for m in mods}
+    checked = 0
+    for m in mods:
+        for u, eu in subs[m]:
+            for v, ev in subs[m]:
+                assert element_set(sub_meet(u, v)) == eu & ev
+                checked += 1
+    for m in mods:
+        elements = list(m.elements())
+        for m2 in mods:
+            for f in enumerate_homs(m, m2):
+                images = [f(x).coords for x in elements]
+                for w, ew in subs[m2]:
+                    expected = {x.coords for x, y in zip(elements, images) if y in ew}
+                    assert element_set(sub_preimage(f, w)) == expected
+                    checked += 1
+    assert checked > 900
 
 
 # -- quotients ----------------------------------------------------------------------

@@ -48,6 +48,30 @@ def test_snf_loads_no_closure_hom_or_torsion_code():
     assert not loaded & HEAVY
 
 
+def test_snf_oracle_loads_only_matrices_and_rings():
+    loaded, out = _fresh(
+        "from modclose import cli\n"
+        "assert cli.main(['snf', '--matrix', '[[2,4],[6,8]]', '--oracle']) == 0"
+    )
+    assert json.loads(out)["oracle"] == {"unimodular": True, "determinant_divisors": True}
+    assert "modclose.oracles" in loaded
+    assert not loaded & {"modclose.closure", "modclose.homs", "modclose.lattices",
+                         "modclose.modules", "modclose.torsion"}
+
+
+@pytest.mark.parametrize("command, key, value", [("bounded", "bounded", False),
+                                                 ("free-rank", "free_rank", 1)])
+def test_bounded_and_free_rank_load_no_torsion_code(tmp_path, command, key, value):
+    doc = {"ring": "Z", "modules": {"M": {"generators": 2, "relations": [[0, 2]]}}}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--workspace", str(path), "--module", "M"]
+    loaded, out = _fresh(f"from modclose import cli\nassert cli.main({argv!r}) == 0")
+    assert json.loads(out)[key] == value
+    assert "modclose.modules" in loaded
+    assert not loaded & HEAVY
+
+
 def test_closure_without_oracle_loads_neither_oracles_nor_torsion(tmp_path):
     doc = {
         "ring": "Zmod:4",

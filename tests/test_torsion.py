@@ -289,6 +289,28 @@ def test_verify_adjoins_subcategory_objects():
     assert [m.invariant_factors for m in rep.universe.objects] == [(), (2,)]
 
 
+def test_verify_adjoin_enumerates_each_object_once(monkeypatch):
+    # Z/12 is missing from the 7-object universe: adjoining it enumerates
+    # Z/12 alone, and the report equals that over a universe holding it
+    # from the start
+    import modclose.torsion as torsion_mod
+
+    r12 = Zmod(12)
+    objects = enumerate_universe(r12, 2, 8)
+    cat = Subcategory(r12, [present_module(r12, 1)])
+    expected = verify_torsion_theory(ModuleUniverse(r12, objects + [cat.finite_objects[0]]), cat)
+    calls = []
+    original = torsion_mod.all_submodules
+    monkeypatch.setattr(torsion_mod, "all_submodules", lambda m: calls.append(m) or original(m))
+    rep = verify_torsion_theory(ModuleUniverse(r12, objects), cat)
+    assert len(objects) == 7 and len(rep.universe.objects) == 8
+    assert len(calls) == 8
+    for name in ("objects", "class_pairs", "closed_under_submodules",
+                 "closed_under_quotients", "closed_under_sums"):
+        assert getattr(rep.universe, name) == getattr(expected.universe, name), name
+    assert rep._replace(universe=None) == expected._replace(universe=None)
+
+
 def test_verify_reuses_a_universe_holding_the_subcategory():
     r6 = Zmod(6)
     u = _universe(r6)
