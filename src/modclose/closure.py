@@ -157,9 +157,11 @@ def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResul
     when every image lies in the object's relation lattice R, g vanishes on
     the running intersection and is skipped.  Otherwise the intersection
     becomes {x in running : g(x) in R}, read from the stacked columns (g(b), b)
-    and (r, 0), r in R, and g is recorded as a witness.  The lift needs no
-    certificate (M -> M/N -> A is a homomorphism by construction), and the
-    generator's matrix is already in canonical coordinates.
+    and (r, 0), r in R, and g is recorded as a witness.  Over Z/n the images
+    are reduced mod n, which changes nothing, since R contains n*Z^k.  The
+    lift needs no certificate (M -> M/N -> A is a homomorphism by
+    construction), and the generator's matrix is already in canonical
+    coordinates.
     """
     _check_compat(m, n, cat)
     running = m.whole_submodule()
@@ -169,9 +171,8 @@ def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResul
     for obj in cat.finite_objects:
         rel = obj.lattice
         for gen in hom_group(q, obj).generators:
-            g = gen.matrix.lift()
             basis = running.lattice.basis
-            images = [g.apply(b) for b in basis]
+            images = [gen.matrix.apply(b) for b in basis]
             if all(rel.contains(v) for v in images):
                 continue
             stacked = [v + b for v, b in zip(images, basis)]

@@ -73,7 +73,7 @@ class Homomorphism:
     def __call__(self, x: ModuleElement) -> ModuleElement:
         if x.parent != self.dom:
             raise ValueError("element is not in the domain")
-        return ModuleElement(self.cod, self.matrix.lift().apply(x.coords))
+        return ModuleElement(self.cod, self.matrix.apply(x.coords))
 
     def compose(self, other: "Homomorphism") -> "Homomorphism":
         """self after other."""
@@ -122,7 +122,9 @@ class Homomorphism:
 
 
 def _canonical_matrix(cod: FPModule, mat: IntMatrix) -> IntMatrix:
-    cols = [cod.lattice.reduce(mat.lift().column(j)) for j in range(mat.cols)]
+    """Columns reduced by the codomain's relation lattice, which over Z/n
+    contains n*Z^g, so the entries are read whatever the matrix's ring."""
+    cols = [cod.lattice.reduce(c) for c in mat.columns()]
     return IntMatrix.from_columns(cols, cod.n_gens, cod.ring)
 
 
@@ -245,7 +247,7 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
 
 def kernel_of_hom(f: Homomorphism) -> Submodule:
     """The submodule ``{x : f(x) = 0}`` of the domain."""
-    return Submodule(f.dom, f.cod.lattice.preimage(f.matrix.lift()))
+    return Submodule(f.dom, f.cod.lattice.preimage(f.matrix))
 
 
 _ENUM_CACHE: dict = {}

@@ -12,6 +12,7 @@ coordinates, from which the saturation is read.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Sequence
 
 from .matrices import IntMatrix, _identity_stack, _snf_with_inverses, _stacked_echelon
@@ -60,7 +61,7 @@ class Lattice:
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative of ``vec`` modulo this lattice."""
-        v = [int(x) for x in vec]
+        v = list(map(index, vec))
         if len(v) != self.dim:
             raise ValueError(f"vector of length {len(v)} in Z^{self.dim}")
         for (r, p), col in zip(self.pivots, self.basis):
@@ -103,7 +104,9 @@ class Lattice:
 
     def preimage(self, f: IntMatrix) -> "Lattice":
         """The lattice ``{x in Z^(f.cols) : f @ x in self}``, from the columns
-        ``(f e_j, e_j)`` and ``(l, 0)`` for l in self."""
+        ``(f e_j, e_j)`` and ``(l, 0)`` for l in self.  Only the entries of
+        ``f`` are read, so a matrix over Z/n is taken as is when self contains
+        n*Z^(f.rows)."""
         if f.rows != self.dim:
             raise ValueError("matrix does not map into this lattice's ambient space")
         cols = _identity_stack(f) + [c + (0,) * f.cols for c in self.basis]

@@ -2,14 +2,15 @@
 
 The canonical column echelon (Hermite) basis of a lattice, Smith normal form
 with transformation matrices, integer kernels, and linear solving.
-Everything runs on arbitrary-precision Python integers; modular computations
-are performed by lifting to Z and augmenting with multiples of the modulus,
-so one integer code path (and one oracle) covers both rings.  Unreduced
-elimination over Z swells entries far past the size of the answer, so the
-echelon reduces while it builds.  Kernels and solutions are read from one
-echelon of the stacked columns of ``[a; I]``; Smith reduction is used only
-for invariants and Smith coordinates, and the public Smith form starts from
-the Hermite form, which keeps the transforms near the size of the determinant.
+Everything runs on arbitrary-precision Python integers.  A system over Z/n
+is the integer system with n*Z^rows adjoined to the image, so its solutions
+form a lattice containing n*Z^cols and one integer code path (and one oracle)
+covers both rings.  Unreduced elimination over Z swells entries far past the
+size of the answer, so the echelon reduces while it builds.  Kernels and
+solutions are read from one echelon of the stacked columns ``(a e_j, e_j)``,
+with ``(n e_i, 0)`` over Z/n; Smith reduction is used only for invariants and
+Smith coordinates, and the public Smith form starts from the Hermite form,
+which keeps the transforms near the size of the determinant.
 
 Matrices are immutable values and may be shared freely between threads.
 """
@@ -17,6 +18,7 @@ Matrices are immutable values and may be shared freely between threads.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import index
 from typing import Iterable, Sequence
 
 from .rings import Ring, ZZ
@@ -26,8 +28,9 @@ class IntMatrix:
     """An immutable rows x cols matrix of integers over a :class:`Ring`.
 
     Entries are stored row-major; modular entries are kept reduced into
-    ``[0, n)``.  Matrices with zero rows or zero columns are legal and denote
-    zero maps and zero modules.
+    ``[0, n)``.  Entries must be integers (``operator.index``); anything else
+    raises ``TypeError`` instead of being truncated.  Matrices with zero rows
+    or zero columns are legal and denote zero maps and zero modules.
     """
 
     __slots__ = ("rows", "cols", "entries", "ring", "_hash")
@@ -40,7 +43,11 @@ class IntMatrix:
         rows: int | None = None,
         cols: int | None = None,
     ):
-        data = [tuple(ring.reduce(int(x)) for x in row) for row in entries]
+        n = ring.modulus
+        if n:
+            data = [tuple(index(x) % n for x in row) for row in entries]
+        else:
+            data = [tuple(map(index, row)) for row in entries]
         if rows is None:
             rows = len(data)
         if cols is None:
@@ -59,7 +66,7 @@ class IntMatrix:
     def from_columns(
         cls, columns: Iterable[Sequence[int]], rows: int, ring: Ring = ZZ
     ) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in columns]
+        cols = list(columns)
         for c in cols:
             if len(c) != rows:
                 raise ValueError(f"column of length {len(c)} in a {rows}-row matrix")
@@ -117,12 +124,6 @@ class IntMatrix:
             self.ring.reduce(sum(row[k] * vec[k] for k in range(self.cols)))
             for row in self.entries
         )
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows or self.ring != other.ring:
-            raise ValueError("hstack needs equal row counts and a common ring")
-        grid = [self.entries[i] + other.entries[i] for i in range(self.rows)]
-        return IntMatrix(grid, self.ring, rows=self.rows, cols=self.cols + other.cols)
 
     def lift(self) -> "IntMatrix":
         """The same entries viewed over the integers."""
@@ -184,7 +185,7 @@ def _echelon(dim: int, columns: Iterable[Sequence[int]]):
     basis: list[list[int]] = []
     pivrows: list[int] = []
     for col in columns:
-        v = [int(x) for x in col]
+        v = list(map(index, col))
         if len(v) != dim:
             raise ValueError(f"column of length {len(v)} in Z^{dim}")
         while True:
@@ -407,60 +408,60 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     )
 
 
+def _solve_system(a: IntMatrix, b: Sequence[int] | None = None):
+    """``(particular, kernel)`` of ``a @ x = b`` from one echelon of the
+    columns ``(a e_j, e_j)`` and, over Z/n, ``(n e_i, 0)``.
+
+    The echelon columns with a pivot in the lower block have a zero upper
+    block: they are the canonical basis of the integer solutions of
+    ``a x = 0``, over Z/n of ``a x in n*Z^rows``, a lattice containing
+    n*Z^cols whose columns that are nonzero mod n generate the kernel.  The
+    others are ``(a w + n y, w)``; forward substitution on their pivot rows
+    reduces ``(b, 0)`` to ``(0, -x)`` exactly when ``b`` lies in their span.
+    ``particular`` is ``None`` without ``b`` or a solution, and is not reduced
+    mod n.  Cohen, GTM 138, section 2.4.
+    """
+    rows, cols, n = a.rows, a.cols, a.ring.modulus
+    stack = _identity_stack(a)
+    if n:
+        zero = (0,) * cols
+        stack += [tuple(n * (i == k) for i in range(rows)) + zero for k in range(rows)]
+    basis, pivrows = _echelon(rows + cols, stack)
+    k = bisect_left(pivrows, rows)
+    lower = [c[rows:] for c in basis[k:]]
+    if n:
+        lower = [c for c in lower if any(x % n for x in c)]
+    kernel = IntMatrix.from_columns(lower, cols, a.ring)
+    if b is None:
+        return None, kernel
+    v = [*b] + [0] * cols
+    for col, r in zip(basis[:k], pivrows):
+        q, rem = divmod(v[r], col[r])
+        if rem:
+            return None, kernel
+        v = [vi - q * ci for vi, ci in zip(v, col)]
+    return (None if any(v[:rows]) else tuple(-x for x in v[rows:])), kernel
+
+
 def _kernel_over_z(a: IntMatrix) -> IntMatrix:
-    """Canonical basis of ``{x : a @ x = 0}`` over Z, as columns."""
-    basis, _ = _stacked_echelon(a.rows, a.cols, _identity_stack(a))
-    return IntMatrix.from_columns(basis, a.cols, ZZ)
-
-
-def _with_modulus_columns(mat: IntMatrix) -> IntMatrix:
-    """``[a | n*I]`` over Z for a matrix ``a`` over Z/n: its integer solutions,
-    cut to the first ``a.cols`` entries, are the solutions of ``a`` mod n."""
-    n = mat.ring.modulus
-    eye = [[n if i == j else 0 for j in range(mat.rows)] for i in range(mat.rows)]
-    return mat.lift().hstack(IntMatrix(eye, ZZ))
+    """Canonical basis of ``{x : a @ x = 0}`` over Z, as columns (for a matrix
+    over Z/n, the :func:`kernel_basis` generators)."""
+    return _solve_system(a)[1]
 
 
 def kernel_basis(a: IntMatrix, ring: Ring | None = None) -> IntMatrix:
     """Generators of ``{x : a @ x = 0}`` over the ring, as matrix columns.
 
-    Over Z the columns are a lattice basis.  Over Z/n the kernel is computed
-    by lifting to Z through the augmented system ``[a | n*I]`` and projecting
-    solutions back, then reducing mod n.
+    Over Z the columns are the canonical lattice basis.  Over Z/n they are
+    the canonical basis of ``{x in Z^cols : a x in n*Z^rows}``, reduced mod n,
+    with the columns that vanish mod n dropped.
     """
-    mat = a if ring is None else a.with_ring(ring)
-    if not mat.ring.is_modular:
-        return _kernel_over_z(mat)
-    n = mat.ring.modulus
-    k = _kernel_over_z(_with_modulus_columns(mat))
-    seen = set()
-    cols = []
-    for c in k.columns():
-        head = tuple(x % n for x in c[: mat.cols])
-        if any(head) and head not in seen:
-            seen.add(head)
-            cols.append(head)
-    return IntMatrix.from_columns(cols, mat.cols, mat.ring)
+    return _solve_system(a if ring is None else a.with_ring(ring))[1]
 
 
 def _solve_over_z(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One solution of ``a @ x = b`` over Z, or ``None`` when unsolvable.
-
-    The echelon columns of ``[a; I]`` with a pivot in the upper block are
-    ``(a w, w)``.  Forward substitution on their pivot rows reduces
-    ``(b, 0)`` to ``(0, -x)`` exactly when ``b`` lies in their span.
-    """
-    rows = a.rows
-    basis, pivrows = _echelon(rows + a.cols, _identity_stack(a))
-    v = [*b] + [0] * a.cols
-    for col, r in zip(basis, pivrows):
-        if r >= rows:
-            break
-        q, rem = divmod(v[r], col[r])
-        if rem:
-            return None
-        v = [vi - q * ci for vi, ci in zip(v, col)]
-    return None if any(v[:rows]) else tuple(-x for x in v[rows:])
+    """One solution of ``a @ x = b`` over Z, or ``None`` when unsolvable."""
+    return _solve_system(a, b)[0]
 
 
 def solve_linear(
@@ -471,19 +472,14 @@ def solve_linear(
     Returns ``(particular, kernel)`` where ``particular`` is one solution (or
     ``None`` when the system is unsolvable) and ``kernel`` is
     :func:`kernel_basis` of ``a``; the full solution set is the particular
-    solution plus the kernel span.
+    solution plus the kernel span.  Both come from one echelon, over Z and
+    Z/n alike.
     """
     mat = a if ring is None else a.with_ring(ring)
-    vec = [int(x) for x in b]
+    vec = list(map(index, b))
     if len(vec) != mat.rows:
         raise ValueError(
             f"dimension mismatch: matrix has {mat.rows} rows, vector has {len(vec)}"
         )
-    kernel = kernel_basis(mat)
-    if not mat.ring.is_modular:
-        return _solve_over_z(mat, vec), kernel
-    n = mat.ring.modulus
-    sol = _solve_over_z(_with_modulus_columns(mat), [x % n for x in vec])
-    if sol is None:
-        return None, kernel
-    return tuple(x % n for x in sol[: mat.cols]), kernel
+    sol, kernel = _solve_system(mat, vec)
+    return (None if sol is None else tuple(map(mat.ring.reduce, sol))), kernel

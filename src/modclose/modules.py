@@ -1,9 +1,11 @@
 """Finitely presented modules over Z or Z/n and their submodule lattices.
 
 A module is a quotient Z^g / L where L is the column span of a relation
-matrix (plus n*Z^g in the modular case).  Submodules are stored by generator
-matrices, never by element sets; element enumeration exists for finite
-modules so that test oracles can cross-check the lattice arithmetic.
+matrix (plus n*Z^g in the modular case).  Submodules are stored by their
+preimage lattices, never by element sets, and constructions pass the lattice
+they hold rather than a matrix; over Z/n every such lattice contains n*Z^g.
+Element enumeration exists for finite modules so that test oracles can
+cross-check the lattice arithmetic.
 Boundedness and free-summand rank over the integers are read off the free
 rank.
 """
@@ -71,8 +73,9 @@ class FPModule:
             self.lattice = relations
         else:
             self.relations = _columns_arg(relations, n_gens, ring, "relation matrix")
-            cols = [tuple(int(x) for x in c) for c in self.relations.columns()]
-            self.lattice = Lattice.from_columns(n_gens, cols + scaled_units)
+            self.lattice = Lattice.from_columns(
+                n_gens, self.relations.columns() + scaled_units
+            )
         self.invariant_factors = self.lattice.quotient_invariants()
         self._hash = None
 
@@ -130,10 +133,14 @@ class FPModule:
         return Submodule(self, gens)
 
     def zero_submodule(self) -> "Submodule":
-        return Submodule(self, None)
+        return Submodule(self, self.lattice)
 
     def whole_submodule(self) -> "Submodule":
-        return Submodule(self, IntMatrix.identity(self.n_gens, self.ring))
+        """The whole module, from the unit lattice Z^g (no echelon); its
+        ``gens`` are its ``canonical_gens``."""
+        g = self.n_gens
+        units = tuple(tuple(int(i == j) for i in range(g)) for j in range(g))
+        return Submodule(self, Lattice(g, units, tuple((j, 1) for j in range(g))))
 
     # -- value semantics ----------------------------------------------------------
 
@@ -188,13 +195,13 @@ class ModuleElement:
     __slots__ = ("parent", "coords")
 
     def __init__(self, parent: FPModule, coords: Sequence[int]):
-        c = tuple(int(x) for x in coords)
-        if len(c) != parent.n_gens:
+        if len(coords) != parent.n_gens:
             raise ValueError(
-                f"coordinate length {len(c)} does not match {parent.n_gens} generators"
+                f"coordinate length {len(coords)} does not match "
+                f"{parent.n_gens} generators"
             )
         self.parent = parent
-        self.coords = parent.lattice.reduce(c)
+        self.coords = parent.lattice.reduce(coords)
 
     @property
     def is_zero(self) -> bool:
@@ -269,19 +276,11 @@ class Submodule:
             self.gens = _columns_arg(
                 gens, parent.n_gens, parent.ring, "generator matrix"
             )
-            lifted = [tuple(int(x) for x in c) for c in self.gens.columns()]
             self.lattice = Lattice.from_columns(
-                parent.n_gens, list(parent.lattice.basis) + lifted
+                parent.n_gens, list(parent.lattice.basis) + self.gens.columns()
             )
-        seen = set()
-        cols = []
-        for c in self.lattice.basis:
-            if parent.lattice.contains(c):
-                continue
-            reduced = parent.lattice.reduce(c)
-            if reduced not in seen:
-                seen.add(reduced)
-                cols.append(reduced)
+        reduced = map(parent.lattice.reduce, self.lattice.basis)
+        cols = list(dict.fromkeys(c for c in reduced if any(c)))
         self.canonical_gens = IntMatrix.from_columns(cols, parent.n_gens, parent.ring)
         if from_lattice:
             self.gens = self.canonical_gens
@@ -290,7 +289,7 @@ class Submodule:
     # -- predicates ---------------------------------------------------------
 
     def contains(self, x) -> bool:
-        coords = x.coords if isinstance(x, ModuleElement) else tuple(int(v) for v in x)
+        coords = x.coords if isinstance(x, ModuleElement) else x
         if len(coords) != self.parent.n_gens:
             raise ValueError("coordinate length does not match the parent module")
         return self.lattice.contains(coords)
@@ -384,25 +383,28 @@ def quotient(m: FPModule, n: Submodule):
 
 
 def quotient_module(m: FPModule, n: Submodule) -> FPModule:
-    """Just the quotient module, without the projection map."""
+    """Just the quotient module, without the projection map: its relation
+    lattice is the submodule's preimage lattice, taken as is (no echelon)."""
     if n.parent != m:
         raise ValueError("submodule does not live in the module being quotiented")
-    return FPModule(m.ring, m.n_gens, m.relations.hstack(n.canonical_gens))
+    return FPModule(m.ring, m.n_gens, n.lattice)
 
 
 def sub_image(f, u: Submodule) -> Submodule:
-    """Image of a submodule of the domain under a homomorphism."""
+    """Image of a submodule of the domain under a homomorphism: one echelon
+    of the codomain's relation basis and the images of the generators."""
     if u.parent != f.dom:
         raise ValueError("submodule does not live in the homomorphism's domain")
-    cols = [f.matrix.apply(c) for c in u.canonical_gens.columns()]
-    return Submodule(f.cod, IntMatrix.from_columns(cols, f.cod.n_gens, f.cod.ring))
+    images = tuple(f.matrix.apply(c) for c in u.canonical_gens.columns())
+    lattice = Lattice.from_columns(f.cod.n_gens, f.cod.lattice.basis + images)
+    return Submodule(f.cod, lattice)
 
 
 def sub_preimage(f, w: Submodule) -> Submodule:
     """Preimage ``{x : f(x) in w}`` of a submodule of the codomain."""
     if w.parent != f.cod:
         raise ValueError("submodule does not live in the homomorphism's codomain")
-    return Submodule(f.dom, w.lattice.preimage(f.matrix.lift()))
+    return Submodule(f.dom, w.lattice.preimage(f.matrix))
 
 
 def sub_as_module(u: Submodule):
@@ -414,7 +416,7 @@ def sub_as_module(u: Submodule):
     """
     parent = u.parent
     b = u.canonical_gens
-    rel = parent.lattice.preimage(b.lift())
+    rel = parent.lattice.preimage(b)
     smod = FPModule(parent.ring, b.cols, rel)
     from .homs import Homomorphism
 

@@ -1,13 +1,13 @@
 """Brute-force oracles: slow, independent recomputations used for checking.
 
 Nothing here shares an algorithm with the code path it checks: determinants
-come from cofactor expansion, kernels from residue enumeration, closures from
-full homomorphism enumeration.  Desk scale only.
+come from cofactor expansion, closures from full homomorphism enumeration.
+Desk scale only.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -51,49 +51,6 @@ def minor_gcd(a: IntMatrix, k: int) -> int:
             if g == 1:
                 return 1
     return g
-
-
-def kernel_by_enumeration(a: IntMatrix, cap: int = 500_000) -> set:
-    """All solutions of ``a @ x = 0`` over Z/n, by residue enumeration."""
-    if not a.ring.is_modular:
-        raise ValueError("residue enumeration needs a modular ring")
-    n = a.ring.modulus
-    total = n ** a.cols
-    if total > cap:
-        raise OracleInfeasibleError(
-            f"oracle infeasible: {total} residue vectors exceed cap {cap}"
-        )
-    out = set()
-    for x in product(range(n), repeat=a.cols):
-        if all(v == 0 for v in a.apply(x)):
-            out.add(x)
-    return out
-
-
-def solve_by_enumeration(a: IntMatrix, b, bound: int = 25, cap: int = 2_000_000):
-    """Search for a solution of ``a @ x = b`` by exhaustion.
-
-    Over Z/n all residue vectors are tried; over Z the box ``[-bound, bound]``
-    per coordinate.  Returns one solution or ``None`` if the search space has
-    none (over Z this only refutes solutions inside the box).
-    """
-    if a.ring.is_modular:
-        n = a.ring.modulus
-        space = product(range(n), repeat=a.cols)
-        total = n ** a.cols
-        target = tuple(v % n for v in b)
-    else:
-        space = product(range(-bound, bound + 1), repeat=a.cols)
-        total = (2 * bound + 1) ** a.cols
-        target = tuple(int(v) for v in b)
-    if total > cap:
-        raise OracleInfeasibleError(
-            f"oracle infeasible: {total} candidate vectors exceed cap {cap}"
-        )
-    for x in space:
-        if a.apply(x) == target:
-            return x
-    return None
 
 
 def closure_by_full_enumeration(

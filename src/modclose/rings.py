@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import index
+
 
 class Ring:
     """The coefficient ring.
@@ -14,6 +16,7 @@ class Ring:
     __slots__ = ("modulus",)
 
     def __init__(self, modulus: int = 0) -> None:
+        modulus = index(modulus)
         if modulus < 0 or modulus == 1:
             raise ValueError(
                 f"ring modulus must be 0 (integers) or >= 2, got {modulus}"

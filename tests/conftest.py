@@ -2,12 +2,27 @@ import random
 
 import pytest
 
-from modclose import FPModule
+from modclose import FPModule, matrices
 
 
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def echelon_calls(monkeypatch):
+    """The ambient dimensions of the ``matrices._echelon`` calls made while
+    the test runs."""
+    calls = []
+    real = matrices._echelon
+
+    def counting(dim, columns):
+        calls.append(dim)
+        return real(dim, columns)
+
+    monkeypatch.setattr(matrices, "_echelon", counting)
+    return calls
 
 
 def random_finite_module(rng, ring, max_gens=2, max_order=64, entry=9):

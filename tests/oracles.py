@@ -94,6 +94,49 @@ def meet_by_elements(u: Submodule, v: Submodule) -> frozenset:
     return element_set(u) & element_set(v)
 
 
+def _with_modulus_columns(mat: IntMatrix) -> IntMatrix:
+    """``[a | n*I]`` over Z for a matrix ``a`` over Z/n: its integer solutions,
+    cut to the first ``a.cols`` entries, are the solutions of ``a`` mod n."""
+    n = mat.ring.modulus
+    grid = [
+        row + tuple(n * (i == k) for k in range(mat.rows))
+        for i, row in enumerate(mat.entries)
+    ]
+    return IntMatrix(grid, ZZ, rows=mat.rows, cols=mat.cols + mat.rows)
+
+
+def kernel_by_modulus_columns(a: IntMatrix) -> IntMatrix:
+    """Kernel generators of a matrix over Z/n from the integer kernel of
+    ``[a | n*I]``, cut to the first ``a.cols`` entries and reduced mod n."""
+    n = a.ring.modulus
+    heads = [c[: a.cols] for c in _kernel_over_z(_with_modulus_columns(a)).columns()]
+    cols = dict.fromkeys(tuple(x % n for x in c) for c in heads)
+    return IntMatrix.from_columns([c for c in cols if any(c)], a.cols, a.ring)
+
+
+def quotient_by_concatenation(m: FPModule, n: Submodule) -> FPModule:
+    """M/N presented by M's relation columns followed by N's canonical
+    generators, echelonized afresh."""
+    cols = m.relations.columns() + n.canonical_gens.columns()
+    return FPModule(m.ring, m.n_gens, cols)
+
+
+def whole_by_identity(m: FPModule) -> Submodule:
+    """The whole module, generated by the identity matrix."""
+    return Submodule(m, IntMatrix.identity(m.n_gens, m.ring))
+
+
+def zero_by_relations(m: FPModule) -> Submodule:
+    """The zero submodule, from no generators (the relation basis alone)."""
+    return Submodule(m, None)
+
+
+def image_by_matrix(f: Homomorphism, u: Submodule) -> Submodule:
+    """f(U), generated by the images of U's canonical generators."""
+    cols = [f.matrix.apply(c) for c in u.canonical_gens.columns()]
+    return Submodule(f.cod, IntMatrix.from_columns(cols, f.cod.n_gens, f.cod.ring))
+
+
 def kernel_by_smith(a: IntMatrix) -> Lattice:
     """The kernel lattice of an integer matrix from its Smith form
     ``D = U A V``: the columns of V over the zero diagonal entries of D.

@@ -13,10 +13,11 @@ from modclose import (
     sub_as_module,
 )
 from modclose.lattices import Lattice
-from modclose.matrices import _kernel_over_z, _with_modulus_columns
+from modclose.matrices import _kernel_over_z
 
 from conftest import random_finite_module
 from oracles import (
+    _with_modulus_columns,
     echelon_unreduced,
     intersect_by_smith,
     kernel_by_smith,

@@ -6,12 +6,21 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modclose import IntMatrix, ZZ, Zmod, kernel_basis, smith_normal_form, solve_linear
+from modclose import (
+    IntMatrix,
+    ZZ,
+    Zmod,
+    kernel_basis,
+    present_module,
+    smith_normal_form,
+    solve_linear,
+)
+from modclose.lattices import Lattice
 from modclose.matrices import _solve_over_z
 from modclose.cli import main
 from modclose.oracles import det_cofactor, minor_gcd
 
-from oracles import det_bareiss
+from oracles import det_bareiss, kernel_by_modulus_columns
 
 
 def snf_invariants_hold(a):
@@ -271,3 +280,54 @@ def test_empty_matrix_product():
     a = IntMatrix.zeros(2, 0)
     b = IntMatrix.zeros(0, 3)
     assert (a @ b) == IntMatrix.zeros(2, 3)
+
+
+# -- one echelon per system ----------------------------------------------------
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(12)], ids=str)
+def test_solve_linear_runs_one_echelon(echelon_calls, ring):
+    a = IntMatrix([[2, 4, 3], [6, 8, 5]], ring)
+    sol, kernel = solve_linear(a, (9, 19))
+    assert len(echelon_calls) == 1
+    assert a.apply(sol) == a.apply((1, 1, 1))
+    assert kernel.cols and all(not any(a.apply(c)) for c in kernel.columns())
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 36, 72])
+def test_kernel_mod_n_spans_the_modulus_columns_kernel(n):
+    # the kernel read from (a e_j, e_j) and (n e_i, 0) spans the same residues
+    # as the integer kernel of [a | n*I] cut to its first columns
+    rng = random.Random(700 + n)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a = IntMatrix(
+            [[rng.randint(0, n - 1) for _ in range(cols)] for _ in range(rows)],
+            Zmod(n),
+        )
+        units = [tuple(n * (i == j) for i in range(cols)) for j in range(cols)]
+        got, expected = kernel_basis(a), kernel_by_modulus_columns(a)
+        assert all(not any(a.apply(c)) for c in got.columns())
+        got_span = Lattice.from_columns(cols, got.columns() + units)
+        assert got_span == Lattice.from_columns(cols, expected.columns() + units)
+
+
+# -- integers only -------------------------------------------------------------
+
+_NON_INTEGERS = {
+    "modulus": lambda: Zmod(4.5),
+    "matrix entry": lambda: IntMatrix([[1.5, 2.9]]),
+    "string entry": lambda: IntMatrix([["7"]]),
+    "relation": lambda: present_module(ZZ, 1, [[2.7]]),
+    "lattice column": lambda: Lattice.from_columns(1, [[2.9]]),
+    "coset reduction": lambda: Lattice.from_columns(1, [(2,)]).reduce([2.5]),
+    "element": lambda: present_module(Zmod(12), 2).element([1.7, 2]),
+    "membership": lambda: present_module(ZZ, 1).whole_submodule().contains([1.5]),
+    "right-hand side": lambda: solve_linear(IntMatrix([[2]]), [4.0]),
+}
+
+
+@pytest.mark.parametrize("build", list(_NON_INTEGERS.values()), ids=list(_NON_INTEGERS))
+def test_non_integers_are_refused_not_truncated(build):
+    with pytest.raises(TypeError):
+        build()

@@ -23,10 +23,16 @@ from modclose import (
     sub_preimage,
     submodules_between,
 )
-from modclose.homs import Homomorphism, enumerate_homs
+from modclose.homs import Homomorphism, enumerate_homs, hom_group
 from modclose.lattices import Lattice
 
 from conftest import random_finite_module
+from oracles import (
+    image_by_matrix,
+    quotient_by_concatenation,
+    whole_by_identity,
+    zero_by_relations,
+)
 
 from oracles import (
     element_order_statistics,
@@ -494,3 +500,52 @@ def test_direct_sum_matches_concatenated_relations(rng):
             assert got.lattice.pivots == expected.lattice.pivots
             assert got.invariant_factors == expected.invariant_factors
             assert got.relations == got.lattice.basis_matrix(ring)
+
+
+def _random_module_and_submodule(rng, ring):
+    g = rng.randint(0, 3)
+    m = present_module(ring, g, [
+        tuple(rng.randint(-9, 9) for _ in range(g))
+        for _ in range(rng.randint(0, g + 1))
+    ])
+    return m, m.submodule([
+        tuple(rng.randint(-9, 9) for _ in range(g)) for _ in range(rng.randint(0, 3))
+    ])
+
+
+def _assert_same_submodule(got, expected):
+    assert got == expected
+    assert got.canonical_gens == expected.canonical_gens
+    assert (
+        sub_as_module(got)[0].invariant_factors
+        == sub_as_module(expected)[0].invariant_factors
+    )
+
+
+def test_lattice_constructions_match_matrix_built_oracles(rng):
+    # quotients, zero and whole submodules and images are built from the
+    # lattices in hand; the matrix-built constructions agree on 330 pairs
+    for ring in (ZZ, Zmod(12), Zmod(72)):
+        for _ in range(110):
+            m, u = _random_module_and_submodule(rng, ring)
+            q, expected = quotient_module(m, u), quotient_by_concatenation(m, u)
+            assert q == expected and q.lattice == u.lattice
+            assert q.invariant_factors == expected.invariant_factors
+            _assert_same_submodule(m.zero_submodule(), zero_by_relations(m))
+            whole = m.whole_submodule()
+            _assert_same_submodule(whole, whole_by_identity(m))
+            assert whole.gens == whole.canonical_gens
+            m2, _ = _random_module_and_submodule(rng, ring)
+            f = Homomorphism.zero(m, m2)
+            for gen in hom_group(m, m2).generators:
+                f = f + gen.scale(rng.randint(-3, 3))
+            _assert_same_submodule(sub_image(f, u), image_by_matrix(f, u))
+
+
+def test_quotient_module_runs_no_echelon(echelon_calls):
+    m = present_module(Zmod(12), 2, [(2, 4)])
+    u = m.submodule([(3, 1)])
+    before = len(echelon_calls)
+    q = quotient_module(m, u)
+    assert len(echelon_calls) == before
+    assert q == quotient_by_concatenation(m, u)
