@@ -157,7 +157,7 @@ def _matrix_from_args(ws: Workspace | None, args) -> IntMatrix:
             raise ValueError("--matrix must be a JSON list of equal-length rows")
         return IntMatrix([[decode_int(x) for x in r] for r in rows], ZZ)
     if ws is not None and args.module is not None:
-        return ws.module(args.module).relations.lift()
+        return ws.module(args.module).lattice.basis_matrix()
     raise ValueError("snf needs --matrix JSON or --workspace with --module NAME")
 
 
@@ -255,64 +255,61 @@ def cmd_free_rank(ws: Workspace, args) -> tuple[int, dict]:
     return 0, report
 
 
+_COMMANDS = {
+    "closure": (cmd_closure, "closure of a submodule under a subcategory of injectives"),
+    "verify": (cmd_verify, "verify the torsion theory induced by a subcategory"),
+    "snf": (cmd_snf, "Smith normal form with transforms"),
+    "hom": (cmd_hom, "hom group between two modules"),
+    "bounded": (cmd_bounded, "whether a Z-module admits no nonzero map to Z"),
+    "free-rank": (cmd_free_rank, "rank of the largest free summand of a Z-module"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modclose",
         description=(
-            "Regular closure operators and torsion theories for finitely "
+            "Regular closure operators and torsion theories for finitely\n"
             "presented modules over Z and Z/n"
         ),
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<10} {purpose}" for name, (_, purpose) in _COMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("closure", "closure of a submodule under a subcategory of injectives"),
-        ("verify", "verify the torsion theory induced by a subcategory"),
-        ("snf", "Smith normal form with transforms"),
-        ("hom", "hom group between two modules"),
-        ("bounded", "whether a Z-module admits no nonzero map to Z"),
-        ("free-rank", "rank of the largest free summand of a Z-module"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--workspace", help="workspace JSON file")
-        p.add_argument("--module", help="module name")
-        p.add_argument("--sub", help="submodule name")
-        p.add_argument("--cat", help="subcategory name")
-        p.add_argument("--cod", help="codomain module name (hom)")
-        p.add_argument("--matrix", help="inline JSON matrix rows (snf)")
-        p.add_argument("--universe", help="comma-separated module names (verify)")
-        p.add_argument("--max-gens", type=int, help="universe generator bound (verify)")
-        p.add_argument("--max-order", type=int, help="universe order bound (verify)")
-        p.add_argument(
-            "--oracle",
-            action="store_true",
-            help="recompute against the brute-force oracles and diff",
-        )
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="compact JSON (default)")
-        fmt.add_argument("--pretty", action="store_true", help="indented JSON")
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
+    )
+    parser.add_argument("--workspace", help="workspace JSON file")
+    parser.add_argument("--module", help="module name")
+    parser.add_argument("--sub", help="submodule name")
+    parser.add_argument("--cat", help="subcategory name")
+    parser.add_argument("--cod", help="codomain module name (hom)")
+    parser.add_argument("--matrix", help="inline JSON matrix rows (snf)")
+    parser.add_argument("--universe", help="comma-separated module names (verify)")
+    parser.add_argument(
+        "--max-gens", type=decode_int, help="universe generator bound (verify)"
+    )
+    parser.add_argument(
+        "--max-order", type=decode_int, help="universe order bound (verify)"
+    )
+    parser.add_argument(
+        "--oracle",
+        action="store_true",
+        help="recompute against the brute-force oracles and diff",
+    )
+    fmt = parser.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="compact JSON (default)")
+    fmt.add_argument("--pretty", action="store_true", help="indented JSON")
     return parser
-
-
-_COMMANDS = {
-    "closure": cmd_closure,
-    "verify": cmd_verify,
-    "hom": cmd_hom,
-    "bounded": cmd_bounded,
-    "free-rank": cmd_free_rank,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _ = _COMMANDS[args.command]
     try:
         ws = load_workspace_file(args.workspace) if args.workspace else None
-        if args.command == "snf":
-            code, report = cmd_snf(ws, args)
-        else:
-            handler = _COMMANDS[args.command]
-            if ws is None:
-                raise ValueError("--workspace FILE is required for this command")
-            code, report = handler(ws, args)
+        code, report = handler(ws, args)
     except (ValueError, OracleInfeasibleError, OSError, json.JSONDecodeError) as exc:
         print(f"modclose: error: {exc}", file=sys.stderr)
         return 2

@@ -125,12 +125,6 @@ class IntMatrix:
             for row in self.entries
         )
 
-    def lift(self) -> "IntMatrix":
-        """The same entries viewed over the integers."""
-        if not self.ring.is_modular:
-            return self
-        return IntMatrix(self.entries, ZZ, rows=self.rows, cols=self.cols)
-
     def with_ring(self, ring: Ring) -> "IntMatrix":
         """Reinterpret over ``ring`` (integer matrices may be reduced; a modular
         matrix only recasts to its own ring)."""
@@ -386,8 +380,9 @@ def _snf_with_inverses(a: IntMatrix):
 def smith_normal_form(a: IntMatrix) -> SNFResult:
     """Smith normal form of an integer matrix, with both transforms.
 
-    Modular matrices must be lifted by the caller; the reduction itself is an
-    integer computation.  The Smith reduction runs on the column Hermite form
+    Modular matrices are refused: the caller builds the integer matrix it
+    means (for a module over Z/n, its relation lattice's basis, n*Z^g
+    included).  The Smith reduction runs on the column Hermite form
     ``h = a @ w``, read off the echelon of the columns of ``[a; I]`` (its
     lower block is the unimodular ``w``).  Its entries are reduced below the
     pivots, which multiply to ``|det a|`` when ``a`` is nonsingular, so the
@@ -395,7 +390,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     times the Smith transform of ``h``.
     """
     if a.ring.is_modular:
-        raise ValueError("Smith reduction runs over the integers; lift the matrix first")
+        raise ValueError("Smith reduction runs over the integers; build the matrix over Z")
     rows, cols = a.rows, a.cols
     basis, _ = _echelon(rows + cols, _identity_stack(a))
     h = IntMatrix.from_columns([c[:rows] for c in basis], rows)

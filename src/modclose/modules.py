@@ -1,9 +1,10 @@
 """Finitely presented modules over Z or Z/n and their submodule lattices.
 
 A module is a quotient Z^g / L where L is the column span of a relation
-matrix (plus n*Z^g in the modular case).  Submodules are stored by their
-preimage lattices, never by element sets, and constructions pass the lattice
-they hold rather than a matrix; over Z/n every such lattice contains n*Z^g.
+matrix (plus n*Z^g in the modular case).  A module stores only L, and a
+submodule only its preimage lattice, never element sets or matrices;
+constructions pass the lattice they hold, and over Z/n every such lattice
+contains n*Z^g.
 Element enumeration exists for finite modules so that test oracles can
 cross-check the lattice arithmetic.
 Boundedness and free-summand rank over the integers are read off the free
@@ -19,37 +20,35 @@ from .matrices import IntMatrix
 from .rings import Ring
 
 
-def _columns_arg(
-    value, rows: int, ring: Ring, what: str
-) -> IntMatrix:
-    """Normalize a relations/generators argument to an IntMatrix over ring."""
+def _lattice_arg(value, dim: int, ring: Ring, base, what: str) -> Lattice:
+    """The lattice spanned by ``base`` and a matrix or column list over ring."""
     if value is None:
-        return IntMatrix.from_columns([], rows, ring)
-    if isinstance(value, IntMatrix):
-        mat = value if value.ring == ring else value.with_ring(ring)
+        columns = []
+    elif isinstance(value, IntMatrix):
+        if value.rows != dim:
+            raise ValueError(
+                f"{what} has {value.rows} rows but the module has {dim} generators"
+            )
+        columns = value.with_ring(ring).columns()
     else:
-        mat = IntMatrix.from_columns(list(value), rows, ring)
-    if mat.rows != rows:
-        raise ValueError(
-            f"{what} has {mat.rows} rows but the module has {rows} generators"
-        )
-    return mat
+        columns = list(value)
+    return Lattice.from_columns(dim, [*base, *columns])
 
 
 class FPModule:
-    """A finitely presented module: generator count plus relation matrix.
+    """A finitely presented module Z^g / L, stored as its relation lattice L.
 
-    ``relations`` is a relation matrix (or column list), or the relation
-    :class:`Lattice` itself: a lattice in Z^g (containing n*Z^g over Z/n) is
-    taken as is, without a second echelon, and ``relations`` then becomes its
-    basis matrix.
+    The ``relations`` argument is a relation matrix (or column list),
+    echelonized once with n*Z^g over Z/n, or the relation :class:`Lattice`
+    itself, taken as is: a lattice in Z^g (containing n*Z^g over Z/n).  The
+    ``relations`` property reads the canonical basis back over the ring.
 
     ``invariant_factors`` is the canonical decomposition: nonunit factors in
     divisibility order, 0 denoting a free summand over Z.  Two values are
     equal iff they present the same quotient on the same generators.
     """
 
-    __slots__ = ("ring", "n_gens", "relations", "lattice", "invariant_factors", "_hash")
+    __slots__ = ("ring", "n_gens", "lattice", "invariant_factors", "_hash")
 
     def __init__(self, ring: Ring, n_gens: int, relations=None):
         if n_gens < 0:
@@ -69,15 +68,18 @@ class FPModule:
                 )
             if not all(relations.contains(c) for c in scaled_units):
                 raise ValueError(f"relation lattice does not contain {n}*Z^{n_gens}")
-            self.relations = relations.basis_matrix(ring)
             self.lattice = relations
         else:
-            self.relations = _columns_arg(relations, n_gens, ring, "relation matrix")
-            self.lattice = Lattice.from_columns(
-                n_gens, self.relations.columns() + scaled_units
+            self.lattice = _lattice_arg(
+                relations, n_gens, ring, scaled_units, "relation matrix"
             )
         self.invariant_factors = self.lattice.quotient_invariants()
         self._hash = None
+
+    @property
+    def relations(self) -> IntMatrix:
+        """The canonical basis of the relation lattice, over the ring."""
+        return self.lattice.basis_matrix(self.ring)
 
     # -- structure ----------------------------------------------------------
 
@@ -136,8 +138,7 @@ class FPModule:
         return Submodule(self, self.lattice)
 
     def whole_submodule(self) -> "Submodule":
-        """The whole module, from the unit lattice Z^g (no echelon); its
-        ``gens`` are its ``canonical_gens``."""
+        """The whole module, from the unit lattice Z^g (no echelon)."""
         g = self.n_gens
         units = tuple(tuple(int(i == j) for i in range(g)) for j in range(g))
         return Submodule(self, Lattice(g, units, tuple((j, 1) for j in range(g))))
@@ -244,26 +245,24 @@ class ModuleElement:
 
 
 class Submodule:
-    """A submodule of a fixed parent, canonicalized by its preimage lattice.
+    """A submodule of a fixed parent, stored as its preimage lattice.
 
-    ``gens`` is a generator matrix (or column list), or the preimage
-    :class:`Lattice` itself: a lattice in Z^g containing the parent's relation
-    lattice is taken as is, without a second echelon, and ``gens`` then
-    becomes ``canonical_gens``.
+    The ``gens`` argument is a generator matrix (or column list), echelonized
+    once with the parent's relation basis, or the preimage :class:`Lattice`
+    itself, taken as is: a lattice in Z^g containing the parent's relations.
 
-    ``canonical_gens`` is a deterministic generating matrix: the echelon basis
-    of the preimage lattice with columns lying in the relation lattice removed
-    (those map to zero) and the survivors reduced to canonical coordinates.
-    Submodules of the same parent with equal spans compare equal and share
-    identical ``canonical_gens``.
+    ``canonical_gens`` is a deterministic generating matrix, computed when
+    read: the echelon basis of the preimage lattice with columns lying in the
+    relation lattice removed (those map to zero) and the survivors reduced to
+    canonical coordinates.  Submodules of the same parent with equal spans
+    compare equal and share identical ``canonical_gens``.
     """
 
-    __slots__ = ("parent", "gens", "lattice", "canonical_gens", "_hash")
+    __slots__ = ("parent", "lattice", "_hash")
 
     def __init__(self, parent: FPModule, gens=None):
         self.parent = parent
-        from_lattice = isinstance(gens, Lattice)
-        if from_lattice:
+        if isinstance(gens, Lattice):
             if gens.dim != parent.n_gens:
                 raise ValueError(
                     f"lattice lives in Z^{gens.dim} but the module has "
@@ -273,18 +272,17 @@ class Submodule:
                 raise ValueError("lattice does not contain the parent's relations")
             self.lattice = gens
         else:
-            self.gens = _columns_arg(
-                gens, parent.n_gens, parent.ring, "generator matrix"
+            self.lattice = _lattice_arg(
+                gens, parent.n_gens, parent.ring, parent.lattice.basis, "generator matrix"
             )
-            self.lattice = Lattice.from_columns(
-                parent.n_gens, list(parent.lattice.basis) + self.gens.columns()
-            )
+        self._hash = None
+
+    @property
+    def canonical_gens(self) -> IntMatrix:
+        parent = self.parent
         reduced = map(parent.lattice.reduce, self.lattice.basis)
         cols = list(dict.fromkeys(c for c in reduced if any(c)))
-        self.canonical_gens = IntMatrix.from_columns(cols, parent.n_gens, parent.ring)
-        if from_lattice:
-            self.gens = self.canonical_gens
-        self._hash = None
+        return IntMatrix.from_columns(cols, parent.n_gens, parent.ring)
 
     # -- predicates ---------------------------------------------------------
 
@@ -303,7 +301,7 @@ class Submodule:
 
     @property
     def is_zero(self) -> bool:
-        return self.canonical_gens.cols == 0
+        return self.lattice == self.parent.lattice
 
     @property
     def is_whole(self) -> bool:

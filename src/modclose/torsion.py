@@ -60,10 +60,9 @@ def classify(x: FPModule, cat: Subcategory) -> Classification:
     return Classification.MIXED
 
 
-def _in_torsion_class(x, cat: Subcategory) -> bool:
-    """Membership in T of a module, or of the class of an invariant-factor
-    chain: no object of the subcategory receives a nonzero map."""
-    chain = x.invariant_factors if isinstance(x, FPModule) else x
+def _in_torsion_class(chain: tuple[int, ...], cat: Subcategory) -> bool:
+    """Membership in T of the class of an invariant-factor chain: no object
+    of the subcategory receives a nonzero map."""
     return not any(
         _admits_nonzero_map(chain, a) for a in cat.finite_objects + cat.divisible_objects
     )

@@ -237,21 +237,21 @@ def load_workspace_file(path: str) -> Workspace:
 
 
 def serialize_workspace(ws: Workspace) -> dict:
+    """The document of a workspace: each module as the canonical basis of its
+    relation lattice, each submodule as its ``canonical_gens``."""
     return {
         "ring": ring_name(ws.ring),
         "modules": {
             name: {
                 "generators": m.n_gens,
-                "relations": [
-                    [encode_int(x) for x in c] for c in m.relations.columns()
-                ],
+                "relations": [[encode_int(x) for x in c] for c in m.lattice.basis],
             }
             for name, m in ws.modules.items()
         },
         "submodules": {
             name: {
                 "parent": ws.submodule_parents[name],
-                "gens": [[encode_int(x) for x in c] for c in s.gens.columns()],
+                "gens": [[encode_int(x) for x in c] for c in s.canonical_gens.columns()],
             }
             for name, s in ws.submodules.items()
         },

@@ -395,3 +395,17 @@ def closure_by_prime_support(m: FPModule, n: Submodule, cat: Subcategory) -> Sub
         tuple(m_s if i == j else 0 for i in range(m.n_gens)) for j in range(m.n_gens)
     ]
     return Submodule(m, list(n.canonical_gens.columns()) + scaled)
+
+
+def canonical_gens_eager(sub: Submodule) -> IntMatrix:
+    """A submodule's canonical generators as they were built when every
+    submodule stored them: the echelon basis of its preimage lattice reduced
+    modulo the parent's relation lattice, zero and repeated columns dropped.
+    The zero submodule is the one with no such column."""
+    parent = sub.parent
+    cols = []
+    for c in sub.lattice.basis:
+        r = parent.lattice.reduce(c)
+        if any(r) and r not in cols:
+            cols.append(r)
+    return IntMatrix.from_columns(cols, parent.n_gens, parent.ring)

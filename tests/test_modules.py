@@ -28,6 +28,7 @@ from modclose.lattices import Lattice
 
 from conftest import random_finite_module
 from oracles import (
+    canonical_gens_eager,
     image_by_matrix,
     quotient_by_concatenation,
     whole_by_identity,
@@ -423,7 +424,6 @@ def test_submodule_from_lattice_matches_generator_matrix(rng):
             b = Submodule(m, lat.basis_matrix(ring))
             assert a.lattice == b.lattice == lat
             assert a.canonical_gens == b.canonical_gens
-            assert a.gens == a.canonical_gens
 
 
 def test_module_from_relation_lattice_matches_relation_matrix(rng):
@@ -439,7 +439,7 @@ def test_module_from_relation_lattice_matches_relation_matrix(rng):
                 for _ in range(rng.randint(0, 3))
             ])
             b = u.canonical_gens
-            rel = m.lattice.preimage(b.lift())
+            rel = m.lattice.preimage(b)
             from_lattice = FPModule(ring, b.cols, rel)
             from_matrix = FPModule(ring, b.cols, rel.basis_matrix(ring))
             assert from_lattice == from_matrix
@@ -534,7 +534,6 @@ def test_lattice_constructions_match_matrix_built_oracles(rng):
             _assert_same_submodule(m.zero_submodule(), zero_by_relations(m))
             whole = m.whole_submodule()
             _assert_same_submodule(whole, whole_by_identity(m))
-            assert whole.gens == whole.canonical_gens
             m2, _ = _random_module_and_submodule(rng, ring)
             f = Homomorphism.zero(m, m2)
             for gen in hom_group(m, m2).generators:
@@ -549,3 +548,53 @@ def test_quotient_module_runs_no_echelon(echelon_calls):
     q = quotient_module(m, u)
     assert len(echelon_calls) == before
     assert q == quotient_by_concatenation(m, u)
+
+
+def test_modules_store_only_their_lattices():
+    m = present_module(Zmod(6), 2, IntMatrix([[4, 0], [0, 3]], Zmod(6)))
+    u = m.submodule([(1, 1)])
+    assert set(FPModule.__slots__) == {"ring", "n_gens", "lattice", "invariant_factors", "_hash"}
+    assert set(Submodule.__slots__) == {"parent", "lattice", "_hash"}
+    for obj in (m, u):
+        assert not any(isinstance(getattr(obj, a), IntMatrix) for a in obj.__slots__)
+
+
+def test_relations_are_the_canonical_basis_whatever_the_presentation(rng):
+    a = present_module(Zmod(6), 1, [(4,)])
+    b = present_module(Zmod(6), 1, [(2,)])
+    assert a == b
+    assert a.relations == b.relations == IntMatrix([[2]], Zmod(6))
+    for ring in (ZZ, Zmod(12), Zmod(72)):
+        for _ in range(40):
+            g = rng.randint(1, 3)
+            cols = [
+                tuple(rng.randint(-9, 9) for _ in range(g))
+                for _ in range(rng.randint(1, g + 1))
+            ]
+            # the same lattice, spanned in another order with a redundant column
+            mixed = cols[::-1] + [tuple(x + 2 * y for x, y in zip(cols[0], cols[-1]))]
+            m1 = present_module(ring, g, cols)
+            m2 = present_module(ring, g, IntMatrix.from_columns(mixed, g))
+            assert m1 == m2
+            assert m1.relations == m2.relations == m1.lattice.basis_matrix(ring)
+
+
+def _assert_matches_eager_oracle(s):
+    eager = canonical_gens_eager(s)
+    assert s.canonical_gens == eager
+    assert s.is_zero == (eager.cols == 0)
+    assert Submodule(s.parent, s.canonical_gens) == s
+
+
+def test_canonical_gens_and_is_zero_match_the_eager_oracle(rng):
+    for n in (4, 6, 12, 36):
+        for m in enumerate_universe(Zmod(n), 2, 36):
+            subs = all_submodules(m)
+            assert sum(s.is_zero for s in subs) == 1
+            for s in subs:
+                _assert_matches_eager_oracle(s)
+    for ring in (ZZ, Zmod(12), Zmod(72)):
+        for _ in range(60):
+            m, u = _random_module_and_submodule(rng, ring)
+            for s in (u, m.zero_submodule(), m.whole_submodule()):
+                _assert_matches_eager_oracle(s)

@@ -339,7 +339,9 @@ def test_membership_is_an_isomorphism_invariant_over_the_scan(n, chains):
         for s in all_submodules(m):
             for x in (sub_as_module(s)[0], quotient_module(m, s)):
                 rep = _diagonal(ring, x.invariant_factors)
-                assert _in_torsion_class(x, cat) == _in_torsion_class(rep, cat)
+                in_t = _in_torsion_class(x.invariant_factors, cat)
+                assert in_t == torsion_radical(x, cat).is_whole
+                assert in_t == torsion_radical(rep, cat).is_whole
                 assert _in_torsion_free_class(x, cat) == _in_torsion_free_class(rep, cat)
 
 

@@ -364,6 +364,37 @@ def test_cli_snf_from_workspace_module(tmp_path, capsys):
     assert json.loads(out)["d"] == [2]
 
 
+@pytest.mark.parametrize(
+    "gens, relations, d", [(1, [[4]], [2]), (2, [], [6, 6])], ids=["z6-mod-4", "z6-squared"]
+)
+def test_cli_snf_module_reduces_the_relation_lattice(tmp_path, capsys, gens, relations, d):
+    # over Z/6 the relation lattice holds 6*Z^g: Z/6 / (4) is Z/2, and
+    # (Z/6)^2 is not free
+    doc = {"ring": "Zmod:6", "modules": {"M": {"generators": gens, "relations": relations}}}
+    path = write_ws(tmp_path, doc)
+    code, out, _ = run_cli(capsys, ["snf", "--workspace", path, "--module", "M"])
+    assert code == 0
+    assert json.loads(out)["d"] == d
+
+
+def test_cli_snf_module_diagonal_gives_the_invariant_factors(tmp_path, capsys, rng):
+    for ring in ("Z", "Zmod:12", "Zmod:72"):
+        modules = {}
+        for i in range(30):
+            g = rng.randint(0, 3)
+            rels = [[rng.randint(-9, 9) for _ in range(g)] for _ in range(rng.randint(0, g + 1))]
+            modules[f"M{i}"] = {"generators": g, "relations": rels}
+        doc = {"ring": ring, "modules": modules}
+        ws = load_workspace(doc)
+        path = write_ws(tmp_path, doc)
+        for name, spec in modules.items():
+            code, out, _ = run_cli(capsys, ["snf", "--workspace", path, "--module", name])
+            assert code == 0
+            d = json.loads(out)["d"]
+            read = [x for x in d if x != 1] + [0] * (spec["generators"] - len(d))
+            assert tuple(read) == ws.module(name).invariant_factors, (ring, spec)
+
+
 def test_cli_snf_oracle(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["snf", "--matrix", "[[2,4],[6,8]]", "--oracle"])
     assert code == 0
@@ -417,6 +448,43 @@ def test_cli_pretty_flag(tmp_path, capsys):
     assert code == 0
     assert "\n  " in out
     assert json.loads(out)["closed"] is True
+
+
+@pytest.mark.parametrize("flag", ["--max-gens", "--max-order"])
+@pytest.mark.parametrize(
+    "text", ["\u0663", "1_0", " 2 ", "+2"], ids=["arabic-indic", "underscore", "blanks", "plus"]
+)
+def test_cli_integer_flags_take_only_ascii_decimals(tmp_path, capsys, flag, text):
+    path = write_ws(tmp_path, WS_MOD4)
+    argv = ["verify", "--workspace", path, "--cat", "A", "--max-gens", "1", "--max-order", "4"]
+    argv[argv.index(flag) + 1] = text
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    lines = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+    for name, purpose in [
+        ("closure", "closure of a submodule under a subcategory of injectives"),
+        ("verify", "verify the torsion theory induced by a subcategory"),
+        ("snf", "Smith normal form with transforms"),
+        ("hom", "hom group between two modules"),
+        ("bounded", "whether a Z-module admits no nonzero map to Z"),
+        ("free-rank", "rank of the largest free summand of a Z-module"),
+    ]:
+        assert [name, purpose] in lines
+
+
+def test_cli_unknown_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nope", "--matrix", "[[1]]"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_missing_workspace_exits_2(capsys):
