@@ -135,13 +135,23 @@ def cmd_verify(ws: Workspace, args) -> tuple[int, dict]:
     }
     if args.oracle:
         from .homs import enumerate_homs, hom_group
+        universe = report_obj.universe
         mismatches = []
-        for x in report_obj.universe.objects:
+        for x in universe.objects:
             for i, obj in enumerate(cat.finite_objects):
                 fast = hom_group(x, obj).is_zero
                 slow = len(enumerate_homs(x, obj)) == 1
                 if fast != slow:
                     mismatches.append({"module": _label(x), "object": _label(obj)})
+        # the class-pair sets against the pairs of the listed submodules
+        for x, support in zip(universe.objects, universe.pair_sets):
+            listed = set(universe.ordered_pairs(x))
+            if support != listed:
+                mismatches.append({
+                    "module": _label(x),
+                    "pairs_not_listed": [list(p) for p in sorted(support - listed)],
+                    "pairs_not_in_support": [list(p) for p in sorted(listed - support)],
+                })
         doc["oracle"] = {"agrees": not mismatches, "mismatches": mismatches}
         if mismatches:
             return 1, doc
@@ -265,6 +275,14 @@ _COMMANDS = {
 }
 
 
+def _integer_flag(text: str) -> int:
+    """An integer flag value: ASCII decimal digits only (see ``decode_int``)."""
+    try:
+        return decode_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modclose",
@@ -288,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--matrix", help="inline JSON matrix rows (snf)")
     parser.add_argument("--universe", help="comma-separated module names (verify)")
     parser.add_argument(
-        "--max-gens", type=decode_int, help="universe generator bound (verify)"
+        "--max-gens", type=_integer_flag, help="universe generator bound (verify)"
     )
     parser.add_argument(
-        "--max-order", type=decode_int, help="universe order bound (verify)"
+        "--max-order", type=_integer_flag, help="universe order bound (verify)"
     )
     parser.add_argument(
         "--oracle",

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache
+from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
 from .closure import Subcategory, _admits_nonzero_map, regular_closure
-from .homs import _divisors, hom_group
+from .homs import _divisors, _prime_factors, hom_group
 from .modules import (
     FPModule,
     Submodule,
@@ -85,40 +86,132 @@ def _first_bad_sum(members, member_of):
     return None
 
 
+def _inside(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every partition inside ``lam``, padded with zeros to ``len(lam)`` parts."""
+    shapes = [()]
+    for part in lam:
+        shapes = [s + (x,) for s in shapes for x in range(min(s[-1:] + (part,)) + 1)]
+    return shapes
+
+
+def _lr_support(lam: tuple[int, ...]) -> frozenset:
+    """The (mu, nu) with Littlewood-Richardson coefficient c^lam_{mu nu}
+    nonzero, as partitions without zero parts: for each mu inside ``lam``,
+    the contents of the LR tableaux of shape lam/mu.
+
+    A tableau is filled row by row.  Row i holds entries 0..i (0-based),
+    weakly increasing, each larger than the entry above it when that cell
+    lies outside mu.  The reverse reading word (rows right to left, top to
+    bottom) is a lattice word: reading a row's entries v + 1 before its
+    entries v, no prefix may hold more v + 1 than v.
+    """
+    k = len(lam)
+    out = set()
+
+    def fill(mu, i, above, content):
+        if i == k:
+            out.add((tuple(x for x in mu if x), tuple(x for x in content if x)))
+            return
+        for row in combinations_with_replacement(range(i + 1), lam[i] - mu[i]):
+            if any(above.get(mu[i] + j, -1) >= v for j, v in enumerate(row)):
+                continue
+            grown = [c + row.count(v) for v, c in enumerate(content)]
+            if all(grown[v] <= content[v - 1] for v in range(1, i + 1)):
+                fill(mu, i + 1, {mu[i] + j: v for j, v in enumerate(row)}, grown)
+
+    for mu in _inside(lam):
+        fill(mu, 0, {}, [0] * k)
+    return frozenset(out)
+
+
+def _chain_of(types) -> tuple[int, ...]:
+    """The ascending invariant-factor chain of the sum of p-groups given as
+    (p, partition) pairs."""
+    factors = [1] * max((len(parts) for _, parts in types), default=0)
+    for p, parts in types:
+        for j, e in enumerate(parts):
+            factors[j] *= p**e
+    return tuple(reversed(factors))
+
+
+def class_pair_support(chain: tuple[int, ...], memo: dict | None = None) -> frozenset:
+    """The distinct (class of S, class of M/S), as invariant-factor chains,
+    over the submodules S of the finite module M with invariant-factor chain
+    ``chain``, found without listing a submodule.
+
+    M and each of its submodules are the sums of their p-parts, so the pair
+    set is the product over the primes p of the pair sets of the p-parts.  A
+    p-group of type lam has a subgroup of type mu with quotient of type nu
+    iff the Littlewood-Richardson coefficient c^lam_{mu nu} is nonzero
+    (Green; Klein 1968; Macdonald, *Symmetric Functions and Hall
+    Polynomials*, ch. II), which does not depend on p.  ``memo`` maps each
+    type lam to its support; one universe build shares it across objects.
+    """
+    if 0 in chain:
+        raise ValueError("class pairs require a finite module")
+    memo = {} if memo is None else memo
+    per_prime = []
+    for p in _prime_factors(chain[-1]) if chain else ():
+        exps = []
+        for d in chain:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if e:
+                exps.append(e)
+        lam = tuple(reversed(exps))
+        if lam not in memo:
+            memo[lam] = _lr_support(lam)
+        per_prime.append([((p, mu), (p, nu)) for mu, nu in memo[lam]])
+    return frozenset(
+        (_chain_of([sub for sub, _ in combo]), _chain_of([quo for _, quo in combo]))
+        for combo in product(*per_prime)
+    )
+
+
 class ModuleUniverse:
     """A finite list of modules over one ring, deduplicated up to isomorphism.
 
-    ``class_pairs[i]`` lists the distinct (class of S, class of M/S) over the
-    submodules S of M = ``objects[i]``, as invariant-factor chains in
-    first-seen order, both read from S's preimage lattice.  The scan stops at
-    the first infinite object, which cannot be enumerated.
+    ``pair_sets[i]`` is the set of distinct (class of S, class of M/S) over
+    the submodules S of M = ``objects[i]``, as invariant-factor chains, read
+    from the Littlewood-Richardson support of M's chain
+    (:func:`class_pair_support`) without listing a submodule.  The scan
+    stops at the first infinite object.
 
-    Closure under submodules and quotients (projections of the pairs) and
-    under finite direct sums is computed, never assumed.  A flag is ``None``
-    when an infinite object comes before any missing class.
+    ``class_pairs[i]`` lists the same pairs in first-seen order over
+    ``all_submodules(M)``, both chains read from S's preimage lattice; an
+    object is enumerated when its ordered pairs are first read
+    (:meth:`ordered_pairs`), so a universe whose pairs are only tested as
+    sets lists no submodule.
+
+    Closure under submodules and quotients (projections of the pair sets)
+    and under finite direct sums is computed, never assumed.  A flag is
+    ``None`` when an infinite object comes before any missing class.
     """
 
     __slots__ = (
         "ring",
         "objects",
-        "class_pairs",
+        "pair_sets",
+        "_ordered",
         "closed_under_submodules",
         "closed_under_quotients",
         "closed_under_sums",
     )
 
     def __init__(self, ring: Ring, objects):
-        self._fill(ring, objects, {})
+        self._fill(ring, objects, {}, {})
 
     def adjoin(self, extra) -> "ModuleUniverse":
         """This universe with the modules ``extra`` adjoined, reusing the
-        class pairs already computed, so each object is enumerated once."""
-        known = {m.invariant_factors: p for m, p in zip(self.objects, self.class_pairs)}
+        pair sets and the ordered pairs already computed."""
+        known = {m.invariant_factors: p for m, p in zip(self.objects, self.pair_sets)}
         grown = object.__new__(ModuleUniverse)
-        grown._fill(self.ring, self.objects + tuple(extra), known)
+        grown._fill(self.ring, self.objects + tuple(extra), known, dict(self._ordered))
         return grown
 
-    def _fill(self, ring: Ring, objects, known: dict) -> None:
+    def _fill(self, ring: Ring, objects, known: dict, ordered: dict) -> None:
         objs = sorted(
             objects,
             key=lambda m: (len(m.invariant_factors), m.invariant_factors, m.n_gens),
@@ -133,33 +226,54 @@ class ModuleUniverse:
                 kept.append(m)
         self.ring = ring
         self.objects = tuple(kept)
-        class_pairs = []
+        self._ordered = ordered
+        memo: dict = {}
+        pair_sets = []
         for m in self.objects:
             if not m.is_finite:
                 break
-            class_pairs.append(known.get(m.invariant_factors) or tuple(dict.fromkeys(
-                (s.lattice.invariants_over(m.lattice), s.lattice.quotient_invariants())
-                for s in all_submodules(m)
-            )))
-        self.class_pairs = tuple(class_pairs)
+            pairs = known.get(m.invariant_factors)
+            if pairs is None:
+                pairs = class_pair_support(m.invariant_factors, memo)
+            pair_sets.append(pairs)
+        self.pair_sets = tuple(pair_sets)
         self.closed_under_submodules = self._closure_flag(seen, 0)
         self.closed_under_quotients = self._closure_flag(seen, 1)
         self.closed_under_sums = _first_bad_sum(self.objects, seen.__contains__) is None
 
+    def ordered_pairs(self, m: FPModule) -> tuple:
+        """The class pairs of the finite object ``m`` in first-seen order over
+        ``all_submodules(m)``, enumerated on the first call for ``m``."""
+        pairs = self._ordered.get(m)
+        if pairs is None:
+            pairs = self._ordered[m] = tuple(dict.fromkeys(
+                (s.lattice.invariants_over(m.lattice), s.lattice.quotient_invariants())
+                for s in all_submodules(m)
+            ))
+        return pairs
+
+    @property
+    def class_pairs(self) -> tuple:
+        """The ordered class pairs of every scanned object, in object order."""
+        return tuple(self.ordered_pairs(m) for m in self.objects[:len(self.pair_sets)])
+
     def _closure_flag(self, iso_classes, side: int):
-        for pairs in self.class_pairs:
+        for pairs in self.pair_sets:
             if any(pair[side] not in iso_classes for pair in pairs):
                 return False
-        return None if len(self.class_pairs) < len(self.objects) else True
+        return None if len(self.pair_sets) < len(self.objects) else True
 
     def __repr__(self) -> str:
         return f"ModuleUniverse({self.ring}, {len(self.objects)} objects)"
 
 
 # Cap on the summed orders of the modules one enumeration may return.  verify
-# enumerates every submodule of every object, so its work grows at least with
-# this total; Z/12 with at most 3 generators and order at most 300 sums to
-# 2,168.
+# no longer lists submodules while its laws hold, but it still runs one
+# radical (a regular closure) per object and per new chain, a hom group per
+# (T, F) pair and a direct sum per pair of members, all growing with the
+# universe; a failing law and ``verify --oracle`` list every submodule of an
+# object, which takes time at least its order.  Z/12 with at most 3 generators
+# and order at most 300 sums to 2,168.
 UNIVERSE_ORDER_CAP = 4096
 
 
@@ -247,7 +361,10 @@ def verify_torsion_theory(
     are checked in their finite variants: quotients, submodules, pairwise
     direct sums, and extensions realizable inside universe objects.
 
-    The laws on submodules and quotients read the universe's class pairs.
+    The laws on submodules, quotients and extensions are decided on the
+    universe's pair sets, so no submodule is listed while they hold.  Only
+    an object where a law fails is enumerated, to report the first failing
+    pair in enumeration order (the first such object in universe order).
     Membership in T (no nonzero map into the subcategory) is decided on the
     invariant-factor chain, membership in F (zero radical) once per chain:
     on the universe object of that class, whose radical the radical table
@@ -264,12 +381,13 @@ def verify_torsion_theory(
     if len(objects) > len(universe.objects):
         universe = universe.adjoin(objects[len(universe.objects):])
     objects = list(universe.objects)
-    if len(universe.class_pairs) < len(objects):
+    if len(universe.pair_sets) < len(objects):
         raise ValueError("submodule enumeration requires a finite module")
 
     radical_table = tuple((m, torsion_radical(m, cat)) for m in objects)
     presented = {m.invariant_factors: m for m in objects}
 
+    @cache
     def in_t(chain: tuple[int, ...]) -> bool:
         return _in_torsion_class(chain, cat)
 
@@ -353,68 +471,56 @@ def verify_torsion_theory(
     )
 
     # closure properties, finite variants, over the (submodule class,
-    # quotient class) pairs of each universe object
-    t_quot_bad = t_sub_bad = f_sub_bad = None
-    t_ext_bad = f_ext_bad = None
-    for m, pairs in zip(objects, universe.class_pairs):
+    # quotient class) pairs of each universe object; each law with its test
+    # on the chains of M, S and M/S and its counterexample
+    def ext(mc, sc, qc):
+        return {"middle": list(mc), "sub": list(sc), "quotient": list(qc)}
+
+    pair_laws = (
+        ("torsion_class_closed_under_quotients",
+         lambda mc, sc, qc: in_t(mc) and not in_t(qc),
+         lambda mc, sc, qc: {"module": list(mc), "quotient": list(qc)}),
+        ("torsion_class_closed_under_submodules",
+         lambda mc, sc, qc: in_t(mc) and not in_t(sc),
+         lambda mc, sc, qc: {"module": list(mc), "submodule": list(sc)}),
+        ("torsion_free_class_closed_under_submodules",
+         lambda mc, sc, qc: in_f(mc) and not in_f(sc),
+         lambda mc, sc, qc: {"module": list(mc), "submodule": list(sc)}),
+        ("torsion_class_closed_under_extensions",
+         lambda mc, sc, qc: in_t(sc) and in_t(qc) and not in_t(mc),
+         ext),
+        ("torsion_free_class_closed_under_extensions",
+         lambda mc, sc, qc: in_f(sc) and in_f(qc) and not in_f(mc),
+         ext),
+    )
+    # each law is decided on the pair sets; the first object where it fails
+    # is enumerated to report its first failing pair in enumeration order
+    bad_by_law: dict[str, dict | None] = {}
+    for m, pairs in zip(objects, universe.pair_sets):
         mc = m.invariant_factors
-        for sc, qc in pairs:  # the chains of S and of M/S
-            ext = {"middle": list(mc), "sub": list(sc), "quotient": list(qc)}
-            if in_t(mc):
-                if not in_t(qc):
-                    t_quot_bad = t_quot_bad or {"module": list(mc), "quotient": list(qc)}
-                if not in_t(sc):
-                    t_sub_bad = t_sub_bad or {"module": list(mc), "submodule": list(sc)}
-            if in_f(mc) and not in_f(sc):
-                f_sub_bad = f_sub_bad or {"module": list(mc), "submodule": list(sc)}
-            if in_t(sc) and in_t(qc) and not in_t(mc):
-                t_ext_bad = t_ext_bad or ext
-            if in_f(sc) and in_f(qc) and not in_f(mc):
-                f_ext_bad = f_ext_bad or ext
-
-    t_sum_bad = _first_bad_sum(t_members, in_t)
-    f_sum_bad = _first_bad_sum(f_members, in_f)
-
-    add(
-        "torsion_class_closed_under_quotients",
-        t_quot_bad is None,
-        counterexample=t_quot_bad,
+        for name, fails, report in pair_laws:
+            if name not in bad_by_law and any(fails(mc, sc, qc) for sc, qc in pairs):
+                bad_by_law[name] = next(
+                    report(mc, sc, qc)
+                    for sc, qc in universe.ordered_pairs(m)
+                    if fails(mc, sc, qc)
+                )
+    bad_by_law["torsion_class_closed_under_finite_sums"] = _first_bad_sum(t_members, in_t)
+    bad_by_law["torsion_free_class_closed_under_finite_products"] = _first_bad_sum(
+        f_members, in_f
     )
-    add(
-        "torsion_class_closed_under_finite_sums",
-        t_sum_bad is None,
-        detail="finite variant",
-        counterexample=t_sum_bad,
-    )
-    add(
-        "torsion_class_closed_under_extensions",
-        t_ext_bad is None,
-        detail="finite variant: extensions realizable inside universe objects",
-        counterexample=t_ext_bad,
-    )
-    add(
-        "torsion_class_closed_under_submodules",
-        t_sub_bad is None,
-        detail="hereditary property",
-        counterexample=t_sub_bad,
-    )
-    add(
-        "torsion_free_class_closed_under_submodules",
-        f_sub_bad is None,
-        counterexample=f_sub_bad,
-    )
-    add(
-        "torsion_free_class_closed_under_finite_products",
-        f_sum_bad is None,
-        detail="finite variant",
-        counterexample=f_sum_bad,
-    )
-    add(
-        "torsion_free_class_closed_under_extensions",
-        f_ext_bad is None,
-        detail="finite variant: extensions realizable inside universe objects",
-        counterexample=f_ext_bad,
-    )
+    extension = "finite variant: extensions realizable inside universe objects"
+    for name, detail in (
+        ("torsion_class_closed_under_quotients", ""),
+        ("torsion_class_closed_under_finite_sums", "finite variant"),
+        ("torsion_class_closed_under_extensions", extension),
+        ("torsion_class_closed_under_submodules", "hereditary property"),
+        ("torsion_free_class_closed_under_submodules", ""),
+        ("torsion_free_class_closed_under_finite_products", "finite variant"),
+        ("torsion_free_class_closed_under_extensions", extension),
+    ):
+        bad = bad_by_law.get(name)
+        add(name, bad is None, detail, bad)
 
     return TorsionTheoryReport(
         cat=cat,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -25,6 +26,7 @@ from modclose import (
 )
 from modclose.torsion import (
     UNIVERSE_ORDER_CAP,
+    class_pair_support,
     _in_torsion_class,
     _in_torsion_free_class,
 )
@@ -180,8 +182,10 @@ def test_universe_flags_propagate_enumeration_errors(monkeypatch):
         raise ValueError("enumeration broke")
 
     monkeypatch.setattr(torsion_mod, "all_submodules", broken)
+    # the flags read the pair sets; the ordered pairs are enumerated on read
+    u = ModuleUniverse(Zmod(4), [present_module(Zmod(4), 1)])
     with pytest.raises(ValueError, match="enumeration broke"):
-        ModuleUniverse(Zmod(4), [present_module(Zmod(4), 1)])
+        u.class_pairs
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 18, 36, 72])
@@ -203,6 +207,41 @@ def test_class_pairs_match_presented_submodules_and_quotients(n, rng):
     every = [pair for pairs in u.class_pairs for pair in pairs]
     assert u.closed_under_submodules == all(sc in classes for sc, _ in every)
     assert u.closed_under_quotients == all(qc in classes for _, qc in every)
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 12, 16, 18, 27, 36, 72])
+def test_pair_support_matches_enumerated_class_pairs(n):
+    ring = Zmod(n)
+    u = ModuleUniverse(ring, enumerate_universe(ring, 2, 72))
+    assert len(u.pair_sets) == len(u.objects)
+    for m, support, pairs in zip(u.objects, u.pair_sets, u.class_pairs):
+        assert class_pair_support(m.invariant_factors) == support == set(pairs)
+
+
+def _p_group_types():
+    """(p, chain) for every p-group type with p in {2, 3}, at most 3 parts,
+    exponents 1-4 and order at most 128."""
+    types = []
+    for p in (2, 3):
+        for k in (1, 2, 3):
+            for exps in itertools.combinations_with_replacement(range(1, 5), k):
+                if p ** sum(exps) <= 128:
+                    types.append((p, tuple(p**e for e in exps)))
+    return types
+
+
+def test_pair_support_matches_enumeration_on_p_group_types():
+    types = _p_group_types()
+    assert len(types) == 33
+    for p, chain in types:
+        ring = Zmod(p**4)
+        (pairs,) = ModuleUniverse(ring, [_diagonal(ring, chain)]).class_pairs
+        assert class_pair_support(chain) == set(pairs), chain
+
+
+def test_pair_support_refuses_infinite_chains():
+    with pytest.raises(ValueError, match="finite module"):
+        class_pair_support((2, 0))
 
 
 def test_infinite_object_leaves_flags_undecided_and_verify_refuses():
@@ -290,8 +329,9 @@ def test_verify_adjoins_subcategory_objects():
 
 
 def test_verify_adjoin_enumerates_each_object_once(monkeypatch):
-    # Z/12 is missing from the 7-object universe: adjoining it enumerates
-    # Z/12 alone, and the report equals that over a universe holding it
+    # Z/12 is missing from the 7-object universe: adjoining it computes the
+    # pair set of Z/12 alone, a verify whose laws all pass lists no
+    # submodule, and the report equals that over a universe holding Z/12
     # from the start
     import modclose.torsion as torsion_mod
 
@@ -299,13 +339,20 @@ def test_verify_adjoin_enumerates_each_object_once(monkeypatch):
     objects = enumerate_universe(r12, 2, 8)
     cat = Subcategory(r12, [present_module(r12, 1)])
     expected = verify_torsion_theory(ModuleUniverse(r12, objects + [cat.finite_objects[0]]), cat)
-    calls = []
-    original = torsion_mod.all_submodules
-    monkeypatch.setattr(torsion_mod, "all_submodules", lambda m: calls.append(m) or original(m))
-    rep = verify_torsion_theory(ModuleUniverse(r12, objects), cat)
+    u = ModuleUniverse(r12, objects)
+    supports, listings = [], []
+    support, listing = torsion_mod.class_pair_support, torsion_mod.all_submodules
+    monkeypatch.setattr(
+        torsion_mod, "class_pair_support",
+        lambda chain, memo=None: supports.append(chain) or support(chain, memo),
+    )
+    monkeypatch.setattr(torsion_mod, "all_submodules", lambda m: listings.append(m) or listing(m))
+    rep = verify_torsion_theory(u, cat)
+    assert rep.all_passed
     assert len(objects) == 7 and len(rep.universe.objects) == 8
-    assert len(calls) == 8
-    for name in ("objects", "class_pairs", "closed_under_submodules",
+    assert supports == [(12,)]
+    assert listings == []
+    for name in ("objects", "pair_sets", "class_pairs", "closed_under_submodules",
                  "closed_under_quotients", "closed_under_sums"):
         assert getattr(rep.universe, name) == getattr(expected.universe, name), name
     assert rep._replace(universe=None) == expected._replace(universe=None)

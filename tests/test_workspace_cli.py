@@ -461,7 +461,9 @@ def test_cli_integer_flags_take_only_ascii_decimals(tmp_path, capsys, flag, text
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: invalid integer value: {text!r}" in captured.err
 
 
 def test_cli_help_names_every_command(capsys):
@@ -578,6 +580,53 @@ def test_cli_verify_exit_1_on_failing_check(tmp_path, capsys, monkeypatch):
     assert rep["all_passed"] is False
     assert {"name": "rigged_check", "passed": False,
             "detail": "", "counterexample": {"module": [2]}} in rep["checks"]
+
+
+WS_Z12 = {
+    "ring": "Zmod:12",
+    "modules": {"Z4": {"generators": 1, "relations": [[4]]}},
+    "subcategories": {"A": {"finite": ["Z4"], "divisible": []}},
+}
+
+
+def test_cli_verify_oracle_checks_the_pair_sets(tmp_path, capsys):
+    path = write_ws(tmp_path, WS_Z12)
+    code, out, _ = run_cli(
+        capsys,
+        ["verify", "--workspace", path, "--cat", "A", "--max-gens", "2",
+         "--max-order", "36", "--oracle"],
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["all_passed"] is True
+    assert rep["oracle"] == {"agrees": True, "mismatches": []}
+
+
+def test_cli_verify_oracle_reports_a_wrong_pair_set(tmp_path, capsys, monkeypatch):
+    # a support that forgets the zero submodule of every nonzero module: the
+    # laws still pass on the smaller sets, the oracle names each such object
+    import modclose.torsion as torsion_mod
+
+    real = torsion_mod.class_pair_support
+
+    def wrong(chain, memo=None):
+        return real(chain, memo) - {((), chain)} if chain else real(chain, memo)
+
+    monkeypatch.setattr(torsion_mod, "class_pair_support", wrong)
+    path = write_ws(tmp_path, WS_Z12)
+    code, out, _ = run_cli(
+        capsys,
+        ["verify", "--workspace", path, "--cat", "A", "--max-gens", "1",
+         "--max-order", "12", "--oracle"],
+    )
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["all_passed"] is True
+    assert rep["oracle"]["agrees"] is False
+    assert rep["oracle"]["mismatches"] == [
+        {"module": label, "pairs_not_listed": [], "pairs_not_in_support": [[[], chain]]}
+        for label, chain in [("2", [2]), ("3", [3]), ("4", [4]), ("6", [6]), ("12", [12])]
+    ]
 
 
 def test_cli_hom_infinite_oracle_exits_2(tmp_path, capsys):
