@@ -15,17 +15,18 @@ import importlib
 
 # public name -> defining submodule, space-separated per submodule
 _EXPORTS = {
-    "closure": "AxiomReport ClosednessScan ClosureResult ClosureWitness "
-    "DivisibleModule ScanEntry Subcategory axiom_suite closedness_witness_scan "
-    "divisible_closure is_closed is_dense is_hom_vanishing regular_closure",
+    "closure": "ClosureResult ClosureWitness DivisibleModule Subcategory "
+    "divisible_closure is_closed is_dense regular_closure",
     "errors": "OracleInfeasibleError",
-    "homs": "HomGroup Homomorphism enumerate_homs hom_group "
-    "is_injective_by_structure is_injective_module kernel_of_hom",
+    "homs": "HomGroup Homomorphism hom_group is_injective_by_structure "
+    "is_injective_module kernel_of_hom",
     "matrices": "IntMatrix SNFResult kernel_basis smith_normal_form solve_linear",
     "modules": "FPModule ModuleElement Submodule all_submodules direct_sum "
     "free_summand_rank is_bounded present_module quotient quotient_module "
     "sub_as_module sub_contains sub_equal sub_image sub_join sub_meet "
     "sub_preimage submodules_between",
+    "oracles": "AxiomReport ClosednessScan ScanEntry axiom_suite "
+    "closedness_witness_scan enumerate_homs is_hom_vanishing",
     "rings": "Ring ZZ Zmod",
     "torsion": "Classification CheckResult ModuleUniverse TorsionTheoryReport "
     "classify enumerate_universe torsion_radical verify_torsion_theory",

@@ -6,13 +6,15 @@ oracle mismatch, 2 input or validation error.
 
 Each command imports the code it runs when it runs, so a process loads only
 what its command needs; the brute-force oracles load only with ``--oracle``.
+The arguments are read by a small parser driven by the command table and two
+flag tables, which costs far less start-up than ``argparse``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import OracleInfeasibleError
@@ -134,7 +136,8 @@ def cmd_verify(ws: Workspace, args) -> tuple[int, dict]:
         "all_passed": report_obj.all_passed,
     }
     if args.oracle:
-        from .homs import enumerate_homs, hom_group
+        from .homs import hom_group
+        from .oracles import enumerate_homs
         universe = report_obj.universe
         mismatches = []
         for x in universe.objects:
@@ -219,7 +222,7 @@ def cmd_hom(ws: Workspace, args) -> tuple[int, dict]:
             raise OracleInfeasibleError(
                 "oracle infeasible: the hom group is infinite"
             )
-        from .homs import enumerate_homs
+        from .oracles import enumerate_homs
         listed = {h.matrix for h in enumerate_homs(m, n)}
         agree = spanned == listed
         report["oracle"] = {"agrees": agree, "hom_count": len(listed)}
@@ -275,55 +278,115 @@ _COMMANDS = {
 }
 
 
-def _integer_flag(text: str) -> int:
-    """An integer flag value: ASCII decimal digits only (see ``decode_int``)."""
-    try:
-        return decode_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+# value flags: flag -> (metavar, help, conversion of the text or None)
+_VALUE_FLAGS = {
+    "--workspace": ("FILE", "workspace JSON file", None),
+    "--module": ("NAME", "module name", None),
+    "--sub": ("NAME", "submodule name", None),
+    "--cat": ("NAME", "subcategory name", None),
+    "--cod": ("NAME", "codomain module name (hom)", None),
+    "--matrix": ("JSON", "inline JSON matrix rows (snf)", None),
+    "--universe": ("NAMES", "comma-separated module names (verify)", None),
+    "--max-gens": ("K", "universe generator bound (verify)", decode_int),
+    "--max-order": ("B", "universe order bound (verify)", decode_int),
+}
+
+# boolean flags: flag -> help
+_BOOL_FLAGS = {
+    "--oracle": "recompute against the brute-force oracles and diff",
+    "--json": "compact JSON (default)",
+    "--pretty": "indented JSON",
+}
+
+_USAGE = "usage: modclose [-h] command [options]\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="modclose",
-        description=(
-            "Regular closure operators and torsion theories for finitely\n"
-            "presented modules over Z and Z/n"
-        ),
-        epilog="commands:\n" + "\n".join(
-            f"  {name:<10} {purpose}" for name, (_, purpose) in _COMMANDS.items()
-        ),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
-    )
-    parser.add_argument("--workspace", help="workspace JSON file")
-    parser.add_argument("--module", help="module name")
-    parser.add_argument("--sub", help="submodule name")
-    parser.add_argument("--cat", help="subcategory name")
-    parser.add_argument("--cod", help="codomain module name (hom)")
-    parser.add_argument("--matrix", help="inline JSON matrix rows (snf)")
-    parser.add_argument("--universe", help="comma-separated module names (verify)")
-    parser.add_argument(
-        "--max-gens", type=_integer_flag, help="universe generator bound (verify)"
-    )
-    parser.add_argument(
-        "--max-order", type=_integer_flag, help="universe order bound (verify)"
-    )
-    parser.add_argument(
-        "--oracle",
-        action="store_true",
-        help="recompute against the brute-force oracles and diff",
-    )
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="compact JSON (default)")
-    fmt.add_argument("--pretty", action="store_true", help="indented JSON")
-    return parser
+def _help() -> str:
+    lines = [
+        _USAGE,
+        "Regular closure operators and torsion theories for finitely",
+        "presented modules over Z and Z/n",
+        "",
+        "options:",
+        f"  {'-h, --help':<20} show this help message and exit",
+    ]
+    for flag, (metavar, purpose, _) in _VALUE_FLAGS.items():
+        lines.append(f"  {flag + ' ' + metavar:<20} {purpose}")
+    for flag, purpose in _BOOL_FLAGS.items():
+        lines.append(f"  {flag:<20} {purpose}")
+    lines += ["", "commands:"]
+    lines += [f"  {name:<10} {purpose}" for name, (_, purpose) in _COMMANDS.items()]
+    return "\n".join(lines)
+
+
+def _usage_error(message: str):
+    """Exit 2 with the usage and ``message`` on stderr, nothing on stdout."""
+    print(f"{_USAGE}modclose: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_flag(token: str) -> bool:
+    """A token that names an option, as opposed to a value: it starts with
+    ``-`` and is not a negative number."""
+    return token.startswith("-") and token != "-" and not token[1:].isdigit()
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its flag values, read from the two flag tables.
+
+    ``--flag value`` and ``--flag=value`` are both accepted; flags may come
+    before or after the command, and a repeated flag keeps its last value.
+    Flags must be spelled out in full.  ``-h``/``--help`` prints the help and
+    exits 0; every other mistake exits 2 with the usage on stderr.
+    """
+    if "-h" in argv or "--help" in argv:
+        print(_help())
+        raise SystemExit(0)
+    args = SimpleNamespace(command=None)
+    for flag in _VALUE_FLAGS:
+        setattr(args, flag[2:].replace("-", "_"), None)
+    for flag in _BOOL_FLAGS:
+        setattr(args, flag[2:], False)
+    tokens = iter(argv)
+    for token in tokens:
+        if not _is_flag(token):
+            if args.command is not None:
+                _usage_error(f"unrecognized arguments: {token}")
+            if token not in _COMMANDS:
+                _usage_error(
+                    f"argument command: invalid choice: {token!r} "
+                    f"(choose from {', '.join(_COMMANDS)})"
+                )
+            args.command = token
+            continue
+        flag, eq, value = token.partition("=")
+        if flag in _BOOL_FLAGS:
+            if eq:
+                _usage_error(f"argument {flag}: ignored explicit argument {value!r}")
+            setattr(args, flag[2:], True)
+            continue
+        if flag not in _VALUE_FLAGS:
+            _usage_error(f"unrecognized arguments: {token}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                _usage_error(f"argument {flag}: expected one argument")
+        convert = _VALUE_FLAGS[flag][2]
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                _usage_error(f"argument {flag}: invalid integer value: {value!r}")
+        setattr(args, flag[2:].replace("-", "_"), value)
+    if args.command is None:
+        _usage_error("the following arguments are required: command")
+    if args.json and args.pretty:
+        _usage_error("argument --pretty: not allowed with argument --json")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     handler, _ = _COMMANDS[args.command]
     try:
         ws = load_workspace_file(args.workspace) if args.workspace else None

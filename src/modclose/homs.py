@@ -3,8 +3,8 @@
 Hom(M, N) is computed as a finitely generated module with an explicit
 generating set, by the gcd formula in the Smith coordinates of M and N:
 Hom(sum_j Z/d_j, sum_i Z/e_i) = sum_{i,j} Z/gcd(d_j, e_i), with
-Hom(Z/d, Z) = 0 for d != 0.  A brute-force enumeration oracle and a
-Baer-criterion injectivity test live alongside.
+Hom(Z/d, Z) = 0 for d != 0.  A Baer-criterion injectivity test lives
+alongside; the brute-force enumeration oracle is ``oracles.enumerate_homs``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from itertools import product
 from math import gcd, isqrt
 from typing import Iterator
 
-from .errors import OracleInfeasibleError
 from .matrices import IntMatrix, _snf_with_inverses
 from .modules import FPModule, ModuleElement, Submodule
 from .rings import ZZ
@@ -48,7 +47,7 @@ class Homomorphism:
             )
         self.dom = dom
         self.cod = cod
-        self.matrix = _canonical_matrix(cod, mat)
+        self.matrix = _canonical_matrix(cod, mat.columns())
         self._hash = None
 
     @classmethod
@@ -121,11 +120,12 @@ class Homomorphism:
         return f"Homomorphism({list(map(list, self.matrix.entries))!r})"
 
 
-def _canonical_matrix(cod: FPModule, mat: IntMatrix) -> IntMatrix:
-    """Columns reduced by the codomain's relation lattice, which over Z/n
-    contains n*Z^g, so the entries are read whatever the matrix's ring."""
-    cols = [cod.lattice.reduce(c) for c in mat.columns()]
-    return IntMatrix.from_columns(cols, cod.n_gens, cod.ring)
+def _canonical_matrix(cod: FPModule, columns) -> IntMatrix:
+    """The matrix of integer image columns, each reduced by the codomain's
+    relation lattice, which over Z/n contains n*Z^g, so the entries are read
+    whatever their ring."""
+    reduce = cod.lattice.reduce
+    return IntMatrix.from_columns([reduce(c) for c in columns], cod.n_gens, cod.ring)
 
 
 def _is_compatible(dom: FPModule, cod: FPModule, columns: list) -> bool:
@@ -177,16 +177,14 @@ class HomGroup:
         b, a = self.cod.n_gens, self.dom.n_gens
         gen_grids = [g.matrix.entries for g in self.generators]
         for coeffs in product(*(range(d) for d in self.structure)):
-            grid = [
+            cols = [
                 [
                     sum(r * g[i][j] for r, g in zip(coeffs, gen_grids))
-                    for j in range(a)
+                    for i in range(b)
                 ]
-                for i in range(b)
+                for j in range(a)
             ]
-            mat = _canonical_matrix(
-                self.cod, IntMatrix(grid, ZZ, rows=b, cols=a)
-            )
+            mat = _canonical_matrix(self.cod, cols)
             yield Homomorphism._trusted(self.dom, self.cod, mat)
 
     def __repr__(self) -> str:
@@ -227,8 +225,10 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
         rows=s, cols=s,
     )
     _, dd, _, uinv = _snf_with_inverses(rel_mat)
-    left = IntMatrix(uinv_n, ZZ, rows=b, cols=b)
-    right = IntMatrix(u_m, ZZ, rows=a, cols=a)
+    # generator t is U_N^-1 Phi_t U_M, where Phi_t holds c * uinv[k][t] at
+    # (i, j) for each piece k = (i, j, c): a sum of the rank-one products
+    # (column i of U_N^-1)(row j of U_M), one per nonzero coefficient
+    uinv_cols = [tuple(row[i] for row in uinv_n) for i in range(b)]
 
     gens = []
     structure = []
@@ -236,11 +236,18 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
         f = dd[t][t]
         if f == 1:
             continue
-        phi = [[0] * a for _ in range(b)]
+        cols = [[0] * b for _ in range(a)]
         for k, (i, j, c) in enumerate(pieces):
-            phi[i][j] = c * uinv[k][t]
-        mat = left @ IntMatrix(phi, ZZ, rows=b, cols=a) @ right
-        gens.append(Homomorphism._trusted(m, n, _canonical_matrix(n, mat)))
+            coef = c * uinv[k][t]
+            if not coef:
+                continue
+            left = uinv_cols[i]
+            for col, x in zip(cols, u_m[j]):
+                if x:
+                    x *= coef
+                    for r in range(b):
+                        col[r] += x * left[r]
+        gens.append(Homomorphism._trusted(m, n, _canonical_matrix(n, cols)))
         structure.append(f)
     return HomGroup(m, n, tuple(gens), tuple(structure))
 
@@ -248,42 +255,6 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
 def kernel_of_hom(f: Homomorphism) -> Submodule:
     """The submodule ``{x : f(x) = 0}`` of the domain."""
     return Submodule(f.dom, f.cod.lattice.preimage(f.matrix))
-
-
-_ENUM_CACHE: dict = {}
-
-
-def enumerate_homs(m: FPModule, n: FPModule, cap: int = 200_000) -> list[Homomorphism]:
-    """The complete list of homomorphisms M -> N, by brute force.
-
-    Enumerates every assignment of generator images (elements of N in
-    lexicographic coordinate order) and keeps the ones passing the
-    well-definedness certificate.  Raises :class:`OracleInfeasibleError` when
-    the assignment count exceeds ``cap``; it never truncates silently.
-    """
-    if m.ring != n.ring:
-        raise ValueError("hom enumeration needs a common ring")
-    if not (m.is_finite and n.is_finite):
-        raise OracleInfeasibleError("oracle infeasible: both modules must be finite")
-    total = (n.order() or 0) ** m.n_gens
-    if total > cap:
-        raise OracleInfeasibleError(
-            f"oracle infeasible: {total} generator assignments exceed cap {cap}"
-        )
-    key = (m, n)
-    cached = _ENUM_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
-
-    targets = [x.coords for x in n.elements()]
-    out = []
-    for assignment in product(targets, repeat=m.n_gens):
-        cols = list(assignment)
-        if _is_compatible(m, n, cols):
-            mat = IntMatrix.from_columns(cols, n.n_gens, n.ring)
-            out.append(Homomorphism._trusted(m, n, _canonical_matrix(n, mat)))
-    _ENUM_CACHE[key] = tuple(out)
-    return out
 
 
 def _prime_factors(n: int) -> dict[int, int]:

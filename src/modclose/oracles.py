@@ -1,15 +1,20 @@
 """Brute-force oracles: slow, independent recomputations used for checking.
 
 Nothing here shares an algorithm with the code path it checks: determinants
-come from cofactor expansion, closures from full homomorphism enumeration.
-Desk scale only.
+come from cofactor expansion, closures from full homomorphism enumeration,
+hom sets from every assignment of generator images, closedness from a scan
+of all submodules of the quotient.  The closure-operator axiom suite lives
+here too.  Desk scale only.
+
+This module loads only when an oracle runs, and imports the closure, hom
+and module code only in the functions that use it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import OracleInfeasibleError
 from .matrices import IntMatrix
@@ -17,6 +22,7 @@ from .rings import ZZ
 
 if TYPE_CHECKING:
     from .closure import Subcategory
+    from .homs import Homomorphism
     from .modules import FPModule, Submodule
 
 
@@ -64,7 +70,7 @@ def closure_by_full_enumeration(
     identity rule is cross-checked by a separation scan when feasible.
     """
     from .closure import DivisibleModule
-    from .homs import Homomorphism, enumerate_homs, kernel_of_hom
+    from .homs import Homomorphism, kernel_of_hom
     from .modules import quotient_module, sub_meet
 
     q = quotient_module(m, n)
@@ -112,7 +118,6 @@ def separates_every_nonzero_element(m: FPModule, n: Submodule, cap: int = 200_00
     This is the enumeration oracle behind "every submodule is closed under
     the rationals-mod-1 rule".
     """
-    from .homs import enumerate_homs
     from .modules import FPModule, quotient_module
 
     if m.ring.is_modular:
@@ -135,3 +140,234 @@ def separates_every_nonzero_element(m: FPModule, n: Submodule, cap: int = 200_00
         if not any(not h(x).is_zero for h in homs):
             return False
     return True
+
+
+# (M, N) -> every homomorphism M -> N, filled by enumerate_homs
+_ENUM_CACHE: dict = {}
+
+
+def enumerate_homs(m: FPModule, n: FPModule, cap: int = 200_000) -> list[Homomorphism]:
+    """The complete list of homomorphisms M -> N, by brute force.
+
+    Enumerates every assignment of generator images (elements of N in
+    lexicographic coordinate order) and keeps the ones passing the
+    well-definedness certificate.  Raises :class:`OracleInfeasibleError` when
+    the assignment count exceeds ``cap``; it never truncates silently.
+    """
+    from .homs import Homomorphism, _canonical_matrix, _is_compatible
+
+    if m.ring != n.ring:
+        raise ValueError("hom enumeration needs a common ring")
+    if not (m.is_finite and n.is_finite):
+        raise OracleInfeasibleError("oracle infeasible: both modules must be finite")
+    total = (n.order() or 0) ** m.n_gens
+    if total > cap:
+        raise OracleInfeasibleError(
+            f"oracle infeasible: {total} generator assignments exceed cap {cap}"
+        )
+    key = (m, n)
+    cached = _ENUM_CACHE.get(key)
+    if cached is not None:
+        return list(cached)
+
+    targets = [x.coords for x in n.elements()]
+    out = []
+    for assignment in product(targets, repeat=m.n_gens):
+        cols = list(assignment)
+        if _is_compatible(m, n, cols):
+            out.append(Homomorphism._trusted(m, n, _canonical_matrix(n, cols)))
+    _ENUM_CACHE[key] = tuple(out)
+    return out
+
+
+def is_hom_vanishing(m: FPModule, n: Submodule, cat: Subcategory) -> bool:
+    """Whether Hom(M/N, A) = 0 for every object A, checked object by object.
+
+    This is the independent density test: density of N must agree with it.
+    Disagreement is surfaced by the verification suites, never reconciled
+    silently here.
+    """
+    from .closure import _admits_nonzero_map, _check_compat
+    from .modules import quotient_module
+
+    _check_compat(m, n, cat)
+    q = quotient_module(m, n)
+    return not any(
+        _admits_nonzero_map(q.invariant_factors, a)
+        for a in cat.finite_objects + cat.divisible_objects
+    )
+
+
+class ScanEntry(NamedTuple):
+    """One nonzero submodule T/N of M/N and its hom-existence profile."""
+
+    generators: tuple[tuple[int, ...], ...]  # coordinates in M/N
+    invariants: tuple[int, ...]
+    nonzero_hom_per_object: tuple[bool, ...]  # finite objects then divisible
+    exists_nonzero_hom: bool
+    all_objects_admit_hom: bool
+
+
+class ClosednessScan(NamedTuple):
+    """Exhaustive closedness check over all nonzero submodules of M/N.
+
+    ``exists_reading_closed`` is the verdict under "some object receives a
+    nonzero map from each T/N" and must match the closure computation;
+    ``forall_reading_closed`` is the stricter "every object receives one"
+    verdict, kept for comparison (it can genuinely differ over Z with both
+    divisible objects present).
+    """
+
+    entries: tuple[ScanEntry, ...]
+    exists_reading_closed: bool
+    forall_reading_closed: bool
+    closure_closed: bool
+    agrees_with_closure: bool
+
+
+def closedness_witness_scan(
+    m: FPModule, n: Submodule, cat: Subcategory
+) -> ClosednessScan:
+    from .closure import _admits_nonzero_map, _check_compat, is_closed
+    from .modules import all_submodules, quotient_module
+
+    _check_compat(m, n, cat)
+    q = quotient_module(m, n)
+    if not q.is_finite:
+        raise OracleInfeasibleError(
+            "scan infeasible: the quotient module is infinite"
+        )
+    entries = []
+    for s in all_submodules(q):
+        if s.is_zero:
+            continue
+        invariants = s.lattice.invariants_over(q.lattice)
+        flags = [
+            _admits_nonzero_map(invariants, a)
+            for a in cat.finite_objects + cat.divisible_objects
+        ]
+        entries.append(
+            ScanEntry(
+                generators=tuple(s.canonical_gens.columns()),
+                invariants=invariants,
+                nonzero_hom_per_object=tuple(flags),
+                exists_nonzero_hom=any(flags),
+                all_objects_admit_hom=all(flags),
+            )
+        )
+    exists_closed = all(e.exists_nonzero_hom for e in entries)
+    forall_closed = all(e.all_objects_admit_hom for e in entries)
+    closed = is_closed(m, n, cat)
+    return ClosednessScan(
+        entries=tuple(entries),
+        exists_reading_closed=exists_closed,
+        forall_reading_closed=forall_closed,
+        closure_closed=closed,
+        agrees_with_closure=exists_closed == closed,
+    )
+
+
+class AxiomSampleResult(NamedTuple):
+    extension: bool
+    monotonicity_applicable: bool
+    monotonicity: bool
+    idempotency: bool
+    continuity_applicable: bool
+    continuity: bool
+    additivity_held: bool
+
+
+class AxiomReport(NamedTuple):
+    """Outcome of the closure-operator axiom checks on a list of samples.
+
+    Extension, monotonicity, continuity and idempotency are requirements;
+    additivity is only measured, never required.
+    """
+
+    samples: tuple[AxiomSampleResult, ...]
+
+    @property
+    def extension_ok(self) -> bool:
+        return all(s.extension for s in self.samples)
+
+    @property
+    def monotonicity_ok(self) -> bool:
+        return all(s.monotonicity for s in self.samples if s.monotonicity_applicable)
+
+    @property
+    def idempotency_ok(self) -> bool:
+        return all(s.idempotency for s in self.samples)
+
+    @property
+    def continuity_ok(self) -> bool:
+        return all(s.continuity for s in self.samples if s.continuity_applicable)
+
+    @property
+    def all_axioms_ok(self) -> bool:
+        return (
+            self.extension_ok
+            and self.monotonicity_ok
+            and self.idempotency_ok
+            and self.continuity_ok
+        )
+
+    @property
+    def additivity_held_count(self) -> int:
+        return sum(1 for s in self.samples if s.additivity_held)
+
+
+def axiom_suite(
+    m: FPModule,
+    cat: Subcategory,
+    samples: Sequence[tuple[Submodule, Submodule, Homomorphism | None]],
+) -> AxiomReport:
+    """Check the closure axioms on sampled (N, N', f) triples.
+
+    Per sample: N and its closure witness extension and idempotency; the pair
+    (N, N') witnesses monotonicity when comparable and additivity always; a
+    homomorphism f out of M (when given) witnesses continuity:
+    f(closure(N)) must land inside closure(f(N)).
+    """
+    from .closure import regular_closure
+    from .modules import sub_image, sub_join
+
+    results = []
+    for n1, n2, f in samples:
+        c1 = regular_closure(m, n1, cat).closure
+        c2 = regular_closure(m, n2, cat).closure
+        extension = n1.is_subset_of(c1) and n2.is_subset_of(c2)
+
+        if n1.is_subset_of(n2):
+            mono_applicable, mono = True, c1.is_subset_of(c2)
+        elif n2.is_subset_of(n1):
+            mono_applicable, mono = True, c2.is_subset_of(c1)
+        else:
+            mono_applicable, mono = False, True
+
+        idem = regular_closure(m, c1, cat).closure == c1
+
+        if f is not None:
+            if f.dom != m:
+                raise ValueError("sample homomorphism must start at the module")
+            img_of_closure = sub_image(f, c1)
+            closure_of_img = regular_closure(f.cod, sub_image(f, n1), cat).closure
+            cont_applicable = True
+            cont = img_of_closure.is_subset_of(closure_of_img)
+        else:
+            cont_applicable, cont = False, True
+
+        join_closure = regular_closure(m, sub_join(n1, n2), cat).closure
+        additivity = join_closure == sub_join(c1, c2)
+
+        results.append(
+            AxiomSampleResult(
+                extension=extension,
+                monotonicity_applicable=mono_applicable,
+                monotonicity=mono,
+                idempotency=idem,
+                continuity_applicable=cont_applicable,
+                continuity=cont,
+                additivity_held=additivity,
+            )
+        )
+    return AxiomReport(samples=tuple(results))

@@ -8,6 +8,7 @@ library's stacked-echelon reads are compared with.
 """
 
 from itertools import combinations_with_replacement, product
+from math import gcd
 
 from modclose import (
     ZZ,
@@ -205,8 +206,6 @@ def order_statistics_of_invariants(invariants) -> dict:
     """Order statistics of a direct sum of cyclic groups given by invariant
     factors (all nonzero): the order of a tuple is the lcm of its coordinate
     orders."""
-    from math import gcd
-
     stats = {}
     for combo in product(*[range(d) for d in invariants]):
         order = 1
@@ -350,6 +349,43 @@ def hom_structure_block_system(m: FPModule, n: FPModule) -> tuple:
     diag_len = min(s, rel_mat.cols)
     factors = [d[i][i] if i < diag_len else 0 for i in range(s)]
     return tuple(f for f in factors if f != 1)
+
+
+def hom_generators_dense(m: FPModule, n: FPModule) -> list:
+    """The matrices of ``hom_group``'s generators built by dense products:
+    ``U_N^-1 @ Phi_t @ U_M`` for each generator t, Phi_t holding each piece's
+    multiplier times its Smith coefficient, then reduced modulo the
+    codomain's relation lattice."""
+    a, b = m.n_gens, n.n_gens
+    d, u_m, _ = m.lattice.smith_coordinates()
+    e, _, uinv_n = n.lattice.smith_coordinates()
+    pieces, orders = [], []
+    for j, dj in enumerate(d):
+        for i, ei in enumerate(e):
+            g = gcd(dj, ei)
+            if g == 1 or (dj and not ei):
+                continue
+            pieces.append((i, j, ei // g if dj else 1))
+            orders.append(g)
+    s = len(pieces)
+    rel_mat = IntMatrix(
+        [[orders[k] if k == l else 0 for l in range(s)] for k in range(s)], ZZ,
+        rows=s, cols=s,
+    )
+    _, dd, _, uinv = _snf_with_inverses(rel_mat)
+    left = IntMatrix(uinv_n, ZZ, rows=b, cols=b)
+    right = IntMatrix(u_m, ZZ, rows=a, cols=a)
+    out = []
+    for t in range(s):
+        if dd[t][t] == 1:
+            continue
+        phi = [[0] * a for _ in range(b)]
+        for k, (i, j, c) in enumerate(pieces):
+            phi[i][j] = c * uinv[k][t]
+        mat = left @ IntMatrix(phi, ZZ, rows=b, cols=a) @ right
+        cols = [n.lattice.reduce(col) for col in mat.columns()]
+        out.append(IntMatrix.from_columns(cols, b, n.ring))
+    return out
 
 
 def closure_by_kernel_meets(m: FPModule, n: Submodule, cat: Subcategory) -> tuple:

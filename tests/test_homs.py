@@ -19,7 +19,7 @@ from modclose import (
 from modclose.homs import _prime_factors
 
 from conftest import random_finite_module
-from oracles import hom_structure_block_system
+from oracles import hom_generators_dense, hom_structure_block_system
 
 
 # -- hom groups -------------------------------------------------------------------
@@ -102,6 +102,22 @@ def test_hom_generators_stay_small_over_z():
     for gen in hg.generators:
         for row in gen.matrix.entries:
             assert all(len(str(abs(x))) < 100 for x in row)
+
+
+def test_hom_generators_equal_the_dense_products():
+    # each generator is a sum of rank-one pieces; the integers must equal
+    # those of U_N^-1 @ Phi @ U_M entry for entry, free summands included
+    rng = random.Random(71003)
+    cases = [(ZZ, rng.randint(0, 2), rng.randint(0, 2)) for _ in range(120)]
+    cases += [(Zmod(n), 0, 0) for n in (12, 72) for _ in range(60)]
+    nontrivial = 0
+    for ring, rank_m, rank_n in cases:
+        m = _random_presentation(rng, ring, rank_m)
+        n = _random_presentation(rng, ring, rank_n)
+        hg = hom_group(m, n)
+        assert [g.matrix for g in hg.generators] == hom_generators_dense(m, n)
+        nontrivial += bool(hg.generators)
+    assert nontrivial >= 150
 
 
 # -- homomorphism values ---------------------------------------------------------------

@@ -23,8 +23,9 @@ from modclose import (
     sub_preimage,
     submodules_between,
 )
-from modclose.homs import Homomorphism, enumerate_homs, hom_group
+from modclose.homs import Homomorphism, hom_group
 from modclose.lattices import Lattice
+from modclose.oracles import enumerate_homs
 
 from conftest import random_finite_module
 from oracles import (

@@ -88,6 +88,35 @@ def test_closure_without_oracle_loads_neither_oracles_nor_torsion(tmp_path):
     assert not loaded & {"modclose.oracles", "modclose.torsion"}
 
 
+WS_MOD4 = {
+    "ring": "Zmod:4",
+    "modules": {"R": {"generators": 1, "relations": []}},
+    "submodules": {"twoR": {"parent": "R", "gens": [[2]]}},
+    "subcategories": {"A": {"finite": ["R"], "divisible": []}},
+}
+WS_Z = {"ring": "Z", "modules": {"M": {"generators": 2, "relations": [[0, 2]]}}}
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (WS_MOD4, ["closure", "--module", "R", "--sub", "twoR", "--cat", "A"]),
+    (WS_MOD4, ["verify", "--cat", "A", "--max-gens", "1", "--max-order", "4"]),
+    (None, ["snf", "--matrix", "[[2,4],[6,8]]"]),
+    (WS_MOD4, ["hom", "--module", "R", "--cod", "R"]),
+    (WS_Z, ["bounded", "--module", "M"]),
+    (WS_Z, ["free-rank", "--module", "M"]),
+], ids=["closure", "verify", "snf", "hom", "bounded", "free-rank"])
+def test_no_command_loads_argparse(tmp_path, doc, argv):
+    if doc is not None:
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--workspace", str(path)]
+    loaded, out = _fresh(f"from modclose import cli\nassert cli.main({argv!r}) == 0")
+    assert json.loads(out)
+    assert not loaded & {"argparse", "gettext"}
+    if argv[0] in ("closure", "verify"):
+        assert "modclose.oracles" not in loaded
+
+
 def test_every_public_name_resolves_lazily():
     _, out = _fresh(
         "import importlib, modclose\n"

@@ -32,7 +32,7 @@ from modclose.torsion import (
 )
 
 from conftest import random_finite_module
-from oracles import universe_chains
+from oracles import closure_by_prime_support, universe_chains
 
 
 # -- radical ------------------------------------------------------------------------
@@ -78,6 +78,29 @@ def test_radical_kills_all_homs(rng):
         t = torsion_radical(m, cat)
         smod, incl = sub_as_module(t)
         assert hom_group(smod, obj).is_zero
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 36, 72])
+def test_radical_is_m_s_times_m(n):
+    # t(M) = m_S*M, m_S the product of the full prime powers of n over the
+    # primes S the subcategory sees: the closure of 0 in closed form
+    ring = Zmod(n)
+    powers, rest, p = [], n, 2
+    while rest > 1:
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        if q > 1:
+            powers.append(q)
+        p += 1
+    objects = enumerate_universe(ring, 2, 72)
+    for size in range(1, len(powers) + 1):
+        for chosen in itertools.combinations(powers, size):
+            cat = Subcategory(ring, [present_module(ring, 1, [(q,)]) for q in chosen])
+            for m in objects:
+                expected = closure_by_prime_support(m, m.zero_submodule(), cat)
+                assert torsion_radical(m, cat) == expected
 
 
 # -- classification ----------------------------------------------------------------------

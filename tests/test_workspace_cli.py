@@ -489,6 +489,62 @@ def test_cli_unknown_command_exits_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+CLOSURE_ARGV = ["closure", "--workspace", "WS", "--module", "R", "--sub", "twoR", "--cat", "A"]
+
+
+def _closure_argv(path, argv=CLOSURE_ARGV):
+    return [a.replace("WS", path) for a in argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "--workspace=WS", "--module=R", "--sub=twoR", "--cat=A"],
+    ["--workspace", "WS", "--module", "R", "--sub", "twoR", "--cat", "A", "closure"],
+    ["--cat", "A", "--workspace=WS", "closure", "--sub", "twoR", "--module", "R"],
+], ids=["equals-sign", "flags-first", "mixed"])
+def test_cli_flag_spellings_and_positions(tmp_path, capsys, argv):
+    path = write_ws(tmp_path, WS_MOD4)
+    expected = run_cli(capsys, _closure_argv(path))
+    assert run_cli(capsys, _closure_argv(path, argv)) == expected
+    assert expected[0] == 0 and json.loads(expected[1])["closed"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (CLOSURE_ARGV[:-1], "argument --cat: expected one argument"),
+    (["closure", "--workspace", "--module", "R"], "argument --workspace: expected one argument"),
+    (CLOSURE_ARGV + ["--json", "--pretty"], "argument --pretty: not allowed with argument --json"),
+    (CLOSURE_ARGV + ["--bogus"], "unrecognized arguments: --bogus"),
+    (CLOSURE_ARGV + ["extra"], "unrecognized arguments: extra"),
+    (CLOSURE_ARGV + ["--oracle=yes"], "argument --oracle: ignored explicit argument"),
+    (["--workspace", "WS"], "the following arguments are required: command"),
+    (["closure", "--work", "WS", "--module", "R", "--sub", "twoR", "--cat", "A"],
+     "unrecognized arguments: --work"),
+    (["closure", "--workspace", "WS", "--mod", "R", "--sub", "twoR", "--cat", "A"],
+     "unrecognized arguments: --mod"),
+], ids=["missing-value-at-end", "missing-value-before-flag", "json-and-pretty",
+        "unknown-flag", "second-positional", "boolean-with-value", "no-command",
+        "abbreviated-workspace", "abbreviated-module"])
+def test_cli_usage_errors_exit_2_with_empty_stdout(tmp_path, capsys, argv, message):
+    # flags are never abbreviated: --work is not --workspace
+    path = write_ws(tmp_path, WS_MOD4)
+    with pytest.raises(SystemExit) as exc:
+        main(_closure_argv(path, argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"modclose: error: {message}" in captured.err
+
+
+def test_cli_long_help_is_the_short_help(capsys):
+    outputs = []
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            main(["closure", flag])
+        assert exc.value.code == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == "" and "free-rank" in outputs[0].out
+
+
 def test_cli_missing_workspace_exits_2(capsys):
     code, out, err = run_cli(capsys, ["closure", "--module", "R", "--sub", "x", "--cat", "A"])
     assert code == 2 and out == ""
