@@ -137,7 +137,9 @@ def cmd_verify(ws: Workspace, args) -> tuple[int, dict]:
     }
     if args.oracle:
         from .homs import hom_group
+        from .modules import direct_sum
         from .oracles import enumerate_homs
+        from .torsion import _in_torsion_free_class, _sum_chain
         universe = report_obj.universe
         mismatches = []
         for x in universe.objects:
@@ -155,6 +157,28 @@ def cmd_verify(ws: Workspace, args) -> tuple[int, dict]:
                     "pairs_not_listed": [list(p) for p in sorted(support - listed)],
                     "pairs_not_in_support": [list(p) for p in sorted(listed - support)],
                 })
+        # F membership by gcds against the computed radical
+        for x, t in report_obj.radical_table:
+            fast = _in_torsion_free_class(x.invariant_factors, cat)
+            if fast != t.is_zero:
+                mismatches.append({
+                    "module": _label(x),
+                    "torsion_free_by_chain": fast,
+                    "torsion_free_by_radical": t.is_zero,
+                })
+        # direct sums by chains against the built sum modules
+        objects = universe.objects
+        for i, x in enumerate(objects):
+            for y in objects[i:]:
+                fast = _sum_chain(x.invariant_factors, y.invariant_factors)
+                slow = direct_sum(x, y).invariant_factors
+                if fast != slow:
+                    mismatches.append({
+                        "left": _label(x),
+                        "right": _label(y),
+                        "sum_chain": list(fast),
+                        "direct_sum": list(slow),
+                    })
         doc["oracle"] = {"agrees": not mismatches, "mismatches": mismatches}
         if mismatches:
             return 1, doc

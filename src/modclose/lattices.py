@@ -27,13 +27,14 @@ class Lattice:
     row; two lattices are equal iff their bases are identical tuples.
     """
 
-    __slots__ = ("dim", "basis", "pivots", "_hash")
+    __slots__ = ("dim", "basis", "pivots", "_hash", "_smith")
 
     def __init__(self, dim: int, basis: tuple, pivots: tuple):
         self.dim = dim
         self.basis = basis
         self.pivots = pivots  # (row, value) per basis column, rows ascending
         self._hash = None
+        self._smith = None
 
     @classmethod
     def from_columns(cls, dim: int, columns: Iterable[Sequence[int]]) -> "Lattice":
@@ -114,19 +115,28 @@ class Lattice:
 
     # -- quotient data ---------------------------------------------------------
 
-    def smith_coordinates(self) -> tuple[tuple[int, ...], list, list]:
+    def smith_coordinates(self) -> tuple[tuple[int, ...], tuple, tuple]:
         """Smith decomposition of Z^dim / self as ``(diag, u, uinv)``.
 
         ``diag`` has ``dim`` entries, units included, each dividing the next,
         with 0 (free factor) last.  Coordinate ``i`` of ``u @ x`` is the image
         of ``x`` in the summand Z/diag[i], and column ``i`` of ``uinv = u^-1``
-        generates that summand.
+        generates that summand; both are tuples of row tuples.
+
+        The reduction runs once per instance: the result is kept on this
+        object and freed with it.  Equal lattices built separately reduce
+        again.
         """
-        mat = IntMatrix.from_columns(self.basis, self.dim, ZZ)
-        u, d, _, uinv = _snf_with_inverses(mat)
-        diag_len = min(mat.rows, mat.cols)
-        diag = tuple(d[i][i] if i < diag_len else 0 for i in range(self.dim))
-        return diag, u, uinv
+        if self._smith is None:
+            mat = IntMatrix.from_columns(self.basis, self.dim, ZZ)
+            u, d, _, uinv = _snf_with_inverses(mat)
+            diag_len = min(mat.rows, mat.cols)
+            self._smith = (
+                tuple(d[i][i] if i < diag_len else 0 for i in range(self.dim)),
+                tuple(map(tuple, u)),
+                tuple(map(tuple, uinv)),
+            )
+        return self._smith
 
     def quotient_invariants(self) -> tuple[int, ...]:
         """Invariant factors of Z^dim / self: nonunits only, each dividing the

@@ -16,6 +16,7 @@ from itertools import combinations, product
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from .caches import BoundedCache
 from .errors import OracleInfeasibleError
 from .matrices import IntMatrix
 from .rings import ZZ
@@ -142,8 +143,10 @@ def separates_every_nonzero_element(m: FPModule, n: Submodule, cap: int = 200_00
     return True
 
 
-# (M, N) -> every homomorphism M -> N, filled by enumerate_homs
-_ENUM_CACHE: dict = {}
+# (M, N) -> every homomorphism M -> N, filled by enumerate_homs.  One
+# ``verify --oracle`` fills an entry per (universe object, subcategory object)
+# pair, at most a few hundred at desk scale.
+_ENUM_CACHE = BoundedCache(1024)
 
 
 def enumerate_homs(m: FPModule, n: FPModule, cap: int = 200_000) -> list[Homomorphism]:
@@ -176,7 +179,7 @@ def enumerate_homs(m: FPModule, n: FPModule, cap: int = 200_000) -> list[Homomor
         cols = list(assignment)
         if _is_compatible(m, n, cols):
             out.append(Homomorphism._trusted(m, n, _canonical_matrix(n, cols)))
-    _ENUM_CACHE[key] = tuple(out)
+    _ENUM_CACHE.put(key, tuple(out))
     return out
 
 

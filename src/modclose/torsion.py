@@ -13,15 +13,16 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache
 from itertools import combinations_with_replacement, product
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .closure import Subcategory, _admits_nonzero_map, regular_closure
+from .caches import BoundedCache
+from .closure import DivisibleModule, Subcategory, _admits_nonzero_map, regular_closure
 from .homs import _divisors, _prime_factors, hom_group
 from .modules import (
     FPModule,
     Submodule,
     all_submodules,
-    direct_sum,
     quotient_module,
     sub_as_module,
     sub_image,
@@ -29,7 +30,10 @@ from .modules import (
 from .rings import Ring
 
 
-_RADICAL_CACHE: dict = {}
+# (M, subcategory) -> radical.  verify misses once per universe object and
+# per radical it presents as a module (5 to 19 times on the benchmark's
+# ``universe`` requests), so the cap holds every radical of a command.
+_RADICAL_CACHE = BoundedCache(1024)
 
 
 def torsion_radical(m: FPModule, cat: Subcategory) -> Submodule:
@@ -38,7 +42,7 @@ def torsion_radical(m: FPModule, cat: Subcategory) -> Submodule:
     cached = _RADICAL_CACHE.get(key)
     if cached is None:
         cached = regular_closure(m, m.zero_submodule(), cat).closure
-        _RADICAL_CACHE[key] = cached
+        _RADICAL_CACHE.put(key, cached)
     return cached
 
 
@@ -69,10 +73,37 @@ def _in_torsion_class(chain: tuple[int, ...], cat: Subcategory) -> bool:
     )
 
 
-def _in_torsion_free_class(x: FPModule, cat: Subcategory) -> bool:
-    """Membership in F: the radical vanishes (maps into the subcategory
-    separate elements)."""
-    return torsion_radical(x, cat).is_zero
+def _in_torsion_free_class(chain: tuple[int, ...], cat: Subcategory) -> bool:
+    """Membership in F of the class of an invariant-factor chain: maps into
+    the subcategory separate its elements (the radical vanishes).
+
+    The radical of a direct sum is the sum of the radicals of the summands,
+    and the maps Z/d -> Z/e have joint kernel gcd(d, e)*Z/d.  So the finite
+    objects separate sum_j Z/d_j exactly when every nonzero d_j divides the
+    lcm of all their invariant factors.  Q separates only the free factors
+    (the 0s), and Q/Z separates every element.  A 0 occurs only over Z,
+    where a subcategory without Q/Z holds Q.
+    """
+    if DivisibleModule.Q_MOD_Z in cat.divisible_objects:
+        return True
+    exponent = lcm(*(e for a in cat.finite_objects for e in a.invariant_factors))
+    return all(d == 0 or exponent % d == 0 for d in chain)
+
+
+def _sum_chain(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The invariant-factor chain of the direct sum of modules with chains
+    ``a`` and ``b``, without building either module.
+
+    Z/x + Z/y is Z/gcd(x, y) + Z/lcm(x, y), so replacing each pair of
+    factors (d_i, d_j), i < j, by their gcd and lcm in turn leaves every
+    factor dividing the later ones (a 0, a free factor, sorts last); the
+    units are dropped.
+    """
+    d = list(a + b)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(x for x in d if x != 1)
 
 
 def _first_bad_sum(members, member_of):
@@ -81,7 +112,7 @@ def _first_bad_sum(members, member_of):
     y + x are isomorphic, so the unordered pairs decide every ordered one."""
     for i, x in enumerate(members):
         for y in members[i:]:
-            if not member_of(direct_sum(x, y).invariant_factors):
+            if not member_of(_sum_chain(x.invariant_factors, y.invariant_factors)):
                 return {"left": _label(x), "right": _label(y)}
     return None
 
@@ -268,12 +299,13 @@ class ModuleUniverse:
 
 
 # Cap on the summed orders of the modules one enumeration may return.  verify
-# no longer lists submodules while its laws hold, but it still runs one
-# radical (a regular closure) per object and per new chain, a hom group per
-# (T, F) pair and a direct sum per pair of members, all growing with the
-# universe; a failing law and ``verify --oracle`` list every submodule of an
-# object, which takes time at least its order.  Z/12 with at most 3 generators
-# and order at most 300 sums to 2,168.
+# no longer lists submodules while its laws hold, and it decides membership
+# and direct sums on invariant-factor chains, but it still runs three
+# radicals (regular closures) per object for the radical table and its laws
+# and a hom group per (T, F) pair, all growing with the universe; a failing
+# law and ``verify --oracle`` list every submodule of an object, which takes
+# time at least its order.  Z/12 with at most 3 generators and order at most
+# 300 sums to 2,168.
 UNIVERSE_ORDER_CAP = 4096
 
 
@@ -365,10 +397,11 @@ def verify_torsion_theory(
     universe's pair sets, so no submodule is listed while they hold.  Only
     an object where a law fails is enumerated, to report the first failing
     pair in enumeration order (the first such object in universe order).
-    Membership in T (no nonzero map into the subcategory) is decided on the
-    invariant-factor chain, membership in F (zero radical) once per chain:
-    on the universe object of that class, whose radical the radical table
-    reports, or else on the chain's diagonal module.
+    Membership in T (no nonzero map into the subcategory) and in F (maps
+    into the subcategory separate elements) is decided once per
+    invariant-factor chain by gcds, and direct sums by their chains, so a
+    class outside the universe is never built as a module.  The radical
+    table and the radical laws compute each radical as the closure of zero.
     """
     if universe.ring != cat.ring:
         raise ValueError("universe and subcategory must share a ring")
@@ -385,7 +418,6 @@ def verify_torsion_theory(
         raise ValueError("submodule enumeration requires a finite module")
 
     radical_table = tuple((m, torsion_radical(m, cat)) for m in objects)
-    presented = {m.invariant_factors: m for m in objects}
 
     @cache
     def in_t(chain: tuple[int, ...]) -> bool:
@@ -393,8 +425,7 @@ def verify_torsion_theory(
 
     @cache
     def in_f(chain: tuple[int, ...]) -> bool:
-        m = presented.get(chain) or _chain_module(universe.ring, chain)
-        return _in_torsion_free_class(m, cat)
+        return _in_torsion_free_class(chain, cat)
 
     t_members = tuple(m for m in objects if in_t(m.invariant_factors))
     f_members = tuple(m for m in objects if in_f(m.invariant_factors))

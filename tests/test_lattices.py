@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from modclose import (
     ZZ,
+    FPModule,
     IntMatrix,
     Zmod,
     all_submodules,
     enumerate_universe,
+    hom_group,
     present_module,
     sub_as_module,
 )
@@ -128,6 +130,29 @@ def test_saturation_examples():
     assert lat.saturation().saturation() == sat
     zero = Lattice.from_columns(2, [])
     assert zero.saturation() == zero
+
+
+def test_smith_coordinates_are_computed_once_and_stay_intact():
+    # the reduction is kept on the lattice; its readers (hom groups,
+    # saturations) get immutable rows, so the memo still equals the Smith
+    # coordinates of a fresh lattice with the same basis
+    rng = random.Random(1517)
+    for k in range(60):
+        n = (0, 4, 12, 36)[k % 4]
+        ring = Zmod(n) if n else ZZ
+        dim = rng.randint(1, 4)
+        a = _random_lattice(rng, dim, rng.randint(0, dim + 1), 20, n)
+        b = _random_lattice(rng, dim, rng.randint(0, dim + 1), 20, n)
+        first = a.smith_coordinates()
+        assert a.smith_coordinates() is first
+        assert all(isinstance(rows, tuple) and all(isinstance(r, tuple) for r in rows)
+                   for rows in first[1:])
+        hom_group(FPModule(ring, dim, a), FPModule(ring, dim, b))
+        hom_group(FPModule(ring, dim, b), FPModule(ring, dim, a))
+        a.saturation()
+        fresh = Lattice(a.dim, a.basis, a.pivots)
+        assert a.smith_coordinates() == fresh.smith_coordinates()
+        assert b.smith_coordinates() == Lattice(b.dim, b.basis, b.pivots).smith_coordinates()
 
 
 def test_reduced_echelon_matches_unreduced_oracle():

@@ -24,11 +24,13 @@ from modclose import (
     torsion_radical,
     verify_torsion_theory,
 )
+from modclose.caches import BoundedCache
 from modclose.torsion import (
     UNIVERSE_ORDER_CAP,
     class_pair_support,
     _in_torsion_class,
     _in_torsion_free_class,
+    _sum_chain,
 )
 
 from conftest import random_finite_module
@@ -80,12 +82,10 @@ def test_radical_kills_all_homs(rng):
         assert hom_group(smod, obj).is_zero
 
 
-@pytest.mark.parametrize("n", [4, 6, 12, 36, 72])
-def test_radical_is_m_s_times_m(n):
-    # t(M) = m_S*M, m_S the product of the full prime powers of n over the
-    # primes S the subcategory sees: the closure of 0 in closed form
-    ring = Zmod(n)
-    powers, rest, p = [], n, 2
+def _prime_power_subcategories(ring):
+    """The subcategory of Z/q for every nonempty set of full prime powers q
+    of the modulus."""
+    powers, rest, p = [], ring.modulus, 2
     while rest > 1:
         q = 1
         while rest % p == 0:
@@ -94,13 +94,23 @@ def test_radical_is_m_s_times_m(n):
         if q > 1:
             powers.append(q)
         p += 1
+    return [
+        Subcategory(ring, [present_module(ring, 1, [(q,)]) for q in chosen])
+        for size in range(1, len(powers) + 1)
+        for chosen in itertools.combinations(powers, size)
+    ]
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 36, 72])
+def test_radical_is_m_s_times_m(n):
+    # t(M) = m_S*M, m_S the product of the full prime powers of n over the
+    # primes S the subcategory sees: the closure of 0 in closed form
+    ring = Zmod(n)
     objects = enumerate_universe(ring, 2, 72)
-    for size in range(1, len(powers) + 1):
-        for chosen in itertools.combinations(powers, size):
-            cat = Subcategory(ring, [present_module(ring, 1, [(q,)]) for q in chosen])
-            for m in objects:
-                expected = closure_by_prime_support(m, m.zero_submodule(), cat)
-                assert torsion_radical(m, cat) == expected
+    for cat in _prime_power_subcategories(ring):
+        for m in objects:
+            expected = closure_by_prime_support(m, m.zero_submodule(), cat)
+            assert torsion_radical(m, cat) == expected
 
 
 # -- classification ----------------------------------------------------------------------
@@ -412,7 +422,69 @@ def test_membership_is_an_isomorphism_invariant_over_the_scan(n, chains):
                 in_t = _in_torsion_class(x.invariant_factors, cat)
                 assert in_t == torsion_radical(x, cat).is_whole
                 assert in_t == torsion_radical(rep, cat).is_whole
-                assert _in_torsion_free_class(x, cat) == _in_torsion_free_class(rep, cat)
+                in_f = _in_torsion_free_class(x.invariant_factors, cat)
+                assert in_f == torsion_radical(x, cat).is_zero
+                assert in_f == torsion_radical(rep, cat).is_zero
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 36, 72])
+def test_torsion_free_by_chain_matches_the_radical(n):
+    # F membership by the lcm of the objects' factors equals the vanishing of
+    # the computed radical on every object and every sub and quotient
+    # presentation of the universe
+    ring = Zmod(n)
+    modules = []
+    for m in enumerate_universe(ring, 2, 72):
+        modules.append(m)
+        for s in all_submodules(m):
+            modules += [sub_as_module(s)[0], quotient_module(m, s)]
+    for cat in _prime_power_subcategories(ring):
+        for x in modules:
+            in_f = _in_torsion_free_class(x.invariant_factors, cat)
+            assert in_f == torsion_radical(x, cat).is_zero, (cat, x)
+
+
+def _random_z_module(rng):
+    """A random presentation over Z on at most 2 generators, so of free rank
+    0 to 2."""
+    g = rng.randint(0, 2)
+    cols = [tuple(rng.randint(-6, 6) for _ in range(g)) for _ in range(rng.randint(0, g + 1))]
+    return present_module(ZZ, g, cols)
+
+
+def test_torsion_free_by_chain_matches_the_radical_over_z(rng):
+    # Q separates the free factors only, Q/Z every element
+    modules = [_diagonal(ZZ, c + (0,) * r)
+               for c in universe_chains(0, 2, 12) for r in range(3)]
+    modules += [_random_z_module(rng) for _ in range(60)]
+    assert {m.free_rank() for m in modules} == {0, 1, 2}
+    for objs in ([DivisibleModule.Q], [DivisibleModule.Q_MOD_Z],
+                 [DivisibleModule.Q, DivisibleModule.Q_MOD_Z]):
+        cat = Subcategory(ZZ, [], objs)
+        for x in modules:
+            in_f = _in_torsion_free_class(x.invariant_factors, cat)
+            assert in_f == torsion_radical(x, cat).is_zero, (objs, x)
+
+
+def test_sum_chain_matches_the_built_direct_sum(rng):
+    for n in (4, 6, 12, 36, 72):
+        objects = enumerate_universe(Zmod(n), 2, 72)
+        for i, x in enumerate(objects):
+            for y in objects[i:]:
+                expected = direct_sum(x, y).invariant_factors
+                assert _sum_chain(x.invariant_factors, y.invariant_factors) == expected
+                assert _sum_chain(y.invariant_factors, x.invariant_factors) == expected
+    # free factors (0) over Z
+    modules = [_diagonal(ZZ, c + (0,) * r)
+               for c in universe_chains(0, 2, 12) for r in range(3)]
+    modules += [_random_z_module(rng) for _ in range(30)]
+    for x in modules:
+        for y in modules:
+            expected = direct_sum(x, y).invariant_factors
+            assert _sum_chain(x.invariant_factors, y.invariant_factors) == expected
+    assert _sum_chain((), ()) == ()
+    assert _sum_chain((0,), (2, 6)) == (2, 6, 0)
+    assert _sum_chain((4, 0), (6,)) == (2, 12, 0)
 
 
 PAIR_CHECKS = (
@@ -499,7 +571,7 @@ def test_pair_laws_report_the_first_counterexample(n, rng, monkeypatch):
         f_set = {c for c in chains if rng.random() < 0.5}
         monkeypatch.setattr(torsion_mod, "_in_torsion_class", lambda x, c: x in t_set)
         monkeypatch.setattr(
-            torsion_mod, "_in_torsion_free_class", lambda x, c: x.invariant_factors in f_set
+            torsion_mod, "_in_torsion_free_class", lambda x, c: x in f_set
         )
         rep = verify_torsion_theory(u, cat)
         got = {
@@ -513,6 +585,36 @@ def test_pair_laws_report_the_first_counterexample(n, rng, monkeypatch):
         assert got == expected
         failures += sum(v is not None for v in expected.values())
     assert failures > 0
+
+
+def test_bounded_cache_keeps_at_most_its_cap():
+    cache = BoundedCache(4)
+    for k in range(10):
+        cache.put(k, str(k))
+        assert len(cache) <= 4
+    assert [cache.get(k) for k in range(10)] == [None] * 6 + ["6", "7", "8", "9"]
+    cache.put(9, "nine")  # a stored key is replaced in place, nothing dropped
+    assert len(cache) == 4 and cache.get(6) == "6" and cache.get(9) == "nine"
+
+
+def test_radical_cache_is_bounded(monkeypatch):
+    import modclose.oracles as oracles_mod
+    import modclose.torsion as torsion_mod
+
+    for cache in (torsion_mod._RADICAL_CACHE, oracles_mod._ENUM_CACHE):
+        assert isinstance(cache, BoundedCache) and cache.cap == 1024
+    # filled past a small cap, the radicals stay right and the size bounded
+    small = BoundedCache(3)
+    monkeypatch.setattr(torsion_mod, "_RADICAL_CACHE", small)
+    ring = Zmod(12)
+    cat = Subcategory(ring, [present_module(ring, 1, [(4,)])])
+    objects = enumerate_universe(ring, 2, 36)
+    assert len(objects) > 3
+    for _ in range(2):
+        for m in objects:
+            expected = closure_by_prime_support(m, m.zero_submodule(), cat)
+            assert torsion_radical(m, cat) == expected
+            assert len(small) <= 3
 
 
 def test_verify_ring_mismatch():

@@ -685,6 +685,45 @@ def test_cli_verify_oracle_reports_a_wrong_pair_set(tmp_path, capsys, monkeypatc
     ]
 
 
+def _verify_z12_oracle(tmp_path, capsys):
+    path = write_ws(tmp_path, WS_Z12)
+    code, out, _ = run_cli(
+        capsys,
+        ["verify", "--workspace", path, "--cat", "A", "--max-gens", "1",
+         "--max-order", "12", "--oracle"],
+    )
+    return code, json.loads(out)["oracle"]
+
+
+def test_cli_verify_oracle_reports_a_wrong_torsion_free_test(tmp_path, capsys, monkeypatch):
+    # F rigged to hold everything: the computed radicals of Z/3, Z/6 and
+    # Z/12 under {Z/4} are nonzero
+    import modclose.torsion as torsion_mod
+
+    monkeypatch.setattr(torsion_mod, "_in_torsion_free_class", lambda chain, cat: True)
+    code, oracle = _verify_z12_oracle(tmp_path, capsys)
+    assert code == 1
+    assert oracle == {"agrees": False, "mismatches": [
+        {"module": label, "torsion_free_by_chain": True, "torsion_free_by_radical": False}
+        for label in ("3", "6", "12")
+    ]}
+
+
+def test_cli_verify_oracle_reports_a_wrong_sum_chain(tmp_path, capsys, monkeypatch):
+    # sums rigged to concatenate the chains: wrong exactly where the two
+    # chains are not already an invariant-factor chain together
+    import modclose.torsion as torsion_mod
+
+    monkeypatch.setattr(torsion_mod, "_sum_chain", lambda a, b: tuple(sorted(a + b)))
+    code, oracle = _verify_z12_oracle(tmp_path, capsys)
+    assert code == 1
+    assert oracle == {"agrees": False, "mismatches": [
+        {"left": "2", "right": "3", "sum_chain": [2, 3], "direct_sum": [6]},
+        {"left": "3", "right": "4", "sum_chain": [3, 4], "direct_sum": [12]},
+        {"left": "4", "right": "6", "sum_chain": [4, 6], "direct_sum": [2, 12]},
+    ]}
+
+
 def test_cli_hom_infinite_oracle_exits_2(tmp_path, capsys):
     path = write_ws(tmp_path, WS_Z)
     code, out, err = run_cli(
