@@ -22,9 +22,8 @@ _EXPORTS = {
     "is_injective_module kernel_of_hom",
     "matrices": "IntMatrix SNFResult kernel_basis smith_normal_form solve_linear",
     "modules": "FPModule ModuleElement Submodule all_submodules direct_sum "
-    "free_summand_rank is_bounded present_module quotient quotient_module "
-    "sub_as_module sub_contains sub_equal sub_image sub_join sub_meet "
-    "sub_preimage submodules_between",
+    "free_summand_rank is_bounded present_module quotient_module sub_as_module "
+    "sub_image sub_join sub_meet sub_preimage",
     "oracles": "AxiomReport ClosednessScan ScanEntry axiom_suite "
     "closedness_witness_scan enumerate_homs is_hom_vanishing",
     "rings": "Ring ZZ Zmod",

@@ -1,0 +1,27 @@
+"""``modclose hom``: the hom group between two modules."""
+
+from __future__ import annotations
+
+from . import matrix_rows, require
+
+
+def run(ws, args) -> tuple[int, dict]:
+    from ..homs import hom_group
+    mname = require(ws, args.module, "module")
+    if args.cod is None:
+        raise ValueError("--cod NAME is required for hom")
+    m = ws.module(mname)
+    n = ws.module(args.cod)
+    hg = hom_group(m, n)
+    report = {
+        "dom": mname,
+        "cod": args.cod,
+        "structure": list(hg.structure),
+        "generators": [matrix_rows(g.matrix) for g in hg.generators],
+    }
+    if args.oracle:
+        from ..oracles import oracle_hom
+        agree, report["oracle"] = oracle_hom(hg)
+        if not agree:
+            return 1, report
+    return 0, report

@@ -257,19 +257,6 @@ def kernel_of_hom(f: Homomorphism) -> Submodule:
     return Submodule(f.dom, f.cod.lattice.preimage(f.matrix))
 
 
-def _prime_factors(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _divisors(n: int, limit: int) -> list[int]:
     """The divisors ``d`` of ``n`` with ``2 <= d <= limit``, ascending, found
     in at most ``min(limit, sqrt(n))`` trial divisions."""
@@ -311,7 +298,8 @@ def is_injective_by_structure(a: FPModule) -> bool:
 
     A module is injective over Z/n iff for each prime power p^e exactly
     dividing n, its p-primary part is free over Z/p^e, i.e. every invariant
-    factor has p-valuation 0 or e.
+    factor has p-valuation 0 or e.  Each invariant factor f divides n, so
+    that holds iff f and n/f are coprime: no factoring is needed.
     """
     if not a.ring.is_modular:
         raise ValueError(
@@ -319,14 +307,4 @@ def is_injective_by_structure(a: FPModule) -> bool:
             "divisible modules Q and Q/Z play this role"
         )
     n = a.ring.modulus
-    n_factors = _prime_factors(n)
-    for f in a.invariant_factors:
-        for p, e in n_factors.items():
-            v = 0
-            x = f
-            while x % p == 0:
-                v += 1
-                x //= p
-            if v not in (0, e):
-                return False
-    return True
+    return all(gcd(f, n // f) == 1 for f in a.invariant_factors)

@@ -355,34 +355,10 @@ def sub_join(u: Submodule, v: Submodule) -> Submodule:
     return Submodule(u.parent, u.lattice.sum(v.lattice))
 
 
-def sub_contains(u: Submodule, x: ModuleElement) -> bool:
-    """Membership of an element in a submodule."""
-    if x.parent != u.parent:
-        raise ValueError("element does not belong to the submodule's parent")
-    return u.contains(x)
-
-
-def sub_equal(u: Submodule, v: Submodule) -> bool:
-    """Equality of spans; mutual containment made syntactic by canonical form."""
-    _check_same_parent(u, v)
-    return u.lattice == v.lattice
-
-
-def quotient(m: FPModule, n: Submodule):
-    """The quotient of ``m`` by a submodule, presented on the same generators.
-
-    Returns ``(q, projection)`` where the projection's matrix is the identity
-    on generator coordinates, so lifting maps along it is trivial.
-    """
-    q = quotient_module(m, n)
-    from .homs import Homomorphism
-
-    return q, Homomorphism(m, q, IntMatrix.identity(m.n_gens, m.ring))
-
-
 def quotient_module(m: FPModule, n: Submodule) -> FPModule:
-    """Just the quotient module, without the projection map: its relation
-    lattice is the submodule's preimage lattice, taken as is (no echelon)."""
+    """The quotient of ``m`` by a submodule, presented on the same generators:
+    its relation lattice is the submodule's preimage lattice, taken as is (no
+    echelon)."""
     if n.parent != m:
         raise ValueError("submodule does not live in the module being quotiented")
     return FPModule(m.ring, m.n_gens, n.lattice)
@@ -471,11 +447,3 @@ def all_submodules(m: FPModule) -> list[Submodule]:
                 frontier.append(j)
     lattices = sorted(found, key=lambda lat: (len(lat.basis), lat.basis))
     return [Submodule(m, lat) for lat in lattices]
-
-
-def submodules_between(m: FPModule, n: Submodule) -> list[Submodule]:
-    """All submodules of ``m`` containing ``n`` (the quotient must be finite)."""
-    q = quotient_module(m, n)
-    if not q.is_finite:
-        raise ValueError("enumeration requires a finite quotient")
-    return [Submodule(m, s.lattice) for s in all_submodules(q)]

@@ -3,8 +3,8 @@
 Nothing here shares an algorithm with the code path it checks: determinants
 come from cofactor expansion, closures from full homomorphism enumeration,
 hom sets from every assignment of generator images, closedness from a scan
-of all submodules of the quotient.  The closure-operator axiom suite lives
-here too.  Desk scale only.
+of all submodules of the quotient.  The closure-operator axiom suite and the
+``--oracle`` check of each command live here too.  Desk scale only.
 
 This module loads only when an oracle runs, and imports the closure, hom
 and module code only in the functions that use it.
@@ -374,3 +374,120 @@ def axiom_suite(
             )
         )
     return AxiomReport(samples=tuple(results))
+
+
+# -- the ``--oracle`` checks of the commands ------------------------------------
+#
+# Each returns (agrees, the report's ``oracle`` entry); the command exits 1
+# when the first is false.
+
+
+def oracle_closure(m: FPModule, n: Submodule, cat: Subcategory, closure: Submodule):
+    """``closure --oracle``: the closure recomputed by full enumeration."""
+    recomputed = closure_by_full_enumeration(m, n, cat)
+    agree = recomputed == closure
+    return agree, {
+        "agrees": agree,
+        "closure_generators": [list(c) for c in recomputed.canonical_gens.columns()],
+    }
+
+
+def oracle_verify(report, cat: Subcategory, label):
+    """``verify --oracle``: every fast path of ``verify_torsion_theory``
+    against its enumeration, with modules named by ``label``.
+
+    Hom vanishing against :func:`enumerate_homs`, each object's class-pair
+    set against the pairs of its listed submodules, F membership by gcds
+    against the computed radical, and direct sums by chains against the
+    built sum modules.
+    """
+    from .homs import hom_group
+    from .modules import direct_sum
+    from .torsion import _in_torsion_free_class, _sum_chain
+
+    universe = report.universe
+    mismatches = []
+    for x in universe.objects:
+        for obj in cat.finite_objects:
+            fast = hom_group(x, obj).is_zero
+            slow = len(enumerate_homs(x, obj)) == 1
+            if fast != slow:
+                mismatches.append({"module": label(x), "object": label(obj)})
+    for x, support in zip(universe.objects, universe.pair_sets):
+        listed = set(universe.ordered_pairs(x))
+        if support != listed:
+            mismatches.append({
+                "module": label(x),
+                "pairs_not_listed": [list(p) for p in sorted(support - listed)],
+                "pairs_not_in_support": [list(p) for p in sorted(listed - support)],
+            })
+    for x, t in report.radical_table:
+        fast = _in_torsion_free_class(x.invariant_factors, cat)
+        if fast != t.is_zero:
+            mismatches.append({
+                "module": label(x),
+                "torsion_free_by_chain": fast,
+                "torsion_free_by_radical": t.is_zero,
+            })
+    objects = universe.objects
+    for i, x in enumerate(objects):
+        for y in objects[i:]:
+            fast = _sum_chain(x.invariant_factors, y.invariant_factors)
+            slow = direct_sum(x, y).invariant_factors
+            if fast != slow:
+                mismatches.append({
+                    "left": label(x),
+                    "right": label(y),
+                    "sum_chain": list(fast),
+                    "direct_sum": list(slow),
+                })
+    return not mismatches, {"agrees": not mismatches, "mismatches": mismatches}
+
+
+def oracle_snf(a: IntMatrix, res):
+    """``snf --oracle``: unimodular transforms by cofactor determinants, and
+    the diagonal's prefix products against the gcds of the minors."""
+    checks = {"unimodular": True, "determinant_divisors": True}
+    if abs(det_cofactor([list(r) for r in res.u.entries])) != 1:
+        checks["unimodular"] = False
+    if abs(det_cofactor([list(r) for r in res.v.entries])) != 1:
+        checks["unimodular"] = False
+    prod = 1
+    for k in range(1, min(a.rows, a.cols) + 1):
+        dk = res.diagonal[k - 1]
+        prod = prod * dk if dk else 0
+        if minor_gcd(a, k) != prod:
+            checks["determinant_divisors"] = False
+    return all(checks.values()), checks
+
+
+def oracle_hom(hg):
+    """``hom --oracle``: the span of the generators against the enumerated
+    hom set; infeasible for an infinite hom group."""
+    if not hg.element_count():
+        raise OracleInfeasibleError("oracle infeasible: the hom group is infinite")
+    spanned = {h.matrix for h in hg.elements()}
+    listed = {h.matrix for h in enumerate_homs(hg.dom, hg.cod)}
+    agree = spanned == listed
+    return agree, {"agrees": agree, "hom_count": len(listed)}
+
+
+def _hom_to_z(m: FPModule):
+    """Hom(M, Z), the oracle of ``bounded`` and ``free-rank``."""
+    from .homs import hom_group
+    from .modules import FPModule
+
+    return hom_group(m, FPModule(ZZ, 1))
+
+
+def oracle_bounded(m: FPModule, bounded: bool):
+    """``bounded --oracle``: M is bounded iff Hom(M, Z) = 0."""
+    agree = _hom_to_z(m).is_zero == bounded
+    return agree, {"agrees": agree}
+
+
+def oracle_free_rank(m: FPModule, rank: int):
+    """``free-rank --oracle``: the free rank of Hom(M, Z)."""
+    rank_by_hom = sum(1 for d in _hom_to_z(m).structure if d == 0)
+    agree = rank_by_hom == rank
+    return agree, {"agrees": agree, "rank_by_hom": rank_by_hom}

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .caches import BoundedCache
 from .closure import DivisibleModule, Subcategory, _admits_nonzero_map, regular_closure
-from .homs import _divisors, _prime_factors, hom_group
+from .homs import _divisors, hom_group
 from .modules import (
     FPModule,
     Submodule,
@@ -165,6 +165,35 @@ def _chain_of(types) -> tuple[int, ...]:
     return tuple(reversed(factors))
 
 
+# Largest trial divisor of ``_prime_factors``: enough to factor any number
+# below 2^40, in about 0.2 s at most.
+TRIAL_DIVISION_BOUND = 2**20
+
+
+def _prime_factors(n: int) -> dict[int, int]:
+    """The prime factorization of ``n >= 1`` by trial division up to
+    ``TRIAL_DIVISION_BOUND``.
+
+    Raises ``ValueError`` when a cofactor of at least the bound squared is
+    left with no divisor below the bound, instead of dividing on for ever.
+    """
+    out: dict[int, int] = {}
+    rest, p = n, 2
+    while p * p <= rest:
+        if p > TRIAL_DIVISION_BOUND:
+            raise ValueError(
+                f"cannot factor {n}: its cofactor {rest} has no prime factor "
+                f"up to the trial-division bound {TRIAL_DIVISION_BOUND}"
+            )
+        while rest % p == 0:
+            out[p] = out.get(p, 0) + 1
+            rest //= p
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        out[rest] = out.get(rest, 0) + 1
+    return out
+
+
 def class_pair_support(chain: tuple[int, ...], memo: dict | None = None) -> frozenset:
     """The distinct (class of S, class of M/S), as invariant-factor chains,
     over the submodules S of the finite module M with invariant-factor chain
@@ -177,6 +206,8 @@ def class_pair_support(chain: tuple[int, ...], memo: dict | None = None) -> froz
     (Green; Klein 1968; Macdonald, *Symmetric Functions and Hall
     Polynomials*, ch. II), which does not depend on p.  ``memo`` maps each
     type lam to its support; one universe build shares it across objects.
+    The primes come from ``_prime_factors`` of the largest factor, which
+    raises ``ValueError`` past its trial-division bound.
     """
     if 0 in chain:
         raise ValueError("class pairs require a finite module")

@@ -17,6 +17,7 @@ from modclose import (
     IntMatrix,
     Subcategory,
     Submodule,
+    all_submodules,
     divisible_closure,
     hom_group,
     kernel_of_hom,
@@ -120,6 +121,22 @@ def quotient_by_concatenation(m: FPModule, n: Submodule) -> FPModule:
     generators, echelonized afresh."""
     cols = m.relations.columns() + n.canonical_gens.columns()
     return FPModule(m.ring, m.n_gens, cols)
+
+
+def quotient_with_projection(m: FPModule, n: Submodule):
+    """``(M/N, projection)``: the quotient on M's generators, whose projection
+    is the identity on generator coordinates."""
+    q = quotient_module(m, n)
+    return q, Homomorphism(m, q, IntMatrix.identity(m.n_gens, m.ring))
+
+
+def submodules_between(m: FPModule, n: Submodule) -> list:
+    """Every submodule of M containing N, from the submodules of a finite M/N
+    (they share their preimage lattices)."""
+    q = quotient_module(m, n)
+    if not q.is_finite:
+        raise ValueError("enumeration requires a finite quotient")
+    return [Submodule(m, s.lattice) for s in all_submodules(q)]
 
 
 def whole_by_identity(m: FPModule) -> Submodule:

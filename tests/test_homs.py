@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from modclose import (
     ZZ,
     Zmod,
     enumerate_homs,
+    enumerate_universe,
     hom_group,
     is_injective_by_structure,
     is_injective_module,
@@ -16,7 +18,7 @@ from modclose import (
     present_module,
 )
 
-from modclose.homs import _prime_factors
+from modclose.torsion import TRIAL_DIVISION_BOUND, _prime_factors
 
 from conftest import random_finite_module
 from oracles import hom_generators_dense, hom_structure_block_system
@@ -256,3 +258,36 @@ def test_injectivity_dual_oracles_agree_small():
         mods += [present_module(ring, 1, [(d,)]) for d in divisors]
         for m in mods:
             assert is_injective_module(m) == is_injective_by_structure(m)
+
+
+def test_injectivity_by_coprime_cofactors_matches_baer_up_to_72():
+    # every module of each Z/n universe, n <= 72, with at most 2 generators
+    checked = 0
+    for n in range(2, 73):
+        for m in enumerate_universe(Zmod(n), 2, min(n * n, 4 * n)):
+            assert is_injective_by_structure(m) == is_injective_module(m), (n, m)
+            checked += 1
+    assert checked == 718
+
+
+def test_injectivity_over_a_large_prime_modulus_needs_no_factoring():
+    p = 2**61 - 1
+    ring = Zmod(p)
+    assert is_injective_by_structure(present_module(ring, 1))
+    assert is_injective_by_structure(present_module(ring, 2, [(0, p)]))
+    assert is_injective_by_structure(present_module(ring, 1, [(1,)]))  # zero module
+    big = Zmod(6 * p)
+    assert is_injective_by_structure(present_module(big, 1, [(6,)]))
+    assert not is_injective_by_structure(present_module(Zmod(4 * p), 1, [(2,)]))
+
+
+def test_prime_factors_are_bounded():
+    for n in range(1, 2000):
+        factors = _prime_factors(n)
+        assert math.prod(p**e for p, e in factors.items()) == n
+        assert all(_prime_factors(p) == {p: 1} for p in factors)
+    # both primes at the bound's scale: the trial division still finishes
+    p, q = 1048573, 1048583
+    assert _prime_factors(p * q) == {p: 1, q: 1}
+    with pytest.raises(ValueError, match=f"trial-division bound {TRIAL_DIVISION_BOUND}"):
+        _prime_factors(2**5 * (2**61 - 1))

@@ -6,6 +6,7 @@ starts clean.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,7 @@ def _fresh(code: str) -> tuple[set[str], str]:
 def test_importing_the_cli_loads_no_command_code():
     loaded, _ = _fresh("import modclose.cli")
     assert not loaded & (HEAVY | {"dataclasses"})
+    assert not any(name.startswith("modclose.commands") for name in loaded)
 
 
 def test_snf_loads_no_closure_hom_or_torsion_code():
@@ -97,24 +99,88 @@ WS_MOD4 = {
 WS_Z = {"ring": "Z", "modules": {"M": {"generators": 2, "relations": [[0, 2]]}}}
 
 
-@pytest.mark.parametrize("doc, argv", [
+COMMANDS = [
     (WS_MOD4, ["closure", "--module", "R", "--sub", "twoR", "--cat", "A"]),
     (WS_MOD4, ["verify", "--cat", "A", "--max-gens", "1", "--max-order", "4"]),
     (None, ["snf", "--matrix", "[[2,4],[6,8]]"]),
     (WS_MOD4, ["hom", "--module", "R", "--cod", "R"]),
     (WS_Z, ["bounded", "--module", "M"]),
     (WS_Z, ["free-rank", "--module", "M"]),
-], ids=["closure", "verify", "snf", "hom", "bounded", "free-rank"])
-def test_no_command_loads_argparse(tmp_path, doc, argv):
+]
+COMMAND_IDS = [argv[0] for _, argv in COMMANDS]
+
+
+def _run_fresh(tmp_path, doc, argv):
     if doc is not None:
         path = tmp_path / "ws.json"
         path.write_text(json.dumps(doc))
         argv = argv + ["--workspace", str(path)]
     loaded, out = _fresh(f"from modclose import cli\nassert cli.main({argv!r}) == 0")
-    assert json.loads(out)
-    assert not loaded & {"argparse", "gettext"}
-    if argv[0] in ("closure", "verify"):
-        assert "modclose.oracles" not in loaded
+    return loaded, json.loads(out)
+
+
+def _own_module(command: str) -> str:
+    return f"modclose.commands.{command.replace('-', '_')}"
+
+
+COMMAND_MODULES = {_own_module(name) for name in COMMAND_IDS}
+
+
+@pytest.mark.parametrize("doc, argv", COMMANDS, ids=COMMAND_IDS)
+def test_no_command_loads_argparse(tmp_path, doc, argv):
+    # nor the oracles, nor the module of another command
+    loaded, report = _run_fresh(tmp_path, doc, argv)
+    assert report and "oracle" not in report
+    assert not loaded & {"argparse", "gettext", "modclose.oracles"}
+    assert loaded & COMMAND_MODULES == {_own_module(argv[0])}
+
+
+@pytest.mark.parametrize("doc, argv", COMMANDS, ids=COMMAND_IDS)
+def test_every_oracle_run_loads_its_own_command_and_agrees(tmp_path, doc, argv):
+    loaded, report = _run_fresh(tmp_path, doc, argv + ["--oracle"])
+    assert "modclose.oracles" in loaded
+    assert loaded & COMMAND_MODULES == {_own_module(argv[0])}
+    check = report["oracle"]
+    assert all(check.values()) if argv[0] == "snf" else check["agrees"] is True
+
+
+# 2^61 - 1, a prime: the closure must not factor the modulus at load
+WS_BIG_PRIME = {
+    "ring": "Zmod:2305843009213693951",
+    "modules": {"R": {"generators": 1, "relations": []}},
+    "submodules": {"zero": {"parent": "R", "gens": []}},
+    "subcategories": {"A": {"finite": ["R"], "divisible": []}},
+}
+
+
+def _cli(tmp_path, doc, argv, timeout):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    return subprocess.run(
+        [sys.executable, "-m", "modclose.cli", *argv, "--workspace", str(path)],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+
+
+def test_closure_over_a_large_prime_modulus_finishes(tmp_path):
+    argv = ["closure", "--module", "R", "--sub", "zero", "--cat", "A"]
+    proc = _cli(tmp_path, WS_BIG_PRIME, argv, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["closed"] is True and report["closure_generators"] == []
+
+
+@pytest.mark.parametrize("doc, cat", [
+    (WS_BIG_PRIME, "A"),
+    ({"ring": "Z", "modules": {"R": {"generators": 1, "relations": [["2305843009213693951"]]}},
+      "subcategories": {"Q": {"finite": [], "divisible": ["Q"]}}}, "Q"),
+], ids=["modular", "integer"])
+def test_verify_refuses_a_large_prime_past_the_trial_division_bound(tmp_path, doc, cat):
+    proc = _cli(tmp_path, doc, ["verify", "--cat", cat, "--universe", "R"], timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "trial-division bound 1048576" in proc.stderr
 
 
 def test_every_public_name_resolves_lazily():
@@ -132,7 +198,7 @@ def test_every_public_name_resolves_lazily():
         "    print('AttributeError')\n"
     )
     count, verdict = out.splitlines()
-    assert int(count) == 56
+    assert int(count) == 52
     assert verdict == "AttributeError"
 
 
