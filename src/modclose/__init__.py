@@ -16,7 +16,7 @@ import importlib
 # public name -> defining submodule, space-separated per submodule
 _EXPORTS = {
     "closure": "ClosureResult ClosureWitness DivisibleModule Subcategory "
-    "divisible_closure is_closed is_dense regular_closure",
+    "is_closed is_dense regular_closure",
     "errors": "OracleInfeasibleError",
     "homs": "HomGroup Homomorphism hom_group is_injective_by_structure "
     "is_injective_module kernel_of_hom",

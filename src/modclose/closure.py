@@ -1,27 +1,26 @@
 """The regular closure operator induced by a subcategory of injective modules.
 
 The closure of a submodule N of M is the intersection of the kernels of all
-homomorphisms from M into objects of the subcategory that vanish on N.  For
-finitely presented targets this is computed through hom groups; over the
-integers the two divisible injectives (the rationals, and the rationals mod
-the integers) are handled by closed-form rules instead of matrices.
-
-Intersecting over a generating set of each hom group suffices: the kernels of
-f1 and f2 both contain the kernel of any combination r1*f1 + r2*f2.
+homomorphisms from M into objects of the subcategory that vanish on N.  On
+the preimage lattice L of N in Z^g it has a closed form (``_closure_lattice``):
+over Z/n it is L + E*Z^g, E the lcm of the objects' invariant factors (each a
+product of full prime powers of n, so E kills exactly the p-parts of M/N that
+maps into the subcategory separate, and is a unit on the others); over Z it
+is the saturation of L under {Q} alone (maps into Q see only the free part of
+M/N), and L itself whenever Q/Z, which separates every element, is present.
+Hom groups serve only as witnesses.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .homs import Homomorphism, hom_group, is_injective_by_structure
 from .lattices import Lattice
-from .modules import FPModule, Submodule, quotient_module, sub_meet
+from .modules import FPModule, Submodule, quotient_module
 from .rings import Ring
-
-
 class DivisibleModule(Enum):
     """The divisible injective Z-modules available as closure targets."""
 
@@ -98,10 +97,11 @@ class Subcategory:
 
 
 class ClosureWitness(NamedTuple):
-    """One contribution that strictly shrank the running intersection."""
+    """A map out of M vanishing on N, or a divisible object receiving one
+    (``hom`` None); the kernels of all witnesses meet in the closure."""
 
     source: object  # an FPModule of the subcategory, or a DivisibleModule
-    hom: Homomorphism | None  # None for divisible rules
+    hom: Homomorphism | None  # None for divisible objects
 
 
 class ClosureResult(NamedTuple):
@@ -118,69 +118,49 @@ def _check_compat(m: FPModule, n: Submodule, cat: Subcategory) -> None:
         raise ValueError(f"subcategory over {cat.ring} cannot close over {m.ring}")
 
 
-def divisible_closure(m: FPModule, n: Submodule, which: DivisibleModule) -> Submodule:
-    """Closure of ``n`` against a single divisible injective over Z.
+def _exponent(cat: Subcategory) -> int:
+    """E, the lcm of the invariant factors of the finite objects."""
+    return lcm(*(e for a in cat.finite_objects for e in a.invariant_factors))
 
-    For Q: homomorphisms into the rationals see exactly the free part of the
-    quotient, so the closure is the preimage of the torsion part of M/N.
-    For Q/Z: homomorphisms into the rationals mod 1 separate every nonzero
-    element, so every submodule is already closed.
-    """
-    if m.ring.is_modular:
-        raise ValueError("divisible closure rules apply over the integers only")
-    if n.parent != m:
-        raise ValueError("submodule does not live in the given module")
-    which = which if isinstance(which, DivisibleModule) else DivisibleModule(which)
-    if which is DivisibleModule.Q_MOD_Z:
-        return n
-    return Submodule(m, n.lattice.saturation())
+
+def _closure_lattice(lat: Lattice, cat: Subcategory) -> Lattice:
+    """The preimage lattice of the closure of the submodule whose preimage
+    lattice is ``lat``, by the closed form of the module docstring."""
+    if cat.ring.is_modular:
+        e, g = _exponent(cat), lat.dim
+        scaled = tuple(tuple(e if i == j else 0 for i in range(g)) for j in range(g))
+        return Lattice.from_columns(g, lat.basis + scaled)
+    if DivisibleModule.Q_MOD_Z in cat.divisible_objects:
+        return lat
+    return lat.saturation()
 
 
 def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResult:
-    """The closure of ``n`` in ``m`` induced by the subcategory.
+    """The closure of ``n`` in ``m``, read from ``_closure_lattice``.
 
-    Every homomorphism from M that vanishes on N factors through M/N, so the
-    kernels are collected from hom-group generators g of M/N into each object
-    (lifted along the coordinate-preserving projection) and intersected in
-    object order, then generator order; divisible contributions follow.
-
-    A generator is applied to the basis B of the running intersection first:
-    when every image lies in the object's relation lattice R, g vanishes on
-    the running intersection and is skipped.  Otherwise the intersection
-    becomes {x in running : g(x) in R}, read from the stacked columns (g(b), b)
-    and (r, 0), r in R, and g is recorded as a witness.  Over Z/n the images
-    are reduced mod n, which changes nothing, since R contains n*Z^k.  The
-    lift needs no certificate (M -> M/N -> A is a homomorphism by
-    construction), and the generator's matrix is already in canonical
-    coordinates.
+    The witnesses are, for each finite object A in order, the generators of
+    Hom(M/N, A) composed with the projection M -> M/N (no certificate needed,
+    canonical coordinates already), then each divisible object that receives
+    a nonzero map from M/N.  Generators suffice: the joint kernel of f1 and
+    f2 lies in the kernel of every combination r1*f1 + r2*f2.
     """
     _check_compat(m, n, cat)
-    running = m.whole_submodule()
-    witnesses: list[ClosureWitness] = []
-    if cat.finite_objects:
-        q = quotient_module(m, n)
-    for obj in cat.finite_objects:
-        rel = obj.lattice
-        for gen in hom_group(q, obj).generators:
-            basis = running.lattice.basis
-            images = [gen.matrix.apply(b) for b in basis]
-            if all(rel.contains(v) for v in images):
-                continue
-            stacked = [v + b for v, b in zip(images, basis)]
-            stacked += [r + (0,) * m.n_gens for r in rel.basis]
-            running = Submodule(m, Lattice.from_stacked(obj.n_gens, m.n_gens, stacked))
-            lifted = Homomorphism._trusted(m, obj, gen.matrix)
-            witnesses.append(ClosureWitness(source=obj, hom=lifted))
-    for div in cat.divisible_objects:
-        contrib = divisible_closure(m, n, div)
-        new = sub_meet(running, contrib)
-        if new != running:
-            witnesses.append(ClosureWitness(source=div, hom=None))
-            running = new
+    closure = Submodule(m, _closure_lattice(n.lattice, cat))
+    q = quotient_module(m, n)
+    witnesses = [
+        ClosureWitness(source=obj, hom=Homomorphism._trusted(m, obj, gen.matrix))
+        for obj in cat.finite_objects
+        for gen in hom_group(q, obj).generators
+    ]
+    witnesses += [
+        ClosureWitness(source=div, hom=None)
+        for div in cat.divisible_objects
+        if _admits_nonzero_map(q.invariant_factors, div)
+    ]
     return ClosureResult(
-        closure=running,
-        dense=running.is_whole,
-        closed=running == n,
+        closure=closure,
+        dense=closure.is_whole,
+        closed=closure == n,
         witnesses=tuple(witnesses),
     )
 
@@ -208,9 +188,11 @@ def _admits_nonzero_map(chain: tuple[int, ...], target) -> bool:
 
 def is_dense(m: FPModule, n: Submodule, cat: Subcategory) -> bool:
     """Whether the closure of ``n`` is all of ``m``."""
-    return regular_closure(m, n, cat).dense
+    _check_compat(m, n, cat)
+    return _closure_lattice(n.lattice, cat).covolume() == 1
 
 
 def is_closed(m: FPModule, n: Submodule, cat: Subcategory) -> bool:
     """Whether ``n`` equals its own closure."""
-    return regular_closure(m, n, cat).closed
+    _check_compat(m, n, cat)
+    return _closure_lattice(n.lattice, cat) == n.lattice

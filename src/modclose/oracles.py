@@ -67,8 +67,7 @@ def closure_by_full_enumeration(
     homomorphisms (not just hom-group generators) from M/N into each object.
 
     Finite objects require a finite quotient; divisible objects use
-    independent formulas: annihilator-by-exponent for Q, and for Q/Z the
-    identity rule is cross-checked by a separation scan when feasible.
+    independent formulas: annihilator-by-exponent for Q, N itself for Q/Z.
     """
     from .closure import DivisibleModule
     from .homs import Homomorphism, kernel_of_hom
@@ -397,7 +396,8 @@ def oracle_verify(report, cat: Subcategory, label):
     against its enumeration, with modules named by ``label``.
 
     Hom vanishing against :func:`enumerate_homs`, each object's class-pair
-    set against the pairs of its listed submodules, F membership by gcds
+    set against the pairs of its listed submodules, each radical against
+    the closure of zero by the same enumerated homs, F membership by gcds
     against the computed radical, and direct sums by chains against the
     built sum modules.
     """
@@ -422,6 +422,12 @@ def oracle_verify(report, cat: Subcategory, label):
                 "pairs_not_in_support": [list(p) for p in sorted(listed - support)],
             })
     for x, t in report.radical_table:
+        slow = closure_by_full_enumeration(x, x.zero_submodule(), cat)
+        if slow != t:
+            mismatches.append({
+                "module": label(x),
+                "radical_by_enumeration": [list(c) for c in slow.canonical_gens.columns()],
+            })
         fast = _in_torsion_free_class(x.invariant_factors, cat)
         if fast != t.is_zero:
             mismatches.append({
@@ -444,9 +450,20 @@ def oracle_verify(report, cat: Subcategory, label):
     return not mismatches, {"agrees": not mismatches, "mismatches": mismatches}
 
 
+# Largest matrix side ``snf --oracle`` expands by cofactors.  Its work grows
+# with each side: at most 2,612,583 ``det_cofactor`` calls for an 8x8 matrix,
+# up to 31 million for a 9x9 one (7.7 s for a random one on a 2-core VM).
+COFACTOR_SIDE_CAP = 8
+
+
 def oracle_snf(a: IntMatrix, res):
     """``snf --oracle``: unimodular transforms by cofactor determinants, and
     the diagonal's prefix products against the gcds of the minors."""
+    if max(a.rows, a.cols) > COFACTOR_SIDE_CAP:
+        raise OracleInfeasibleError(
+            f"oracle infeasible: a {a.rows}x{a.cols} matrix is past the cofactor "
+            f"cap of {COFACTOR_SIDE_CAP} rows and columns"
+        )
     checks = {"unimodular": True, "determinant_divisors": True}
     if abs(det_cofactor([list(r) for r in res.u.entries])) != 1:
         checks["unimodular"] = False

@@ -17,7 +17,8 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .caches import BoundedCache
-from .closure import DivisibleModule, Subcategory, _admits_nonzero_map, regular_closure
+from .closure import DivisibleModule, Subcategory, _admits_nonzero_map
+from .closure import _closure_lattice, _exponent
 from .homs import _divisors, hom_group
 from .modules import (
     FPModule,
@@ -41,7 +42,7 @@ def torsion_radical(m: FPModule, cat: Subcategory) -> Submodule:
     key = (m, cat)
     cached = _RADICAL_CACHE.get(key)
     if cached is None:
-        cached = regular_closure(m, m.zero_submodule(), cat).closure
+        cached = Submodule(m, _closure_lattice(m.lattice, cat))
         _RADICAL_CACHE.put(key, cached)
     return cached
 
@@ -80,13 +81,13 @@ def _in_torsion_free_class(chain: tuple[int, ...], cat: Subcategory) -> bool:
     The radical of a direct sum is the sum of the radicals of the summands,
     and the maps Z/d -> Z/e have joint kernel gcd(d, e)*Z/d.  So the finite
     objects separate sum_j Z/d_j exactly when every nonzero d_j divides the
-    lcm of all their invariant factors.  Q separates only the free factors
+    lcm E of all their invariant factors.  Q separates only the free factors
     (the 0s), and Q/Z separates every element.  A 0 occurs only over Z,
     where a subcategory without Q/Z holds Q.
     """
     if DivisibleModule.Q_MOD_Z in cat.divisible_objects:
         return True
-    exponent = lcm(*(e for a in cat.finite_objects for e in a.invariant_factors))
+    exponent = _exponent(cat)
     return all(d == 0 or exponent % d == 0 for d in chain)
 
 
@@ -331,12 +332,11 @@ class ModuleUniverse:
 
 # Cap on the summed orders of the modules one enumeration may return.  verify
 # no longer lists submodules while its laws hold, and it decides membership
-# and direct sums on invariant-factor chains, but it still runs three
-# radicals (regular closures) per object for the radical table and its laws
-# and a hom group per (T, F) pair, all growing with the universe; a failing
-# law and ``verify --oracle`` list every submodule of an object, which takes
-# time at least its order.  Z/12 with at most 3 generators and order at most
-# 300 sums to 2,168.
+# and direct sums on invariant-factor chains, but it still reads three
+# radicals per object (one echelon each over Z/n) and builds a hom group per
+# (T, F) pair, all growing with the universe; a failing law and ``verify
+# --oracle`` list every submodule of an object, which takes time at least its
+# order.  Z/12 with at most 3 generators and order at most 300 sums to 2,168.
 UNIVERSE_ORDER_CAP = 4096
 
 

@@ -12,13 +12,13 @@ from math import gcd
 
 from modclose import (
     ZZ,
+    DivisibleModule,
     FPModule,
     Homomorphism,
     IntMatrix,
     Subcategory,
     Submodule,
     all_submodules,
-    divisible_closure,
     hom_group,
     kernel_of_hom,
     quotient_module,
@@ -27,6 +27,7 @@ from modclose import (
 )
 from modclose.lattices import Lattice
 from modclose.matrices import _kernel_over_z, _snf_with_inverses, _solve_over_z
+from modclose.oracles import torsion_preimage_by_exponent
 
 
 def element_set(sub: Submodule) -> frozenset:
@@ -405,27 +406,20 @@ def hom_generators_dense(m: FPModule, n: FPModule) -> list:
     return out
 
 
-def closure_by_kernel_meets(m: FPModule, n: Submodule, cat: Subcategory) -> tuple:
+def closure_by_kernel_meets(m: FPModule, n: Submodule, cat: Subcategory) -> Submodule:
     """The regular closure by one full kernel and one meet per hom-group
-    generator, each lift certified as a homomorphism.  Returns the closure
-    and the matrices of the generators (then ``None`` per divisible rule)
-    that strictly shrank the running intersection."""
+    generator, each lift certified as a homomorphism; the divisible objects
+    contribute the preimage of the torsion of M/N (Q) and N itself (Q/Z)."""
     running = m.whole_submodule()
-    witnesses = []
     q = quotient_module(m, n)
     for obj in cat.finite_objects:
         for gen in hom_group(q, obj).generators:
             lifted = Homomorphism(m, obj, gen.matrix)
-            new = sub_meet(running, kernel_of_hom(lifted))
-            if new != running:
-                witnesses.append(lifted.matrix)
-                running = new
+            running = sub_meet(running, kernel_of_hom(lifted))
     for div in cat.divisible_objects:
-        new = sub_meet(running, divisible_closure(m, n, div))
-        if new != running:
-            witnesses.append(None)
-            running = new
-    return running, witnesses
+        kernel = torsion_preimage_by_exponent(m, n) if div is DivisibleModule.Q else n
+        running = sub_meet(running, kernel)
+    return running
 
 
 def closure_by_prime_support(m: FPModule, n: Submodule, cat: Subcategory) -> Submodule:

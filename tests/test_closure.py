@@ -12,7 +12,6 @@ from modclose import (
     Zmod,
     axiom_suite,
     closedness_witness_scan,
-    divisible_closure,
     enumerate_homs,
     hom_group,
     is_closed,
@@ -119,16 +118,19 @@ def test_closure_witnesses_deterministic_and_shrinking():
 
 # -- divisible rules --------------------------------------------------------------------
 
+Q_ONLY = Subcategory(ZZ, [], [DivisibleModule.Q])
+Q_MOD_Z_ONLY = Subcategory(ZZ, [], [DivisibleModule.Q_MOD_Z])
+
 
 def test_divisible_q_worked_example():
     m = present_module(ZZ, 2, [(0, 2)])  # Z + Z/2
-    c = divisible_closure(m, m.zero_submodule(), DivisibleModule.Q)
+    c = regular_closure(m, m.zero_submodule(), Q_ONLY).closure
     assert c.canonical_gens.columns() == [(0, 1)]
 
 
 def test_divisible_q_on_free_module():
     z = present_module(ZZ, 1)
-    c = divisible_closure(z, z.zero_submodule(), DivisibleModule.Q)
+    c = regular_closure(z, z.zero_submodule(), Q_ONLY).closure
     assert c.is_zero
 
 
@@ -148,7 +150,7 @@ def test_divisible_q_mod_z_is_identity(rng):
             for _ in range(rng.randint(0, 2))
         ]
         n = m.submodule(gens)
-        assert divisible_closure(m, n, DivisibleModule.Q_MOD_Z) == n
+        assert regular_closure(m, n, Q_MOD_Z_ONLY).closure == n
 
 
 def test_divisible_q_idempotent_and_matches_exponent_formula(rng):
@@ -165,9 +167,23 @@ def test_divisible_q_idempotent_and_matches_exponent_formula(rng):
         n = m.submodule(
             [tuple(rng.randint(-6, 6) for _ in range(g)) for _ in range(rng.randint(0, 2))]
         )
-        c = divisible_closure(m, n, DivisibleModule.Q)
-        assert divisible_closure(m, c, DivisibleModule.Q) == c
+        c = regular_closure(m, n, Q_ONLY).closure
+        assert regular_closure(m, c, Q_ONLY).closure == c
         assert torsion_preimage_by_exponent(m, n) == c
+
+
+def test_divisible_witnesses_are_the_objects_receiving_a_nonzero_map():
+    both = Subcategory(ZZ, [], [DivisibleModule.Q, DivisibleModule.Q_MOD_Z])
+    z2 = present_module(ZZ, 2)
+    free = regular_closure(z2, z2.submodule([(1, 0)]), both)  # quotient Z
+    assert free.closed and not free.dense
+    assert [(w.source, w.hom) for w in free.witnesses] == [
+        (DivisibleModule.Q, None),
+        (DivisibleModule.Q_MOD_Z, None),
+    ]
+    z = present_module(ZZ, 1)
+    finite = regular_closure(z, z.submodule([(6,)]), Q_ONLY)  # quotient Z/6
+    assert finite.dense and finite.witnesses == ()
 
 
 def test_q_mod_z_separation_oracle():
@@ -186,7 +202,7 @@ def test_q_mod_z_separation_oracle():
 def test_divisible_rules_reject_modular_ring():
     m = present_module(Zmod(4), 1)
     with pytest.raises(ValueError):
-        divisible_closure(m, m.zero_submodule(), DivisibleModule.Q)
+        regular_closure(m, m.zero_submodule(), Q_ONLY)
 
 
 # -- density and the hom-vanishing equivalence ----------------------------------------------
@@ -316,8 +332,10 @@ def _injective_object(rng, ring, max_factors):
 
 def test_closure_matches_kernel_meets_on_wide_modules(rng):
     """Modules shaped like the benchmark's closure requests: (Z/n)^k with up
-    to two relations, N on one to three generators, one or two objects."""
-    shrinking = 0
+    to two relations, N on one to three generators, one or two objects.  The
+    witnesses are every lifted hom-group generator, in object order, and
+    their kernels meet in the closure."""
+    proper = 0
     for _ in range(40):
         ring = Zmod(rng.choice([72, 200, 360]))
         k = rng.randint(6, 12)
@@ -334,16 +352,23 @@ def test_closure_matches_kernel_meets_on_wide_modules(rng):
             ring, [_injective_object(rng, ring, 3) for _ in range(rng.randint(1, 2))]
         )
         res = regular_closure(m, n, cat)
-        closure, witness_matrices = closure_by_kernel_meets(m, n, cat)
-        assert res.closure == closure == closure_by_prime_support(m, n, cat)
-        assert [w.hom.matrix for w in res.witnesses] == witness_matrices
+        assert res.closure == closure_by_kernel_meets(m, n, cat)
+        assert res.closure == closure_by_prime_support(m, n, cat)
+        q = quotient_module(m, n)
+        lifted = [
+            Homomorphism(m, obj, gen.matrix)
+            for obj in cat.finite_objects
+            for gen in hom_group(q, obj).generators
+        ]
+        assert [w.hom for w in res.witnesses] == lifted
+        assert [w.source for w in res.witnesses] == [h.cod for h in lifted]
+        meet = m.whole_submodule()
         for w in res.witnesses:
-            # the uncertified lift is a homomorphism in canonical form that
-            # vanishes on N
-            assert Homomorphism(m, w.source, w.hom.matrix) == w.hom
             assert all(w.hom(m.element(c)).is_zero for c in n.canonical_gens.columns())
-        shrinking += len(res.witnesses)
-    assert shrinking > 0
+            meet = sub_meet(meet, kernel_of_hom(w.hom))
+        assert meet == res.closure
+        proper += not (res.dense or res.closed)
+    assert proper > 0
 
 
 def test_closure_matches_prime_support_form_at_desk_scale(rng):

@@ -198,7 +198,7 @@ def test_every_public_name_resolves_lazily():
         "    print('AttributeError')\n"
     )
     count, verdict = out.splitlines()
-    assert int(count) == 52
+    assert int(count) == 51
     assert verdict == "AttributeError"
 
 

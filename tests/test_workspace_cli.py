@@ -709,6 +709,25 @@ def test_cli_verify_oracle_reports_a_wrong_torsion_free_test(tmp_path, capsys, m
     ]}
 
 
+def test_cli_verify_oracle_reports_a_wrong_radical(tmp_path, capsys, monkeypatch):
+    # every radical rigged to zero (in a fresh radical cache): the laws still
+    # pass, and the enumerated closures of zero name the objects whose
+    # radical under {Z/4} is not
+    import modclose.torsion as torsion_mod
+    from modclose.caches import BoundedCache
+
+    monkeypatch.setattr(torsion_mod, "_RADICAL_CACHE", BoundedCache(1024))
+    monkeypatch.setattr(torsion_mod, "_closure_lattice", lambda lat, cat: lat)
+    code, oracle = _verify_z12_oracle(tmp_path, capsys)
+    assert code == 1
+    assert oracle["agrees"] is False
+    assert [m for m in oracle["mismatches"] if "radical_by_enumeration" in m] == [
+        {"module": "3", "radical_by_enumeration": [[1]]},
+        {"module": "6", "radical_by_enumeration": [[2]]},
+        {"module": "12", "radical_by_enumeration": [[4]]},
+    ]
+
+
 def test_cli_verify_oracle_reports_a_wrong_sum_chain(tmp_path, capsys, monkeypatch):
     # sums rigged to concatenate the chains: wrong exactly where the two
     # chains are not already an invariant-factor chain together
@@ -722,6 +741,19 @@ def test_cli_verify_oracle_reports_a_wrong_sum_chain(tmp_path, capsys, monkeypat
         {"left": "3", "right": "4", "sum_chain": [3, 4], "direct_sum": [12]},
         {"left": "4", "right": "6", "sum_chain": [4, 6], "direct_sum": [2, 12]},
     ]}
+
+
+def test_cli_snf_oracle_refuses_a_9x9_matrix(capsys):
+    # the cofactor expansion of a 9x9 matrix may take 31 million terms
+    rows = [[(3 * i + 7 * j) % 19 - 9 for j in range(9)] for i in range(9)]
+    start = time.monotonic()
+    code, out, err = run_cli(
+        capsys, ["snf", "--matrix", json.dumps(rows), "--oracle"]
+    )
+    assert time.monotonic() - start < 5
+    assert code == 2
+    assert out == ""
+    assert "past the cofactor cap of 8 rows and columns" in err
 
 
 def test_cli_hom_infinite_oracle_exits_2(tmp_path, capsys):
