@@ -16,10 +16,9 @@ import importlib
 # public name -> defining submodule, space-separated per submodule
 _EXPORTS = {
     "closure": "ClosureResult ClosureWitness DivisibleModule Subcategory "
-    "is_closed is_dense regular_closure",
+    "is_closed is_dense is_injective_by_structure regular_closure",
     "errors": "OracleInfeasibleError",
-    "homs": "HomGroup Homomorphism hom_group is_injective_by_structure "
-    "is_injective_module kernel_of_hom",
+    "homs": "HomGroup Homomorphism hom_group is_injective_module kernel_of_hom",
     "matrices": "IntMatrix SNFResult kernel_basis smith_normal_form solve_linear",
     "modules": "FPModule ModuleElement Submodule all_submodules direct_sum "
     "free_summand_rank is_bounded present_module quotient_module sub_as_module "

@@ -8,24 +8,57 @@ product of full prime powers of n, so E kills exactly the p-parts of M/N that
 maps into the subcategory separate, and is a unit on the others); over Z it
 is the saturation of L under {Q} alone (maps into Q see only the free part of
 M/N), and L itself whenever Q/Z, which separates every element, is present.
-Hom groups serve only as witnesses.
+Hom groups serve only as witnesses, so the hom engine (``modclose.homs``)
+loads only when ``regular_closure`` lists the witnesses of finite objects.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from math import gcd, lcm
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .homs import Homomorphism, hom_group, is_injective_by_structure
 from .lattices import Lattice
 from .modules import FPModule, Submodule, quotient_module
 from .rings import Ring
+
+if TYPE_CHECKING:
+    from .homs import Homomorphism
+
+
+def __getattr__(name: str):
+    # ``closure.hom_group`` and ``closure.Homomorphism`` are the hom engine's
+    # own objects, read when asked for, so importing this module loads no
+    # hom engine
+    if name in ("Homomorphism", "hom_group"):
+        from . import homs
+
+        return getattr(homs, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class DivisibleModule(Enum):
     """The divisible injective Z-modules available as closure targets."""
 
     Q = "Q"
     Q_MOD_Z = "QmodZ"
+
+
+def is_injective_by_structure(a: FPModule) -> bool:
+    """Structure-criterion injectivity test over Z/n.
+
+    A module is injective over Z/n iff for each prime power p^e exactly
+    dividing n, its p-primary part is free over Z/p^e, i.e. every invariant
+    factor has p-valuation 0 or e.  Each invariant factor f divides n, so
+    that holds iff f and n/f are coprime: no factoring is needed.
+    """
+    if not a.ring.is_modular:
+        raise ValueError(
+            "injectivity testing needs a modular ring; over the integers the "
+            "divisible modules Q and Q/Z play this role"
+        )
+    n = a.ring.modulus
+    return all(gcd(f, n // f) == 1 for f in a.invariant_factors)
 
 
 class Subcategory:
@@ -147,11 +180,15 @@ def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResul
     _check_compat(m, n, cat)
     closure = Submodule(m, _closure_lattice(n.lattice, cat))
     q = quotient_module(m, n)
-    witnesses = [
-        ClosureWitness(source=obj, hom=Homomorphism._trusted(m, obj, gen.matrix))
-        for obj in cat.finite_objects
-        for gen in hom_group(q, obj).generators
-    ]
+    witnesses = []
+    if cat.finite_objects:
+        from .homs import Homomorphism, hom_group
+
+        witnesses += [
+            ClosureWitness(source=obj, hom=Homomorphism._trusted(m, obj, gen.matrix))
+            for obj in cat.finite_objects
+            for gen in hom_group(q, obj).generators
+        ]
     witnesses += [
         ClosureWitness(source=div, hom=None)
         for div in cat.divisible_objects

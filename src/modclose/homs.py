@@ -3,19 +3,20 @@
 Hom(M, N) is computed as a finitely generated module with an explicit
 generating set, by the gcd formula in the Smith coordinates of M and N:
 Hom(sum_j Z/d_j, sum_i Z/e_i) = sum_{i,j} Z/gcd(d_j, e_i), with
-Hom(Z/d, Z) = 0 for d != 0.  A Baer-criterion injectivity test lives
-alongside; the brute-force enumeration oracle is ``oracles.enumerate_homs``.
+Hom(Z/d, Z) = 0 for d != 0.  The Baer-criterion injectivity test, the oracle
+of ``closure.is_injective_by_structure``, lives alongside; the brute-force
+enumeration oracle is ``oracles.enumerate_homs``.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterator
 
 from .matrices import IntMatrix, _snf_with_inverses
 from .modules import FPModule, ModuleElement, Submodule
-from .rings import ZZ
+from .rings import ZZ, _divisors
 
 
 class Homomorphism:
@@ -257,24 +258,14 @@ def kernel_of_hom(f: Homomorphism) -> Submodule:
     return Submodule(f.dom, f.cod.lattice.preimage(f.matrix))
 
 
-def _divisors(n: int, limit: int) -> list[int]:
-    """The divisors ``d`` of ``n`` with ``2 <= d <= limit``, ascending, found
-    in at most ``min(limit, sqrt(n))`` trial divisions."""
-    root = isqrt(n)
-    small = [d for d in range(2, min(root, limit) + 1) if n % d == 0]
-    large = [
-        n // d for d in reversed([1] + small) if d * d != n and n // d <= limit
-    ]
-    return small + large
-
-
 def is_injective_module(a: FPModule) -> bool:
     """Baer-criterion brute force over a modular ring.
 
-    The oracle for :func:`is_injective_by_structure`.  The ideals of Z/n are
-    exactly the cyclic ideals generated by divisors of n, so injectivity
-    reduces to: for each divisor d > 1 (d = 1 holds trivially), every
-    element killed by n/d is divisible by d.  For the ring of integers use the divisible injectives instead.
+    The oracle for :func:`modclose.closure.is_injective_by_structure`.  The
+    ideals of Z/n are exactly the cyclic ideals generated by divisors of n,
+    so injectivity reduces to: for each divisor d > 1 (d = 1 holds
+    trivially), every element killed by n/d is divisible by d.  For the ring
+    of integers use the divisible injectives instead.
     """
     if not a.ring.is_modular:
         raise ValueError(
@@ -291,20 +282,3 @@ def is_injective_module(a: FPModule) -> bool:
         if any(lattice.reduce(x) not in multiples for x in annihilated):
             return False
     return True
-
-
-def is_injective_by_structure(a: FPModule) -> bool:
-    """Structure-criterion injectivity test over Z/n.
-
-    A module is injective over Z/n iff for each prime power p^e exactly
-    dividing n, its p-primary part is free over Z/p^e, i.e. every invariant
-    factor has p-valuation 0 or e.  Each invariant factor f divides n, so
-    that holds iff f and n/f are coprime: no factoring is needed.
-    """
-    if not a.ring.is_modular:
-        raise ValueError(
-            "injectivity testing needs a modular ring; over the integers the "
-            "divisible modules Q and Q/Z play this role"
-        )
-    n = a.ring.modulus
-    return all(gcd(f, n // f) == 1 for f in a.invariant_factors)

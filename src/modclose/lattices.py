@@ -58,6 +58,26 @@ class Lattice:
             tuple((r, basis[j][r]) for j, r in enumerate(pivrows)),
         )
 
+    @classmethod
+    def diagonal(cls, chain: Sequence[int]) -> "Lattice":
+        """The lattice spanned by ``chain[j] * e_j``, for a chain of positive
+        integers each dividing the next.
+
+        Its basis is canonical as it stands, and it is its own Smith form:
+        the pivot search of ``_snf_with_inverses`` takes each diagonal entry
+        in place, so the coordinates are the chain with identity transforms.
+        Neither an echelon nor a Smith reduction runs.
+        """
+        k = len(chain)
+        units = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        lat = cls(
+            k,
+            tuple(tuple(d if i == j else 0 for i in range(k)) for j, d in enumerate(chain)),
+            tuple(enumerate(chain)),
+        )
+        lat._smith = (tuple(chain), units, units)
+        return lat
+
     # -- coset arithmetic ----------------------------------------------------
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:

@@ -395,15 +395,16 @@ def oracle_verify(report, cat: Subcategory, label):
     """``verify --oracle``: every fast path of ``verify_torsion_theory``
     against its enumeration, with modules named by ``label``.
 
-    Hom vanishing against :func:`enumerate_homs`, each object's class-pair
-    set against the pairs of its listed submodules, each radical against
-    the closure of zero by the same enumerated homs, F membership by gcds
-    against the computed radical, and direct sums by chains against the
-    built sum modules.
+    Hom vanishing against :func:`enumerate_homs`, the chain test of the
+    T -> F law against ``hom_group`` on every (T member, F member) pair,
+    each object's class-pair set against the pairs of its listed
+    submodules, each radical against the closure of zero by the same
+    enumerated homs, F membership by gcds against the computed radical, and
+    direct sums by chains against the built sum modules.
     """
     from .homs import hom_group
     from .modules import direct_sum
-    from .torsion import _in_torsion_free_class, _sum_chain
+    from .torsion import _admits_nonzero_map, _in_torsion_free_class, _sum_chain
 
     universe = report.universe
     mismatches = []
@@ -413,6 +414,17 @@ def oracle_verify(report, cat: Subcategory, label):
             slow = len(enumerate_homs(x, obj)) == 1
             if fast != slow:
                 mismatches.append({"module": label(x), "object": label(obj)})
+    for x in report.T_members:
+        for y in report.F_members:
+            fast = _admits_nonzero_map(x.invariant_factors, y)
+            slow = not hom_group(x, y).is_zero
+            if fast != slow:
+                mismatches.append({
+                    "from": label(x),
+                    "to": label(y),
+                    "nonzero_by_chain": fast,
+                    "nonzero_by_hom_group": slow,
+                })
     for x, support in zip(universe.objects, universe.pair_sets):
         listed = set(universe.ordered_pairs(x))
         if support != listed:

@@ -1,7 +1,9 @@
-"""Base rings of scalars: the integers, or the integers modulo n."""
+"""Base rings of scalars: the integers, or the integers modulo n, and the
+divisors of a modulus (the ideals of Z/n)."""
 
 from __future__ import annotations
 
+from math import isqrt
 from operator import index
 
 
@@ -62,3 +64,14 @@ def Zmod(n: int) -> Ring:
     if n < 2:
         raise ValueError(f"integers mod n need n >= 2, got {n}")
     return Ring(n)
+
+
+def _divisors(n: int, limit: int) -> list[int]:
+    """The divisors ``d`` of ``n`` with ``2 <= d <= limit``, ascending, found
+    in at most ``min(limit, sqrt(n))`` trial divisions."""
+    root = isqrt(n)
+    small = [d for d in range(2, min(root, limit) + 1) if n % d == 0]
+    large = [
+        n // d for d in reversed([1] + small) if d * d != n and n // d <= limit
+    ]
+    return small + large

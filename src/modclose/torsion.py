@@ -19,16 +19,9 @@ from typing import NamedTuple
 from .caches import BoundedCache
 from .closure import DivisibleModule, Subcategory, _admits_nonzero_map
 from .closure import _closure_lattice, _exponent
-from .homs import _divisors, hom_group
-from .modules import (
-    FPModule,
-    Submodule,
-    all_submodules,
-    quotient_module,
-    sub_as_module,
-    sub_image,
-)
-from .rings import Ring
+from .lattices import Lattice
+from .modules import FPModule, Submodule, all_submodules, quotient_module
+from .rings import Ring, _divisors
 
 
 # (M, subcategory) -> radical.  verify misses once per universe object and
@@ -331,12 +324,13 @@ class ModuleUniverse:
 
 
 # Cap on the summed orders of the modules one enumeration may return.  verify
-# no longer lists submodules while its laws hold, and it decides membership
-# and direct sums on invariant-factor chains, but it still reads three
-# radicals per object (one echelon each over Z/n) and builds a hom group per
-# (T, F) pair, all growing with the universe; a failing law and ``verify
-# --oracle`` list every submodule of an object, which takes time at least its
-# order.  Z/12 with at most 3 generators and order at most 300 sums to 2,168.
+# no longer lists submodules while its laws hold, and it decides membership,
+# direct sums and the T -> F law on invariant-factor chains, but it still
+# reads three radicals per object (one echelon each over Z/n), one preimage
+# and one pushed-back lattice per object, and a gcd test per (T, F) pair, all
+# growing with the universe; a failing law and ``verify --oracle`` list every
+# submodule of an object, which takes time at least its order.  Z/12 with at
+# most 3 generators and order at most 300 sums to 2,168.
 UNIVERSE_ORDER_CAP = 4096
 
 
@@ -381,10 +375,10 @@ def enumerate_universe(ring: Ring, max_gens: int, max_order: int) -> list[FPModu
 
 
 def _chain_module(ring: Ring, chain: tuple[int, ...]) -> FPModule:
-    """Z^k / diag(chain): the module whose invariant factors are ``chain``."""
-    k = len(chain)
-    cols = [tuple(chain[j] if i == j else 0 for i in range(k)) for j in range(k)]
-    return FPModule(ring, k, cols)
+    """Z^k / diag(chain): the module whose invariant factors are ``chain``,
+    on its diagonal lattice, which is canonical and in Smith form as it
+    stands."""
+    return FPModule(ring, len(chain), Lattice.diagonal(chain))
 
 
 class CheckResult(NamedTuple):
@@ -431,8 +425,12 @@ def verify_torsion_theory(
     Membership in T (no nonzero map into the subcategory) and in F (maps
     into the subcategory separate elements) is decided once per
     invariant-factor chain by gcds, and direct sums by their chains, so a
-    class outside the universe is never built as a module.  The radical
-    table and the radical laws compute each radical as the closure of zero.
+    class outside the universe is never built as a module.  The law that no
+    nonzero map runs from T to F reads the same gcd formula on each pair of
+    chains.  The radical table and the radical laws compute each radical as
+    the closure of zero, on lattices: t(M) is presented on its canonical
+    generators b by the preimage of M's relations under b, and its own
+    radical is pushed back into M along b.  No hom group is built.
     """
     if universe.ring != cat.ring:
         raise ValueError("universe and subcategory must share a ring")
@@ -492,15 +490,16 @@ def verify_torsion_theory(
         counterexample=None if bad is None else {"module": _label(bad)},
     )
 
-    # no nonzero homomorphism from T to F
-    witness = None
-    for x in t_members:
-        for y in f_members:
-            if not hom_group(x, y).is_zero:
-                witness = {"from": _label(x), "to": _label(y)}
-                break
-        if witness:
-            break
+    # no nonzero homomorphism from T to F, by the gcd formula on chains
+    witness = next(
+        (
+            {"from": _label(x), "to": _label(y)}
+            for x in t_members
+            for y in f_members
+            if _admits_nonzero_map(x.invariant_factors, y)
+        ),
+        None,
+    )
     add("no_nonzero_hom_torsion_to_torsion_free", witness is None, counterexample=witness)
 
     # radical laws
@@ -509,8 +508,15 @@ def verify_torsion_theory(
     quot_rad_bad = None
     quot_in_f_bad = None
     for m, t in radical_table:
-        smod, incl = sub_as_module(t)
-        if sub_image(incl, torsion_radical(smod, cat)) != t:
+        # t(M) presented on its canonical generators b, and the radical of
+        # that module pushed back into M along b
+        b = t.canonical_gens
+        smod = FPModule(m.ring, b.cols, m.lattice.preimage(b))
+        inner = torsion_radical(smod, cat).lattice
+        pushed = Lattice.from_columns(
+            m.n_gens, m.lattice.basis + tuple(b.apply(c) for c in inner.basis)
+        )
+        if pushed != t.lattice:
             idem_bad = idem_bad or {"module": _label(m)}
         if not in_t(smod.invariant_factors):
             rad_in_t_bad = rad_in_t_bad or {"module": _label(m)}

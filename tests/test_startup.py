@@ -144,6 +144,50 @@ def test_every_oracle_run_loads_its_own_command_and_agrees(tmp_path, doc, argv):
     assert all(check.values()) if argv[0] == "snf" else check["agrees"] is True
 
 
+WS_Z6 = {
+    "ring": "Zmod:6",
+    "modules": {"Z2": {"generators": 1, "relations": [[2]]}},
+    "subcategories": {"A": {"finite": ["Z2"], "divisible": []}},
+}
+WS_Z_DIVISIBLE = {
+    "ring": "Z",
+    "modules": {"M": {"generators": 2, "relations": [[0, 2]]}},
+    "submodules": {"N": {"parent": "M", "gens": [[2, 0]]}},
+    "subcategories": {
+        "Q": {"finite": [], "divisible": ["Q"]},
+        "QZ": {"finite": [], "divisible": ["QmodZ"]},
+        "QQZ": {"finite": [], "divisible": ["Q", "QmodZ"]},
+    },
+}
+
+
+@pytest.mark.parametrize("doc, argv, loads_homs", [
+    (WS_Z6, ["verify", "--cat", "A", "--max-gens", "2", "--max-order", "36"], False),
+    (WS_Z_DIVISIBLE, ["verify", "--cat", "Q", "--max-gens", "2", "--max-order", "12"], False),
+    (WS_Z_DIVISIBLE, ["verify", "--cat", "QZ", "--max-gens", "2", "--max-order", "12"], False),
+    (WS_Z_DIVISIBLE, ["closure", "--module", "M", "--sub", "N", "--cat", "QQZ"], False),
+    (WS_MOD4, ["closure", "--module", "R", "--sub", "twoR", "--cat", "A"], True),
+], ids=["verify-Z6", "verify-Z-Q", "verify-Z-QmodZ", "closure-divisible", "closure-finite"])
+def test_only_the_witnesses_of_finite_objects_load_the_hom_engine(
+    tmp_path, doc, argv, loads_homs
+):
+    loaded, report = _run_fresh(tmp_path, doc, argv)
+    assert report.get("all_passed", True) is True
+    assert ("modclose.homs" in loaded) is loads_homs
+
+
+def test_loading_a_modular_workspace_with_a_subcategory_loads_no_hom_engine(tmp_path):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(WS_Z6))
+    loaded, out = _fresh(
+        "from modclose.workspace import load_workspace_file\n"
+        f"print(load_workspace_file({str(path)!r}).subcategory('A'))"
+    )
+    assert out == "Subcategory(Z/6, [FPModule(Z/6, gens=1, invariants=[2])])"
+    assert "modclose.closure" in loaded
+    assert "modclose.homs" not in loaded
+
+
 # 2^61 - 1, a prime: the closure must not factor the modulus at load
 WS_BIG_PRIME = {
     "ring": "Zmod:2305843009213693951",

@@ -25,6 +25,7 @@ from modclose import (
     verify_torsion_theory,
 )
 from modclose.caches import BoundedCache
+from modclose.lattices import Lattice
 from modclose.torsion import (
     UNIVERSE_ORDER_CAP,
     class_pair_support,
@@ -180,6 +181,22 @@ def test_enumerate_universe_refuses_past_the_order_cap():
     for ring, max_gens, max_order in [(Zmod(12), 10, 100_000), (ZZ, 1, 10**12)]:
         with pytest.raises(ValueError, match=f"cap of {UNIVERSE_ORDER_CAP}"):
             enumerate_universe(ring, max_gens, max_order)
+
+
+@pytest.mark.parametrize("ring, max_gens, max_order", [(Zmod(12), 3, 300), (ZZ, 2, 12)])
+def test_chain_modules_equal_the_presented_diagonal_modules(ring, max_gens, max_order):
+    # the diagonal lattice is taken as canonical and as its own Smith form
+    mods = enumerate_universe(ring, max_gens, max_order)
+    assert len(mods) > 10
+    for m in mods:
+        chain = m.invariant_factors
+        k = len(chain)
+        diag = [tuple(chain[j] if i == j else 0 for i in range(k)) for j in range(k)]
+        presented = present_module(ring, k, diag)
+        assert m == presented and m.invariant_factors == presented.invariant_factors
+        assert m.lattice.pivots == presented.lattice.pivots
+        rebuilt = Lattice.from_columns(k, m.lattice.basis)
+        assert m.lattice.smith_coordinates() == rebuilt.smith_coordinates(), chain
 
 
 def test_universe_dedupes_iso_classes():
@@ -615,6 +632,40 @@ def test_radical_cache_is_bounded(monkeypatch):
             expected = closure_by_prime_support(m, m.zero_submodule(), cat)
             assert torsion_radical(m, cat) == expected
             assert len(small) <= 3
+
+
+def _whole(lat, cat):
+    k = lat.dim
+    return Lattice.from_columns(k, [tuple(int(i == j) for i in range(k)) for j in range(k)])
+
+
+def _doubled(lat, cat):
+    k = lat.dim
+    return Lattice.from_columns(
+        k, lat.basis + tuple(tuple(2 * (i == j) for i in range(k)) for j in range(k))
+    )
+
+
+@pytest.mark.parametrize("rig, failing", [
+    # t(M) = M: t(Z/2) = Z/2 maps into Z/4, so it lies outside T
+    (_whole, {"radical_lies_in_torsion_class": {"module": [2]}}),
+    # t(M) = 2M: t(Z/4) = 2Z/4 has t(2Z/4) = 0, and it maps into Z/4
+    (_doubled, {"radical_is_idempotent": {"module": [4]},
+                "radical_lies_in_torsion_class": {"module": [4]}}),
+], ids=["whole", "doubled"])
+def test_radical_laws_catch_a_wrong_radical(rig, failing, monkeypatch):
+    # the laws are computed on lattices, not assumed from the closed form
+    import modclose.torsion as torsion_mod
+
+    monkeypatch.setattr(torsion_mod, "_RADICAL_CACHE", BoundedCache(1024))
+    monkeypatch.setattr(torsion_mod, "_closure_lattice", rig)
+    ring = Zmod(12)
+    cat = Subcategory(ring, [present_module(ring, 1, [(4,)])])
+    rep = verify_torsion_theory(ModuleUniverse(ring, enumerate_universe(ring, 1, 12)), cat)
+    radical_laws = {c.name: c for c in rep.checks if c.name.startswith("radical_")}
+    assert {name for name, c in radical_laws.items() if not c.passed} == set(failing)
+    for name, counterexample in failing.items():
+        assert radical_laws[name].counterexample == counterexample
 
 
 def test_verify_ring_mismatch():

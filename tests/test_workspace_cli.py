@@ -728,6 +728,28 @@ def test_cli_verify_oracle_reports_a_wrong_radical(tmp_path, capsys, monkeypatch
     ]
 
 
+def test_cli_verify_oracle_reports_a_wrong_torsion_to_torsion_free_test(
+    tmp_path, capsys, monkeypatch
+):
+    # the chain test rigged to see a map Z/3 -> Z/2, which no hom group has;
+    # the subcategory {Z/4} keeps its T and F, so only the T -> F law moves
+    import modclose.torsion as torsion_mod
+
+    real = torsion_mod._admits_nonzero_map
+
+    def rigged(chain, target):
+        if chain == (3,) and getattr(target, "invariant_factors", None) == (2,):
+            return True
+        return real(chain, target)
+
+    monkeypatch.setattr(torsion_mod, "_admits_nonzero_map", rigged)
+    code, oracle = _verify_z12_oracle(tmp_path, capsys)
+    assert code == 1
+    assert oracle == {"agrees": False, "mismatches": [
+        {"from": "3", "to": "2", "nonzero_by_chain": True, "nonzero_by_hom_group": False},
+    ]}
+
+
 def test_cli_verify_oracle_reports_a_wrong_sum_chain(tmp_path, capsys, monkeypatch):
     # sums rigged to concatenate the chains: wrong exactly where the two
     # chains are not already an invariant-factor chain together
