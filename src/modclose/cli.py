@@ -1,8 +1,9 @@
 """Command-line front end.
 
 One JSON document goes to stdout; diagnostics go to stderr.  Exit codes:
-0 success (and, for verify, all checks passed), 1 verification failure or
-oracle mismatch, 2 input or validation error.
+0 success (and, for verify, all checks passed), 1 verification failure,
+oracle mismatch or a stdout closed by its reader, 2 input or validation
+error.
 
 This module holds only the argument parser, the command table and ``main``,
 because every run compiles it.  Each command's handler is a module of
@@ -11,17 +12,28 @@ process compiles only the handler it runs; the brute-force oracles load only
 with ``--oracle``.  The arguments are read by a small parser driven by the
 command table and two flag tables, which costs far less start-up than
 ``argparse``.
+
+On import, ``gc.freeze`` is registered with :mod:`atexit`: at interpreter
+exit it moves every object left (mostly the compiled library) out of reach
+of CPython's final collections, which would otherwise walk all of them,
+longer than a request computes.  It never runs inside ``main``.
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import json
+import os
 import sys
 from importlib import import_module
 from types import SimpleNamespace
 
 from .errors import OracleInfeasibleError
 from .workspace import decode_int, dumps_report, load_workspace_file
+
+# skip the final collections over the request's objects (module docstring)
+atexit.register(gc.freeze)
 
 # command -> help; the handler is ``run`` in ``modclose.commands.<command>``,
 # with ``-`` read as ``_``
@@ -76,6 +88,21 @@ def _help() -> str:
     return "\n".join(lines)
 
 
+def _write_stdout(text: str) -> bool:
+    """Print ``text`` and flush it; False if the reader has closed stdout."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point fd 1 at /dev/null so that the interpreter's own flush at exit
+        # cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
+
+
 def _usage_error(message: str):
     """Exit 2 with the usage and ``message`` on stderr, nothing on stdout."""
     print(f"{_USAGE}modclose: error: {message}", file=sys.stderr)
@@ -94,11 +121,11 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     ``--flag value`` and ``--flag=value`` are both accepted; flags may come
     before or after the command, and a repeated flag keeps its last value.
     Flags must be spelled out in full.  ``-h``/``--help`` prints the help and
-    exits 0; every other mistake exits 2 with the usage on stderr.
+    exits 0 (1 if stdout is closed); every other mistake exits 2 with the
+    usage on stderr.
     """
     if "-h" in argv or "--help" in argv:
-        print(_help())
-        raise SystemExit(0)
+        raise SystemExit(0 if _write_stdout(_help()) else 1)
     args = SimpleNamespace(command=None)
     for flag in _VALUE_FLAGS:
         setattr(args, flag[2:].replace("-", "_"), None)
@@ -151,8 +178,7 @@ def main(argv=None) -> int:
     except (ValueError, OracleInfeasibleError, OSError, json.JSONDecodeError) as exc:
         print(f"modclose: error: {exc}", file=sys.stderr)
         return 2
-    print(dumps_report(report, pretty=args.pretty))
-    return code
+    return code if _write_stdout(dumps_report(report, pretty=args.pretty)) else 1
 
 
 if __name__ == "__main__":

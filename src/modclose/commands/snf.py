@@ -12,7 +12,10 @@ def run(ws, args) -> tuple[int, dict]:
     if args.matrix is not None:
         from ..rings import ZZ
         from ..workspace import decode_int
-        rows = json.loads(args.matrix)
+        try:
+            rows = json.loads(args.matrix)
+        except RecursionError:
+            raise ValueError("--matrix: JSON nested too deeply to decode") from None
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("--matrix must be a JSON list of equal-length rows")
         mat = IntMatrix([[decode_int(x) for x in r] for r in rows], ZZ)

@@ -233,7 +233,11 @@ def load_workspace(doc: dict) -> Workspace:
 
 def load_workspace_file(path: str) -> Workspace:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_workspace(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+    return load_workspace(doc)
 
 
 def serialize_workspace(ws: Workspace) -> dict:

@@ -1,10 +1,13 @@
-"""Start-up: each command loads only the code it runs, and the package
-resolves its public names lazily.
+"""Start-up and exit: each command loads only the code it runs, the package
+resolves its public names lazily, and a CLI process ends without a final
+walk over its objects.
 
 Each import check runs in a fresh interpreter, so that ``sys.modules``
-starts clean.
+starts clean; so does each exit check, since only a fresh process reaches
+interpreter exit.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from modclose import ZZ, Ring, Zmod
+from modclose import ZZ, Ring, Zmod, cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -110,11 +113,17 @@ COMMANDS = [
 COMMAND_IDS = [argv[0] for _, argv in COMMANDS]
 
 
+def _with_workspace(tmp_path, doc, argv):
+    """``argv`` with ``--workspace`` naming a file that holds ``doc``, if any."""
+    if doc is None:
+        return argv
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    return argv + ["--workspace", str(path)]
+
+
 def _run_fresh(tmp_path, doc, argv):
-    if doc is not None:
-        path = tmp_path / "ws.json"
-        path.write_text(json.dumps(doc))
-        argv = argv + ["--workspace", str(path)]
+    argv = _with_workspace(tmp_path, doc, argv)
     loaded, out = _fresh(f"from modclose import cli\nassert cli.main({argv!r}) == 0")
     return loaded, json.loads(out)
 
@@ -197,14 +206,17 @@ WS_BIG_PRIME = {
 }
 
 
-def _cli(tmp_path, doc, argv, timeout):
-    path = tmp_path / "ws.json"
-    path.write_text(json.dumps(doc))
+def _spawn(argv, timeout=60, **kwargs):
+    """Run ``python -m modclose.cli`` with ``argv`` in a fresh process."""
     return subprocess.run(
-        [sys.executable, "-m", "modclose.cli", *argv, "--workspace", str(path)],
-        capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": SRC},
+        [sys.executable, "-m", "modclose.cli", *argv], timeout=timeout,
+        env={**os.environ, "PYTHONPATH": SRC}, **kwargs,
     )
+
+
+def _cli(tmp_path, doc, argv, timeout):
+    argv = _with_workspace(tmp_path, doc, argv)
+    return _spawn(argv, timeout, capture_output=True, text=True)
 
 
 def test_closure_over_a_large_prime_modulus_finishes(tmp_path):
@@ -225,6 +237,52 @@ def test_verify_refuses_a_large_prime_past_the_trial_division_bound(tmp_path, do
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "trial-division bound 1048576" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    COMMANDS + [(WS_MOD4, ["hom", "--module", "R", "--cod", "nope"])],
+    ids=COMMAND_IDS + ["exit-2"],
+)
+def test_a_fresh_process_prints_what_main_prints(tmp_path, capsys, doc, argv):
+    argv = _with_workspace(tmp_path, doc, argv)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    # the exit hook runs only at interpreter exit, never inside main
+    assert gc.get_freeze_count() == 0
+    proc = _spawn(argv, capture_output=True)
+    assert proc.returncode == code
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
+
+
+def test_the_exit_hook_freezes_before_earlier_registered_handlers_run():
+    # atexit runs handlers last-registered first
+    script = (
+        f"import atexit, gc, sys\nsys.path.insert(0, {SRC!r})\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "from modclose import cli\n"
+        "assert cli.main(['snf', '--matrix', '[[2,4],[6,8]]']) == 0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "frozen True"
+
+
+@pytest.mark.parametrize("argv", [["snf", "--matrix", "[[2,4],[6,8]]", "--pretty"], ["--help"]],
+                         ids=["report", "help"])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _spawn(argv, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_every_public_name_resolves_lazily():

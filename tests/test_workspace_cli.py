@@ -229,6 +229,22 @@ def test_cli_snf_rejects_non_integer_matrix(capsys, matrix):
     assert err.startswith("modclose: error:")
 
 
+@pytest.mark.parametrize("where", ["matrix", "workspace"])
+def test_cli_refuses_json_nested_past_the_decoder_depth(tmp_path, capsys, where):
+    # the decoder raises RecursionError on such input; it is bad input, not a bug
+    deep = "[" * 50_000
+    if where == "matrix":
+        argv = ["snf", "--matrix", deep]
+    else:
+        path = tmp_path / "ws.json"
+        path.write_text(deep)
+        argv = ["snf", "--workspace", str(path), "--module", "M"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("modclose: error:") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
 def test_cli_prints_results_past_the_digit_limit(capsys):
     # d = (1, 10**5000): a 5001-digit result from inputs of 2501 digits
     big = 10**2500
