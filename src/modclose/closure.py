@@ -1,15 +1,18 @@
 """The regular closure operator induced by a subcategory of injective modules.
 
 The closure of a submodule N of M is the intersection of the kernels of all
-homomorphisms from M into objects of the subcategory that vanish on N.  On
-the preimage lattice L of N in Z^g it has a closed form (``_closure_lattice``):
-over Z/n it is L + E*Z^g, E the lcm of the objects' invariant factors (each a
-product of full prime powers of n, so E kills exactly the p-parts of M/N that
-maps into the subcategory separate, and is a unit on the others); over Z it
-is the saturation of L under {Q} alone (maps into Q see only the free part of
-M/N), and L itself whenever Q/Z, which separates every element, is present.
-Hom groups serve only as witnesses, so the hom engine (``modclose.homs``)
-loads only when ``regular_closure`` lists the witnesses of finite objects.
+homomorphisms from M into objects of the subcategory that vanish on N.  Over
+Z and Z/n it depends only on which primes the subcategory sees, recorded by
+one number E (``_exponent``): over Z/n the lcm of the objects' invariant
+factors, each a product of full prime powers of n; over Z 0 when Q/Z, which
+sees every prime, is present, and 1 under {Q} alone, which sees none.  The
+closure of N is then the one rule ``_closure_lattice``: the x of M with
+k*x in N for some k >= 1 coprime to E, read from the Smith coordinates of
+N's preimage lattice L in Z^g (``Lattice.saturation(E)``).  Maps into the
+subcategory separate exactly the parts of M/N on the primes of E, and the
+free part, which no k kills.  Hom groups serve only as witnesses, so the
+hom engine (``modclose.homs``) loads only when ``regular_closure`` lists
+the witnesses of finite objects.
 """
 
 from __future__ import annotations
@@ -152,20 +155,18 @@ def _check_compat(m: FPModule, n: Submodule, cat: Subcategory) -> None:
 
 
 def _exponent(cat: Subcategory) -> int:
-    """E, the lcm of the invariant factors of the finite objects."""
+    """E, whose primes are the primes the subcategory sees: 0 (every prime)
+    when Q/Z is present, else the lcm of the invariant factors of the finite
+    objects, which is 1 (no prime) under {Q} alone."""
+    if DivisibleModule.Q_MOD_Z in cat.divisible_objects:
+        return 0
     return lcm(*(e for a in cat.finite_objects for e in a.invariant_factors))
 
 
 def _closure_lattice(lat: Lattice, cat: Subcategory) -> Lattice:
     """The preimage lattice of the closure of the submodule whose preimage
-    lattice is ``lat``, by the closed form of the module docstring."""
-    if cat.ring.is_modular:
-        e, g = _exponent(cat), lat.dim
-        scaled = tuple(tuple(e if i == j else 0 for i in range(g)) for j in range(g))
-        return Lattice.from_columns(g, lat.basis + scaled)
-    if DivisibleModule.Q_MOD_Z in cat.divisible_objects:
-        return lat
-    return lat.saturation()
+    lattice is ``lat``, by the rule of the module docstring."""
+    return lat.saturation(_exponent(cat))
 
 
 def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResult:

@@ -12,6 +12,8 @@ def run(ws, args) -> tuple[int, dict]:
     cat = ws.subcategory(cname)
     if args.universe:
         names = [s for s in args.universe.split(",") if s]
+        if not names:
+            raise ValueError("--universe names no module")
         objects = [ws.module(n) for n in names]
     elif args.max_gens is not None and args.max_order is not None:
         objects = enumerate_universe(ws.ring, args.max_gens, args.max_order)

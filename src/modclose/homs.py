@@ -192,6 +192,15 @@ class HomGroup:
         return f"HomGroup(structure={list(self.structure)!r})"
 
 
+# Cap on the pieces Z/gcd(d_j, e_i) of one hom group.  Their regrouping is a
+# dense s x s Smith reduction, cubic in the piece count s: Hom(Z^k, (Z/2)^k)
+# took 0.46 s at 256 pieces, 5.7 s at 576, 12 s at 784 and 29 s at 1,024
+# (77 MB peak RSS) on a 2-core VM, while a workspace module may have 256
+# generators, so a request could ask for 65,536 pieces.  The benchmark's
+# largest has 60.
+HOM_PIECE_CAP = 576
+
+
 def hom_group(m: FPModule, n: FPModule) -> HomGroup:
     """Hom(M, N) with an explicit generating set.
 
@@ -202,7 +211,8 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
     presentations as ``U_N^-1 E_ij U_M``.  The pieces are regrouped by one
     Smith reduction of their orders, so generators are aligned with the
     invariant factors and enumerating coefficient boxes walks each
-    homomorphism exactly once.
+    homomorphism exactly once.  More than ``HOM_PIECE_CAP`` pieces raise
+    ``ValueError`` before that reduction.
     """
     if m.ring != n.ring:
         raise ValueError("hom groups need a common ring")
@@ -221,6 +231,11 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
             pieces.append((i, j, ei // g if dj else 1))
             orders.append(g)
     s = len(pieces)
+    if s > HOM_PIECE_CAP:
+        raise ValueError(
+            f"hom group too large: {s} cyclic pieces, past the cap of "
+            f"{HOM_PIECE_CAP}; use modules with fewer invariant factors"
+        )
     rel_mat = IntMatrix(
         [[orders[k] if k == l else 0 for l in range(s)] for k in range(s)], ZZ,
         rows=s, cols=s,

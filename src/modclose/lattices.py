@@ -16,7 +16,7 @@ from operator import index
 from typing import Iterable, Sequence
 
 from .matrices import IntMatrix, _identity_stack, _snf_with_inverses, _stacked_echelon
-from .rings import Ring, ZZ
+from .rings import Ring, ZZ, _seen_part
 
 
 class Lattice:
@@ -115,12 +115,19 @@ class Lattice:
         cols = [b + b for b in self.basis] + [c + zero for c in other.basis]
         return Lattice.from_stacked(self.dim, self.dim, cols)
 
-    def saturation(self) -> "Lattice":
-        """The lattice of all x with k*x in self for some k >= 1: the Smith
-        generators of the summands on which self has a nonzero factor."""
+    def saturation(self, e: int = 1) -> "Lattice":
+        """The lattice of all x with k*x in self for some k >= 1 coprime to
+        ``e``: for each summand Z/d with d nonzero, its Smith generator times
+        the part of d on the primes of ``e``.  The default ``e = 1`` keeps
+        every such generator, and ``e = 0`` gives self back."""
         diag, _, uinv = self.smith_coordinates()
         return Lattice.from_columns(
-            self.dim, [tuple(row[i] for row in uinv) for i, d in enumerate(diag) if d]
+            self.dim,
+            [
+                tuple(_seen_part(d, e) * row[i] for row in uinv)
+                for i, d in enumerate(diag)
+                if d
+            ],
         )
 
     def preimage(self, f: IntMatrix) -> "Lattice":

@@ -399,12 +399,14 @@ def oracle_verify(report, cat: Subcategory, label):
     T -> F law against ``hom_group`` on every (T member, F member) pair,
     each object's class-pair set against the pairs of its listed
     submodules, each radical against the closure of zero by the same
-    enumerated homs, F membership by gcds against the computed radical, and
-    direct sums by chains against the built sum modules.
+    enumerated homs, T and F membership by chains against that enumerated
+    radical (whole, zero), and direct sums by chains against the built sum
+    modules.
     """
     from .homs import hom_group
     from .modules import direct_sum
-    from .torsion import _admits_nonzero_map, _in_torsion_free_class, _sum_chain
+    from .torsion import _admits_nonzero_map, _in_torsion_class, _in_torsion_free_class
+    from .torsion import _sum_chain
 
     universe = report.universe
     mismatches = []
@@ -440,12 +442,19 @@ def oracle_verify(report, cat: Subcategory, label):
                 "module": label(x),
                 "radical_by_enumeration": [list(c) for c in slow.canonical_gens.columns()],
             })
+        fast = _in_torsion_class(x.invariant_factors, cat)
+        if fast != slow.is_whole:
+            mismatches.append({
+                "module": label(x),
+                "torsion_by_chain": fast,
+                "torsion_by_radical": slow.is_whole,
+            })
         fast = _in_torsion_free_class(x.invariant_factors, cat)
-        if fast != t.is_zero:
+        if fast != slow.is_zero:
             mismatches.append({
                 "module": label(x),
                 "torsion_free_by_chain": fast,
-                "torsion_free_by_radical": t.is_zero,
+                "torsion_free_by_radical": slow.is_zero,
             })
     objects = universe.objects
     for i, x in enumerate(objects):

@@ -1,9 +1,10 @@
-"""Base rings of scalars: the integers, or the integers modulo n, and the
-divisors of a modulus (the ideals of Z/n)."""
+"""Base rings of scalars: the integers, or the integers modulo n, the
+divisors of a modulus (the ideals of Z/n), and the part of a number on the
+primes of another."""
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 from operator import index
 
 
@@ -75,3 +76,20 @@ def _divisors(n: int, limit: int) -> list[int]:
         n // d for d in reversed([1] + small) if d * d != n and n // d <= limit
     ]
     return small + large
+
+
+def _seen_part(d: int, e: int) -> int:
+    """The largest divisor of ``d >= 1`` whose primes all divide ``e``: all
+    of ``d`` when ``e`` is 0 (every prime divides 0), 1 when ``e`` is 1.
+
+    Each pass moves ``g`` from the cofactor into the part, and the next
+    ``g`` is the gcd of the cofactor with the last one (the first is
+    ``gcd(d, e)``), so nothing is factored and the loop runs at most log2(d)
+    times.
+    """
+    part, rest, g = 1, d, gcd(d, e)
+    while g != 1:
+        part *= g
+        rest //= g
+        g = gcd(rest, g)
+    return part

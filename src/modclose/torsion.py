@@ -17,11 +17,10 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .caches import BoundedCache
-from .closure import DivisibleModule, Subcategory, _admits_nonzero_map
-from .closure import _closure_lattice, _exponent
+from .closure import Subcategory, _admits_nonzero_map, _closure_lattice, _exponent
 from .lattices import Lattice
 from .modules import FPModule, Submodule, all_submodules, quotient_module
-from .rings import Ring, _divisors
+from .rings import Ring, _divisors, _seen_part
 
 
 # (M, subcategory) -> radical.  verify misses once per universe object and
@@ -60,28 +59,26 @@ def classify(x: FPModule, cat: Subcategory) -> Classification:
 
 
 def _in_torsion_class(chain: tuple[int, ...], cat: Subcategory) -> bool:
-    """Membership in T of the class of an invariant-factor chain: no object
-    of the subcategory receives a nonzero map."""
-    return not any(
-        _admits_nonzero_map(chain, a) for a in cat.finite_objects + cat.divisible_objects
-    )
+    """Membership in T of the class of an invariant-factor chain: the
+    radical is everything, so no factor is free and none has a prime that
+    the subcategory sees (a prime of E, ``closure._exponent``)."""
+    exponent = _exponent(cat)
+    return all(d and gcd(d, exponent) == 1 for d in chain)
 
 
 def _in_torsion_free_class(chain: tuple[int, ...], cat: Subcategory) -> bool:
-    """Membership in F of the class of an invariant-factor chain: maps into
-    the subcategory separate its elements (the radical vanishes).
+    """Membership in F of the class of an invariant-factor chain: the
+    radical vanishes, so every nonzero factor has all its primes among the
+    primes of E (``closure._exponent``).
 
     The radical of a direct sum is the sum of the radicals of the summands,
-    and the maps Z/d -> Z/e have joint kernel gcd(d, e)*Z/d.  So the finite
-    objects separate sum_j Z/d_j exactly when every nonzero d_j divides the
-    lcm E of all their invariant factors.  Q separates only the free factors
-    (the 0s), and Q/Z separates every element.  A 0 occurs only over Z,
-    where a subcategory without Q/Z holds Q.
+    and the radical of Z/d is the part of Z/d off the primes of E, which is
+    zero exactly when d is its own part on those primes.  A free factor (a
+    0, only over Z) has zero radical: the maps from Z into a nonzero
+    divisible group have joint kernel 0.
     """
-    if DivisibleModule.Q_MOD_Z in cat.divisible_objects:
-        return True
     exponent = _exponent(cat)
-    return all(d == 0 or exponent % d == 0 for d in chain)
+    return all(d == 0 or _seen_part(d, exponent) == d for d in chain)
 
 
 def _sum_chain(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -22,9 +22,11 @@ if TYPE_CHECKING:
 _I64_MAX = 2**63 - 1
 _I64_MIN = -(2**63)
 
-# Cap on the generators of one module in a document.  Building a module on g
-# generators takes time about g^3, so a larger count is refused before its
-# relations are decoded; the benchmark's largest module has 32.
+# Cap on the generators of one module in a document, checked before its
+# relations are decoded.  Building a module grows faster than g^3 in the
+# generator count g: loading a square random Z-module (entries in [-9, 9])
+# took 0.13 s at 64 generators, 2.9 s at 128, 29 s at 192 and 159 s at 256
+# on a 2-core VM.  The benchmark's largest module has 32.
 MAX_GENERATORS = 256
 
 

@@ -1,4 +1,6 @@
 import random
+import time
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from modclose import (
 )
 from modclose.lattices import Lattice
 from modclose.matrices import _kernel_over_z
+from modclose.rings import _seen_part
 
 from conftest import random_finite_module
 from oracles import (
@@ -130,6 +133,60 @@ def test_saturation_examples():
     assert lat.saturation().saturation() == sat
     zero = Lattice.from_columns(2, [])
     assert zero.saturation() == zero
+
+
+def test_seen_part_keeps_the_primes_of_e():
+    assert _seen_part(12, 0) == 12
+    assert _seen_part(12, 1) == 1
+    assert _seen_part(1, 0) == _seen_part(1, 6) == 1
+    assert _seen_part(12, 2) == 4
+    assert _seen_part(12, 6) == _seen_part(12, 12) == 12
+    assert _seen_part(18, 4) == 2
+    assert _seen_part(35, 6) == 1  # coprime: no prime of 35 divides 6
+    assert _seen_part(9, 10) == 1
+    # a prime cofactor past the trial-division bound, never factored
+    start = time.perf_counter()
+    assert _seen_part(4 * (2**61 - 1), 6) == 4
+    assert _seen_part(4 * (2**61 - 1), 0) == 4 * (2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+    for d in range(1, 80):
+        for e in range(40):
+            part = _seen_part(d, e)
+            # part divides d, only primes of e divide part (its exponents stay
+            # below 7), and no prime of e is left in d / part
+            assert d % part == 0 and e**7 % part == 0 and gcd(d // part, e) == 1
+
+
+def _lattices_containing(n):
+    """Every lattice of Z^2 containing n*Z^2, by its Hermite basis (a, 0),
+    (b, c) with a and c dividing n and 0 <= b < a."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for a in divisors:
+        for c in divisors:
+            for b in range(a):
+                if (n // c) * b % a == 0:
+                    yield Lattice.from_columns(2, [(a, 0), (b, c)])
+
+
+def test_saturation_by_an_exponent_matches_the_residue_oracle():
+    # x lies in the saturation under e iff c*x lies in the lattice for some
+    # c in 1..n coprime to e; every lattice of Z^2 containing n*Z^2, n <= 12,
+    # as many as the subgroups of (Z/n)^2 (OEIS A060724)
+    subgroup_counts = [1, 5, 6, 15, 8, 30, 10, 37, 23, 40, 14, 90]
+    for n in range(1, 13):
+        residues = [(x, y) for x in range(n) for y in range(n)]
+        lattices = set(_lattices_containing(n))
+        assert len(lattices) == subgroup_counts[n - 1]
+        for lat in lattices:
+            inside = {v for v in residues if lat.contains(v)}
+            assert lat.saturation(1) == lat.saturation()
+            for e in [0] + [d for d in range(1, n + 1) if n % d == 0]:
+                units = [c for c in range(1, n + 1) if gcd(c, e) == 1]
+                sat = lat.saturation(e)
+                assert sat.contains_lattice(lat)
+                for x, y in residues:
+                    expected = any(((c * x) % n, (c * y) % n) in inside for c in units)
+                    assert sat.contains((x, y)) == expected, (n, lat, e, (x, y))
 
 
 def test_smith_coordinates_are_computed_once_and_stay_intact():

@@ -333,8 +333,8 @@ def test_cli_verify_refuses_an_oversized_universe(tmp_path, capsys):
 
 
 def test_cli_refuses_a_module_past_the_generator_cap(tmp_path, capsys):
-    # a module on g generators is built in time about g^3, so the count is
-    # refused before any relation is decoded
+    # building a module grows faster than g^3 in its generator count g, so
+    # the count is refused before any relation is decoded
     doc = {"ring": "Zmod:2", "modules": {"M": {"generators": 20_000}}}
     path = write_ws(tmp_path, doc)
     start = time.perf_counter()
@@ -611,6 +611,16 @@ def test_cli_verify_with_an_infinite_object_exits_2(tmp_path, capsys):
     assert err == "modclose: error: submodule enumeration requires a finite module\n"
 
 
+def test_cli_verify_refuses_a_universe_naming_no_module(tmp_path, capsys):
+    path = write_ws(tmp_path, WS_Z12)
+    for names in (",", ",,"):
+        code, out, err = run_cli(
+            capsys, ["verify", "--workspace", path, "--cat", "A", "--universe", names]
+        )
+        assert code == 2 and out == ""
+        assert err == "modclose: error: --universe names no module\n"
+
+
 def test_cli_verify_without_universe_spec_exits_2(tmp_path, capsys):
     doc = {
         "ring": "Zmod:6",
@@ -725,6 +735,20 @@ def test_cli_verify_oracle_reports_a_wrong_torsion_free_test(tmp_path, capsys, m
     ]}
 
 
+def test_cli_verify_oracle_reports_a_wrong_torsion_test(tmp_path, capsys, monkeypatch):
+    # T rigged to hold everything: the enumerated radicals of Z/2, Z/4, Z/6
+    # and Z/12 under {Z/4} are not the whole module
+    import modclose.torsion as torsion_mod
+
+    monkeypatch.setattr(torsion_mod, "_in_torsion_class", lambda chain, cat: True)
+    code, oracle = _verify_z12_oracle(tmp_path, capsys)
+    assert code == 1
+    assert oracle == {"agrees": False, "mismatches": [
+        {"module": label, "torsion_by_chain": True, "torsion_by_radical": False}
+        for label in ("2", "4", "6", "12")
+    ]}
+
+
 def test_cli_verify_oracle_reports_a_wrong_radical(tmp_path, capsys, monkeypatch):
     # every radical rigged to zero (in a fresh radical cache): the laws still
     # pass, and the enumerated closures of zero name the objects whose
@@ -779,6 +803,94 @@ def test_cli_verify_oracle_reports_a_wrong_sum_chain(tmp_path, capsys, monkeypat
         {"left": "3", "right": "4", "sum_chain": [3, 4], "direct_sum": [12]},
         {"left": "4", "right": "6", "sum_chain": [4, 6], "direct_sum": [2, 12]},
     ]}
+
+
+def _diagonal(k, d):
+    return [[d if i == j else 0 for i in range(k)] for j in range(k)]
+
+
+WS_HOM_CAP = {
+    "ring": "Z",
+    "modules": {
+        "F3": {"generators": 3},
+        "F25": {"generators": 25},
+        "T192": {"generators": 192, "relations": _diagonal(192, 2)},
+        "T25": {"generators": 25, "relations": _diagonal(25, 2)},
+    },
+}
+
+
+def test_cli_hom_refuses_a_hom_group_past_the_piece_cap(tmp_path, capsys):
+    # Hom(Z^25, (Z/2)^25) has 625 pieces Z/2: its regrouping would be a
+    # dense 625 x 625 Smith reduction
+    path = write_ws(tmp_path, WS_HOM_CAP)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, ["hom", "--workspace", path, "--module", "F25", "--cod", "T25"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "625 cyclic pieces, past the cap of 576" in err
+
+
+def test_cli_hom_at_the_piece_cap_answers(tmp_path, capsys):
+    # Hom(Z^3, (Z/2)^192): 576 pieces, the most the cap allows
+    path = write_ws(tmp_path, WS_HOM_CAP)
+    code, out, _ = run_cli(
+        capsys, ["hom", "--workspace", path, "--module", "F3", "--cod", "T192"]
+    )
+    assert code == 0
+    assert json.loads(out)["structure"] == [2] * 576
+
+
+def test_cli_closure_refuses_witnesses_past_the_piece_cap(tmp_path, capsys):
+    # the witnesses of the closure of 0 in (Z/2)^25 under {(Z/2)^25} are the
+    # generators of a hom group of 625 pieces
+    doc = {
+        "ring": "Zmod:2",
+        "modules": {"M": {"generators": 25}},
+        "submodules": {"zero": {"parent": "M", "gens": []}},
+        "subcategories": {"A": {"finite": ["M"], "divisible": []}},
+    }
+    path = write_ws(tmp_path, doc)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, ["closure", "--workspace", path, "--module", "M", "--sub", "zero",
+                 "--cat", "A"],
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "past the cap of 576" in err
+
+
+@pytest.mark.parametrize("shape", [(129, 1), (1, 129)])
+def test_cli_snf_refuses_a_matrix_past_the_side_cap(capsys, shape):
+    rows = [[1] * shape[1] for _ in range(shape[0])]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["snf", "--matrix", json.dumps(rows)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"a {shape[0]}x{shape[1]} matrix is past the snf cap of 128" in err
+
+
+def test_cli_snf_refuses_a_module_past_the_side_cap(tmp_path, capsys):
+    doc = {"ring": "Z", "modules": {"F128": {"generators": 128},
+                                    "F129": {"generators": 129}}}
+    path = write_ws(tmp_path, doc)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["snf", "--workspace", path, "--module", "F129"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "past the snf cap of 128" in err
+    code, out, _ = run_cli(capsys, ["snf", "--workspace", path, "--module", "F128"])
+    assert code == 0 and json.loads(out)["d"] == []
+
+
+@pytest.mark.parametrize("shape", [(128, 1), (1, 128)])
+def test_cli_snf_at_the_side_cap_answers(capsys, shape):
+    rows = [[2] * shape[1] for _ in range(shape[0])]
+    code, out, _ = run_cli(capsys, ["snf", "--matrix", json.dumps(rows)])
+    assert code == 0 and json.loads(out)["d"] == [2]
 
 
 def test_cli_snf_oracle_refuses_a_9x9_matrix(capsys):
