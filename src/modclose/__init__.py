@@ -16,18 +16,19 @@ import importlib
 # public name -> defining submodule, space-separated per submodule
 _EXPORTS = {
     "closure": "ClosureResult ClosureWitness DivisibleModule Subcategory "
-    "is_closed is_dense is_injective_by_structure regular_closure",
+    "is_injective_by_structure regular_closure",
+    "elements": "Classification ModuleElement classify direct_sum is_closed "
+    "is_dense kernel_basis present_module sub_image sub_preimage",
     "errors": "OracleInfeasibleError",
     "homs": "HomGroup Homomorphism hom_group is_injective_module kernel_of_hom",
-    "matrices": "IntMatrix SNFResult kernel_basis smith_normal_form solve_linear",
-    "modules": "FPModule ModuleElement Submodule all_submodules direct_sum "
-    "free_summand_rank is_bounded present_module quotient_module sub_as_module "
-    "sub_image sub_join sub_meet sub_preimage",
+    "matrices": "IntMatrix SNFResult smith_normal_form solve_linear",
+    "modules": "FPModule Submodule all_submodules free_summand_rank is_bounded "
+    "quotient_module sub_as_module sub_join sub_meet",
     "oracles": "AxiomReport ClosednessScan ScanEntry axiom_suite "
     "closedness_witness_scan enumerate_homs is_hom_vanishing",
     "rings": "Ring ZZ Zmod",
-    "torsion": "Classification CheckResult ModuleUniverse TorsionTheoryReport "
-    "classify enumerate_universe torsion_radical verify_torsion_theory",
+    "torsion": "CheckResult ModuleUniverse TorsionTheoryReport "
+    "enumerate_universe torsion_radical verify_torsion_theory",
 }
 
 _SUBMODULE = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

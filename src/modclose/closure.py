@@ -222,15 +222,3 @@ def _admits_nonzero_map(chain: tuple[int, ...], target) -> bool:
     if target is DivisibleModule.Q:
         return 0 in chain
     return bool(chain)
-
-
-def is_dense(m: FPModule, n: Submodule, cat: Subcategory) -> bool:
-    """Whether the closure of ``n`` is all of ``m``."""
-    _check_compat(m, n, cat)
-    return _closure_lattice(n.lattice, cat).covolume() == 1
-
-
-def is_closed(m: FPModule, n: Submodule, cat: Subcategory) -> bool:
-    """Whether ``n`` equals its own closure."""
-    _check_compat(m, n, cat)
-    return _closure_lattice(n.lattice, cat) == n.lattice

@@ -35,7 +35,8 @@ def run(ws, args) -> tuple[int, dict]:
         _check_side(len(rows), max(map(len, rows), default=0))
         mat = IntMatrix([[decode_int(x) for x in r] for r in rows], ZZ)
     elif ws is not None and args.module is not None:
-        mat = ws.module(args.module).lattice.basis_matrix()
+        lat = ws.module(args.module).lattice
+        mat = IntMatrix.from_columns(lat.basis, lat.dim)
         _check_side(mat.rows, mat.cols)
     else:
         raise ValueError("snf needs --matrix JSON or --workspace with --module NAME")

@@ -3,52 +3,41 @@
 Hom(M, N) is computed as a finitely generated module with an explicit
 generating set, by the gcd formula in the Smith coordinates of M and N:
 Hom(sum_j Z/d_j, sum_i Z/e_i) = sum_{i,j} Z/gcd(d_j, e_i), with
-Hom(Z/d, Z) = 0 for d != 0.  The Baer-criterion injectivity test, the oracle
-of ``closure.is_injective_by_structure``, lives alongside; the brute-force
-enumeration oracle is ``oracles.enumerate_homs``.
+Hom(Z/d, Z) = 0 for d != 0.  A map is held by its canonical matrix.  The
+certificate of a map given by a matrix, the arithmetic of maps, the listing
+of a hom group's elements and the Baer-criterion injectivity test (the
+oracle of ``closure.is_injective_by_structure``) live in
+:mod:`modclose.elements`, which a request loads only under ``--oracle`` or
+when a ``verify`` law fails; the brute-force enumeration oracle is
+``oracles.enumerate_homs``.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import gcd
-from typing import Iterator
 
 from .matrices import IntMatrix, _snf_with_inverses
-from .modules import FPModule, ModuleElement, Submodule
-from .rings import ZZ, _divisors
+from .modules import FPModule, Submodule
+from .rings import ZZ
 
 
 class Homomorphism:
     """A module map given by a matrix on generators (cod gens x dom gens).
 
-    Construction certifies well-definedness: every relation of the domain
-    must map into the relation lattice of the codomain.  Columns are stored
-    in canonical coordinates, so the zero map has the zero matrix and equal
-    maps have equal matrices.
+    Construction certifies well-definedness (``elements.certified_matrix``):
+    every relation of the domain must map into the relation lattice of the
+    codomain.  Columns are stored in canonical coordinates, so the zero map
+    has the zero matrix and equal maps have equal matrices.
     """
 
     __slots__ = ("dom", "cod", "matrix", "_hash")
 
     def __init__(self, dom: FPModule, cod: FPModule, matrix):
-        if dom.ring != cod.ring:
-            raise ValueError("domain and codomain must share a ring")
-        if isinstance(matrix, IntMatrix):
-            mat = matrix if matrix.ring == dom.ring else matrix.with_ring(dom.ring)
-        else:
-            mat = IntMatrix(matrix, dom.ring)
-        if mat.rows != cod.n_gens or mat.cols != dom.n_gens:
-            raise ValueError(
-                f"matrix must be {cod.n_gens}x{dom.n_gens}, got {mat.rows}x{mat.cols}"
-            )
-        if not _is_compatible(dom, cod, mat.columns()):
-            raise ValueError(
-                "matrix does not define a homomorphism: a relation of the "
-                "domain is not sent into the relation lattice of the codomain"
-            )
+        from .elements import certified_matrix
+
         self.dom = dom
         self.cod = cod
-        self.matrix = _canonical_matrix(cod, mat.columns())
+        self.matrix = certified_matrix(dom, cod, matrix)
         self._hash = None
 
     @classmethod
@@ -59,48 +48,6 @@ class Homomorphism:
         obj.matrix = canonical
         obj._hash = None
         return obj
-
-    @classmethod
-    def identity(cls, m: FPModule) -> "Homomorphism":
-        return cls(m, m, IntMatrix.identity(m.n_gens, m.ring))
-
-    @classmethod
-    def zero(cls, dom: FPModule, cod: FPModule) -> "Homomorphism":
-        return cls(dom, cod, IntMatrix.zeros(cod.n_gens, dom.n_gens, dom.ring))
-
-    # -- action ---------------------------------------------------------------
-
-    def __call__(self, x: ModuleElement) -> ModuleElement:
-        if x.parent != self.dom:
-            raise ValueError("element is not in the domain")
-        return ModuleElement(self.cod, self.matrix.apply(x.coords))
-
-    def compose(self, other: "Homomorphism") -> "Homomorphism":
-        """self after other."""
-        if other.cod != self.dom:
-            raise ValueError("composition needs matching middle module")
-        return Homomorphism(other.dom, self.cod, self.matrix @ other.matrix)
-
-    def __add__(self, other: "Homomorphism") -> "Homomorphism":
-        if self.dom != other.dom or self.cod != other.cod:
-            raise ValueError("sum needs equal domain and codomain")
-        grid = [
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.matrix.entries, other.matrix.entries)
-        ]
-        return Homomorphism(self.dom, self.cod, IntMatrix(grid, self.dom.ring,
-                                                          rows=self.cod.n_gens,
-                                                          cols=self.dom.n_gens))
-
-    def scale(self, r: int) -> "Homomorphism":
-        grid = [[r * x for x in row] for row in self.matrix.entries]
-        return Homomorphism(self.dom, self.cod, IntMatrix(grid, self.dom.ring,
-                                                          rows=self.cod.n_gens,
-                                                          cols=self.dom.n_gens))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero
 
     # -- value semantics ---------------------------------------------------------
 
@@ -129,20 +76,6 @@ def _canonical_matrix(cod: FPModule, columns) -> IntMatrix:
     return IntMatrix.from_columns([reduce(c) for c in columns], cod.n_gens, cod.ring)
 
 
-def _is_compatible(dom: FPModule, cod: FPModule, columns: list) -> bool:
-    """Well-definedness certificate: every relation of the domain is sent,
-    by the image columns, into the relation lattice of the codomain."""
-    contains = cod.lattice.contains
-    for rel in dom.lattice.basis:
-        img = tuple(
-            sum(columns[j][i] * rel[j] for j in range(len(columns)))
-            for i in range(cod.n_gens)
-        )
-        if not contains(img):
-            return False
-    return True
-
-
 class HomGroup:
     """Hom(M, N) as a finitely generated module.
 
@@ -158,35 +91,6 @@ class HomGroup:
         self.cod = cod
         self.generators = generators
         self.structure = structure
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
-
-    def element_count(self) -> int | None:
-        total = 1
-        for d in self.structure:
-            if d == 0:
-                return None
-            total *= d
-        return total
-
-    def elements(self) -> Iterator[Homomorphism]:
-        """Every homomorphism, when the group is finite."""
-        if self.element_count() is None:
-            raise ValueError("cannot enumerate an infinite hom group")
-        b, a = self.cod.n_gens, self.dom.n_gens
-        gen_grids = [g.matrix.entries for g in self.generators]
-        for coeffs in product(*(range(d) for d in self.structure)):
-            cols = [
-                [
-                    sum(r * g[i][j] for r, g in zip(coeffs, gen_grids))
-                    for i in range(b)
-                ]
-                for j in range(a)
-            ]
-            mat = _canonical_matrix(self.cod, cols)
-            yield Homomorphism._trusted(self.dom, self.cod, mat)
 
     def __repr__(self) -> str:
         return f"HomGroup(structure={list(self.structure)!r})"
@@ -274,26 +178,9 @@ def kernel_of_hom(f: Homomorphism) -> Submodule:
 
 
 def is_injective_module(a: FPModule) -> bool:
-    """Baer-criterion brute force over a modular ring.
+    """Baer-criterion brute force over a modular ring
+    (``elements.baer_injective``), the oracle for
+    :func:`modclose.closure.is_injective_by_structure`."""
+    from .elements import baer_injective
 
-    The oracle for :func:`modclose.closure.is_injective_by_structure`.  The
-    ideals of Z/n are exactly the cyclic ideals generated by divisors of n,
-    so injectivity reduces to: for each divisor d > 1 (d = 1 holds
-    trivially), every element killed by n/d is divisible by d.  For the ring
-    of integers use the divisible injectives instead.
-    """
-    if not a.ring.is_modular:
-        raise ValueError(
-            "injectivity testing needs a modular ring; over the integers the "
-            "divisible modules Q and Q/Z play this role"
-        )
-    n = a.ring.modulus
-    elements = [x.coords for x in a.elements()]
-    lattice = a.lattice
-    for d in _divisors(n, n):
-        e = n // d
-        annihilated = [x for x in elements if not any(lattice.reduce(tuple(e * c for c in x)))]
-        multiples = {lattice.reduce(tuple(d * c for c in x)) for x in elements}
-        if any(lattice.reduce(x) not in multiples for x in annihilated):
-            return False
-    return True
+    return baer_injective(a)

@@ -16,7 +16,7 @@ from operator import index
 from typing import Iterable, Sequence
 
 from .matrices import IntMatrix, _identity_stack, _snf_with_inverses, _stacked_echelon
-from .rings import Ring, ZZ, _seen_part
+from .rings import _seen_part
 
 
 class Lattice:
@@ -100,11 +100,6 @@ class Lattice:
 
     # -- lattice arithmetic ---------------------------------------------------
 
-    def sum(self, other: "Lattice") -> "Lattice":
-        if self.dim != other.dim:
-            raise ValueError("lattice sum needs a common ambient dimension")
-        return Lattice.from_columns(self.dim, self.basis + other.basis)
-
     def intersect(self, other: "Lattice") -> "Lattice":
         """The intersection, from the stacked columns ``(b, b)`` for b in
         self and ``(c, 0)`` for c in other: the lower blocks of their
@@ -155,9 +150,11 @@ class Lattice:
         again.
         """
         if self._smith is None:
-            mat = IntMatrix.from_columns(self.basis, self.dim, ZZ)
-            u, d, _, uinv = _snf_with_inverses(mat)
-            diag_len = min(mat.rows, mat.cols)
+            # the basis transposed into rows, read as they stand
+            basis = self.basis
+            rows = tuple(zip(*basis)) if basis else ((),) * self.dim
+            u, d, _, uinv = _snf_with_inverses(IntMatrix._trusted(rows, len(basis)))
+            diag_len = min(self.dim, len(basis))
             self._smith = (
                 tuple(d[i][i] if i < diag_len else 0 for i in range(self.dim)),
                 tuple(map(tuple, u)),
@@ -170,29 +167,6 @@ class Lattice:
         next, with 0 (free factor) last."""
         return tuple(f for f in self.smith_coordinates()[0] if f != 1)
 
-    def invariants_over(self, sub: "Lattice") -> tuple[int, ...]:
-        """Invariant factors of self / sub, for a sublattice ``sub``.
-
-        Each basis column of ``sub`` is written in this lattice's echelon
-        basis by forward substitution on the pivot rows, and a nonzero
-        remainder raises ``ValueError``.  The quotient is Z^k modulo those
-        coordinate columns, k the rank of this lattice.
-        """
-        if sub.dim != self.dim:
-            raise ValueError("lattice quotient needs a common ambient dimension")
-        coords = []
-        for vec in sub.basis:
-            v, c = list(vec), []
-            for (r, p), col in zip(self.pivots, self.basis):
-                q = v[r] // p
-                c.append(q)
-                for i in range(r, self.dim):
-                    v[i] -= q * col[i]
-            if any(v):
-                raise ValueError("lattice is not contained in this lattice")
-            coords.append(c)
-        return Lattice.from_columns(len(self.basis), coords).quotient_invariants()
-
     def covolume(self) -> int | None:
         """Order of Z^dim / self, or ``None`` when the quotient is infinite."""
         if len(self.pivots) != self.dim:
@@ -201,9 +175,6 @@ class Lattice:
         for _, p in self.pivots:
             out *= p
         return out
-
-    def basis_matrix(self, ring: Ring = ZZ) -> IntMatrix:
-        return IntMatrix.from_columns(self.basis, self.dim, ring)
 
     # -- value semantics --------------------------------------------------------
 

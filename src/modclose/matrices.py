@@ -8,9 +8,10 @@ form a lattice containing n*Z^cols and one integer code path (and one oracle)
 covers both rings.  Unreduced elimination over Z swells entries far past the
 size of the answer, so the echelon reduces while it builds.  Kernels and
 solutions are read from one echelon of the stacked columns ``(a e_j, e_j)``,
-with ``(n e_i, 0)`` over Z/n; Smith reduction is used only for invariants and
-Smith coordinates, and the public Smith form starts from the Hermite form,
-which keeps the transforms near the size of the determinant.
+with ``(n e_i, 0)`` over Z/n (``elements._solve_system``, which no
+command calls outside ``--oracle``); Smith reduction is used only for
+invariants and Smith coordinates, and the public Smith form starts from the
+Hermite form, which keeps the transforms near the size of the determinant.
 
 Matrices are immutable values and may be shared freely between threads.
 """
@@ -74,14 +75,17 @@ class IntMatrix:
         return cls(grid, ring, rows=rows, cols=len(cols))
 
     @classmethod
-    def identity(cls, n: int, ring: Ring = ZZ) -> "IntMatrix":
-        return cls(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], ring
-        )
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, ring: Ring = ZZ) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], ring, rows=rows, cols=cols)
+    def _trusted(cls, entries: tuple, cols: int, ring: Ring = ZZ) -> "IntMatrix":
+        """The matrix whose rows are ``entries``, a tuple of ``cols``-long
+        tuples of ints already reduced over ``ring``, taken as is: no entry
+        is converted or reduced and no shape is checked."""
+        mat = object.__new__(cls)
+        mat.rows = len(entries)
+        mat.cols = cols
+        mat.entries = entries
+        mat.ring = ring
+        mat._hash = None
+        return mat
 
     # -- accessors ---------------------------------------------------------
 
@@ -90,10 +94,6 @@ class IntMatrix:
 
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.cols)]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -124,15 +124,6 @@ class IntMatrix:
             self.ring.reduce(sum(row[k] * vec[k] for k in range(self.cols)))
             for row in self.entries
         )
-
-    def with_ring(self, ring: Ring) -> "IntMatrix":
-        """Reinterpret over ``ring`` (integer matrices may be reduced; a modular
-        matrix only recasts to its own ring)."""
-        if ring == self.ring:
-            return self
-        if self.ring.is_modular:
-            raise ValueError(f"cannot recast a {self.ring} matrix into {ring}")
-        return IntMatrix(self.entries, ring, rows=self.rows, cols=self.cols)
 
     # -- value semantics ----------------------------------------------------
 
@@ -403,60 +394,12 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     )
 
 
-def _solve_system(a: IntMatrix, b: Sequence[int] | None = None):
-    """``(particular, kernel)`` of ``a @ x = b`` from one echelon of the
-    columns ``(a e_j, e_j)`` and, over Z/n, ``(n e_i, 0)``.
-
-    The echelon columns with a pivot in the lower block have a zero upper
-    block: they are the canonical basis of the integer solutions of
-    ``a x = 0``, over Z/n of ``a x in n*Z^rows``, a lattice containing
-    n*Z^cols whose columns that are nonzero mod n generate the kernel.  The
-    others are ``(a w + n y, w)``; forward substitution on their pivot rows
-    reduces ``(b, 0)`` to ``(0, -x)`` exactly when ``b`` lies in their span.
-    ``particular`` is ``None`` without ``b`` or a solution, and is not reduced
-    mod n.  Cohen, GTM 138, section 2.4.
-    """
-    rows, cols, n = a.rows, a.cols, a.ring.modulus
-    stack = _identity_stack(a)
-    if n:
-        zero = (0,) * cols
-        stack += [tuple(n * (i == k) for i in range(rows)) + zero for k in range(rows)]
-    basis, pivrows = _echelon(rows + cols, stack)
-    k = bisect_left(pivrows, rows)
-    lower = [c[rows:] for c in basis[k:]]
-    if n:
-        lower = [c for c in lower if any(x % n for x in c)]
-    kernel = IntMatrix.from_columns(lower, cols, a.ring)
-    if b is None:
-        return None, kernel
-    v = [*b] + [0] * cols
-    for col, r in zip(basis[:k], pivrows):
-        q, rem = divmod(v[r], col[r])
-        if rem:
-            return None, kernel
-        v = [vi - q * ci for vi, ci in zip(v, col)]
-    return (None if any(v[:rows]) else tuple(-x for x in v[rows:])), kernel
-
-
 def _kernel_over_z(a: IntMatrix) -> IntMatrix:
     """Canonical basis of ``{x : a @ x = 0}`` over Z, as columns (for a matrix
-    over Z/n, the :func:`kernel_basis` generators)."""
+    over Z/n, the ``elements.kernel_basis`` generators)."""
+    from .elements import _solve_system
+
     return _solve_system(a)[1]
-
-
-def kernel_basis(a: IntMatrix, ring: Ring | None = None) -> IntMatrix:
-    """Generators of ``{x : a @ x = 0}`` over the ring, as matrix columns.
-
-    Over Z the columns are the canonical lattice basis.  Over Z/n they are
-    the canonical basis of ``{x in Z^cols : a x in n*Z^rows}``, reduced mod n,
-    with the columns that vanish mod n dropped.
-    """
-    return _solve_system(a if ring is None else a.with_ring(ring))[1]
-
-
-def _solve_over_z(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One solution of ``a @ x = b`` over Z, or ``None`` when unsolvable."""
-    return _solve_system(a, b)[0]
 
 
 def solve_linear(
@@ -466,11 +409,13 @@ def solve_linear(
 
     Returns ``(particular, kernel)`` where ``particular`` is one solution (or
     ``None`` when the system is unsolvable) and ``kernel`` is
-    :func:`kernel_basis` of ``a``; the full solution set is the particular
-    solution plus the kernel span.  Both come from one echelon, over Z and
-    Z/n alike.
+    ``elements.kernel_basis`` of ``a``; the full solution set is the
+    particular solution plus the kernel span.  Both come from one echelon
+    (``elements._solve_system``), over Z and Z/n alike.
     """
-    mat = a if ring is None else a.with_ring(ring)
+    from .elements import _solve_system, with_ring
+
+    mat = a if ring is None else with_ring(a, ring)
     vec = list(map(index, b))
     if len(vec) != mat.rows:
         raise ValueError(

@@ -5,15 +5,14 @@ matrix (plus n*Z^g in the modular case).  A module stores only L, and a
 submodule only its preimage lattice, never element sets or matrices;
 constructions pass the lattice they hold, and over Z/n every such lattice
 contains n*Z^g.
-Element enumeration exists for finite modules so that test oracles can
-cross-check the lattice arithmetic.
 Boundedness and free-summand rank over the integers are read off the free
-rank.
+rank.  Elements, their enumeration, images and preimages under maps, direct
+sums and the enumeration behind ``all_submodules`` live in
+:mod:`modclose.elements`, which a request loads only under ``--oracle`` or
+when a ``verify`` law fails.
 """
 
 from __future__ import annotations
-
-from typing import Iterator, Sequence
 
 from .lattices import Lattice
 from .matrices import IntMatrix
@@ -29,7 +28,10 @@ def _lattice_arg(value, dim: int, ring: Ring, base, what: str) -> Lattice:
             raise ValueError(
                 f"{what} has {value.rows} rows but the module has {dim} generators"
             )
-        columns = value.with_ring(ring).columns()
+        if value.ring != ring and value.ring.is_modular:
+            raise ValueError(f"cannot recast a {value.ring} matrix into {ring}")
+        # entries reduced mod n span the same lattice once n*Z^g is in base
+        columns = value.columns()
     else:
         columns = list(value)
     return Lattice.from_columns(dim, [*base, *columns])
@@ -79,7 +81,7 @@ class FPModule:
     @property
     def relations(self) -> IntMatrix:
         """The canonical basis of the relation lattice, over the ring."""
-        return self.lattice.basis_matrix(self.ring)
+        return IntMatrix.from_columns(self.lattice.basis, self.n_gens, self.ring)
 
     # -- structure ----------------------------------------------------------
 
@@ -97,51 +99,6 @@ class FPModule:
 
     def free_rank(self) -> int:
         return sum(1 for f in self.invariant_factors if f == 0)
-
-    # -- elements -------------------------------------------------------------
-
-    def element(self, coords: Sequence[int]) -> "ModuleElement":
-        return ModuleElement(self, coords)
-
-    def zero_element(self) -> "ModuleElement":
-        return ModuleElement(self, (0,) * self.n_gens)
-
-    def generator(self, i: int) -> "ModuleElement":
-        return ModuleElement(
-            self, tuple(1 if j == i else 0 for j in range(self.n_gens))
-        )
-
-    def elements(self) -> Iterator["ModuleElement"]:
-        """All elements, in lexicographic order of canonical coordinates.
-
-        Only finite modules can be enumerated.
-        """
-        if not self.is_finite:
-            raise ValueError("cannot enumerate an infinite module")
-        boxes = [range(p) for _, p in self.lattice.pivots]
-
-        def rec(prefix, remaining):
-            if not remaining:
-                yield ModuleElement(self, prefix)
-                return
-            for x in remaining[0]:
-                yield from rec(prefix + (x,), remaining[1:])
-
-        yield from rec((), boxes)
-
-    # -- submodules -------------------------------------------------------------
-
-    def submodule(self, gens) -> "Submodule":
-        return Submodule(self, gens)
-
-    def zero_submodule(self) -> "Submodule":
-        return Submodule(self, self.lattice)
-
-    def whole_submodule(self) -> "Submodule":
-        """The whole module, from the unit lattice Z^g (no echelon)."""
-        g = self.n_gens
-        units = tuple(tuple(int(i == j) for i in range(g)) for j in range(g))
-        return Submodule(self, Lattice(g, units, tuple((j, 1) for j in range(g))))
 
     # -- value semantics ----------------------------------------------------------
 
@@ -178,70 +135,6 @@ def free_summand_rank(m: FPModule) -> int:
     if m.ring.is_modular:
         raise ValueError("free-summand rank is defined over the integers; use ring Z")
     return m.free_rank()
-
-
-def present_module(ring: Ring, n_gens: int, relations=None) -> FPModule:
-    """Build a finitely presented module from a relation matrix.
-
-    ``relations`` may be an :class:`IntMatrix` with ``n_gens`` rows, an
-    iterable of relation columns, or the relation :class:`Lattice`; ``None``
-    means no relations.
-    """
-    return FPModule(ring, n_gens, relations)
-
-
-class ModuleElement:
-    """An element of an :class:`FPModule`, stored in canonical coordinates."""
-
-    __slots__ = ("parent", "coords")
-
-    def __init__(self, parent: FPModule, coords: Sequence[int]):
-        if len(coords) != parent.n_gens:
-            raise ValueError(
-                f"coordinate length {len(coords)} does not match "
-                f"{parent.n_gens} generators"
-            )
-        self.parent = parent
-        self.coords = parent.lattice.reduce(coords)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        self._check_parent(other)
-        return ModuleElement(
-            self.parent, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        self._check_parent(other)
-        return ModuleElement(
-            self.parent, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.parent, tuple(-a for a in self.coords))
-
-    def __rmul__(self, scalar: int) -> "ModuleElement":
-        return ModuleElement(self.parent, tuple(scalar * a for a in self.coords))
-
-    def _check_parent(self, other: "ModuleElement") -> None:
-        if self.parent != other.parent:
-            raise ValueError("elements of different modules cannot be combined")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ModuleElement)
-            and self.parent == other.parent
-            and self.coords == other.coords
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.parent, self.coords))
-
-    def __repr__(self) -> str:
-        return f"ModuleElement{self.coords!r}"
 
 
 class Submodule:
@@ -286,18 +179,14 @@ class Submodule:
 
     # -- predicates ---------------------------------------------------------
 
-    def contains(self, x) -> bool:
-        coords = x.coords if isinstance(x, ModuleElement) else x
+    def __contains__(self, x) -> bool:
+        """Membership of an element or of a coordinate vector."""
+        coords = getattr(x, "coords", x)
         if len(coords) != self.parent.n_gens:
             raise ValueError("coordinate length does not match the parent module")
         return self.lattice.contains(coords)
 
-    def __contains__(self, x) -> bool:
-        return self.contains(x)
-
-    def is_subset_of(self, other: "Submodule") -> bool:
-        _check_same_parent(self, other)
-        return other.lattice.contains_lattice(self.lattice)
+    contains = __contains__
 
     @property
     def is_zero(self) -> bool:
@@ -306,19 +195,6 @@ class Submodule:
     @property
     def is_whole(self) -> bool:
         return self.lattice.covolume() == 1
-
-    def size(self) -> int | None:
-        """Number of elements of the submodule, or ``None`` when infinite."""
-        sub_covol = self.lattice.covolume()
-        amb_covol = self.parent.lattice.covolume()
-        if sub_covol is None or amb_covol is None:
-            return None
-        return amb_covol // sub_covol
-
-    def elements(self) -> Iterator[ModuleElement]:
-        for x in self.parent.elements():
-            if self.contains(x):
-                yield x
 
     # -- value semantics -------------------------------------------------------
 
@@ -352,7 +228,8 @@ def sub_meet(u: Submodule, v: Submodule) -> Submodule:
 def sub_join(u: Submodule, v: Submodule) -> Submodule:
     """Sum of two submodules of the same parent."""
     _check_same_parent(u, v)
-    return Submodule(u.parent, u.lattice.sum(v.lattice))
+    lat = Lattice.from_columns(u.parent.n_gens, u.lattice.basis + v.lattice.basis)
+    return Submodule(u.parent, lat)
 
 
 def quotient_module(m: FPModule, n: Submodule) -> FPModule:
@@ -362,23 +239,6 @@ def quotient_module(m: FPModule, n: Submodule) -> FPModule:
     if n.parent != m:
         raise ValueError("submodule does not live in the module being quotiented")
     return FPModule(m.ring, m.n_gens, n.lattice)
-
-
-def sub_image(f, u: Submodule) -> Submodule:
-    """Image of a submodule of the domain under a homomorphism: one echelon
-    of the codomain's relation basis and the images of the generators."""
-    if u.parent != f.dom:
-        raise ValueError("submodule does not live in the homomorphism's domain")
-    images = tuple(f.matrix.apply(c) for c in u.canonical_gens.columns())
-    lattice = Lattice.from_columns(f.cod.n_gens, f.cod.lattice.basis + images)
-    return Submodule(f.cod, lattice)
-
-
-def sub_preimage(f, w: Submodule) -> Submodule:
-    """Preimage ``{x : f(x) in w}`` of a submodule of the codomain."""
-    if w.parent != f.cod:
-        raise ValueError("submodule does not live in the homomorphism's codomain")
-    return Submodule(f.dom, w.lattice.preimage(f.matrix))
 
 
 def sub_as_module(u: Submodule):
@@ -397,53 +257,9 @@ def sub_as_module(u: Submodule):
     return smod, Homomorphism(smod, parent, b)
 
 
-def direct_sum(m1: FPModule, m2: FPModule) -> FPModule:
-    """External direct sum, presented on the concatenated generators.
-
-    The two canonical relation bases, padded with zeros, are already the
-    canonical basis of the block-diagonal relation lattice.
-    """
-    if m1.ring != m2.ring:
-        raise ValueError("direct sum needs a common ring")
-    g1, g2 = m1.n_gens, m2.n_gens
-    a, b = m1.lattice, m2.lattice
-    block = Lattice(
-        g1 + g2,
-        tuple(c + (0,) * g2 for c in a.basis) + tuple((0,) * g1 + c for c in b.basis),
-        a.pivots + tuple((r + g1, p) for r, p in b.pivots),
-    )
-    return FPModule(m1.ring, g1 + g2, block)
-
-
 def all_submodules(m: FPModule) -> list[Submodule]:
-    """Every submodule of a finite module.
+    """Every submodule of a finite module, in a deterministic order
+    (``elements.enumerate_submodules``)."""
+    from .elements import enumerate_submodules
 
-    Computed on preimage lattices as the join-closure of the cyclic
-    submodules: one generator is kept per distinct cyclic lattice, a lattice
-    is extended by one generator column at a time (skipping generators it
-    already contains), and a :class:`Submodule` is built only for each final
-    lattice.  Returned in a deterministic order.
-    """
-    if not m.is_finite:
-        raise ValueError("submodule enumeration requires a finite module")
-    dim, base = m.n_gens, m.lattice.basis
-    gens = []
-    seen_cyc = set()
-    for x in m.elements():
-        c = Lattice.from_columns(dim, base + (x.coords,))
-        if c not in seen_cyc:
-            seen_cyc.add(c)
-            gens.append(x.coords)
-    found = {m.lattice}
-    frontier = [m.lattice]
-    while frontier:
-        s = frontier.pop()
-        for x in gens:
-            if s.contains(x):
-                continue
-            j = Lattice.from_columns(dim, s.basis + (x,))
-            if j not in found:
-                found.add(j)
-                frontier.append(j)
-    lattices = sorted(found, key=lambda lat: (len(lat.basis), lat.basis))
-    return [Submodule(m, lat) for lat in lattices]
+    return enumerate_submodules(m)

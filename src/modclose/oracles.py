@@ -6,8 +6,8 @@ hom sets from every assignment of generator images, closedness from a scan
 of all submodules of the quotient.  The closure-operator axiom suite and the
 ``--oracle`` check of each command live here too.  Desk scale only.
 
-This module loads only when an oracle runs, and imports the closure, hom
-and module code only in the functions that use it.
+This module loads only when an oracle runs, and imports the closure, hom,
+module and element code only in the functions that use it.
 """
 
 from __future__ import annotations
@@ -70,11 +70,12 @@ def closure_by_full_enumeration(
     independent formulas: annihilator-by-exponent for Q, N itself for Q/Z.
     """
     from .closure import DivisibleModule
+    from .elements import whole_submodule
     from .homs import Homomorphism, kernel_of_hom
     from .modules import quotient_module, sub_meet
 
     q = quotient_module(m, n)
-    running = m.whole_submodule()
+    running = whole_submodule(m)
     for obj in cat.finite_objects:
         for h in enumerate_homs(q, obj, cap):
             lifted = Homomorphism(m, obj, h.matrix)
@@ -94,6 +95,7 @@ def torsion_preimage_by_exponent(m: FPModule, n: Submodule) -> Submodule:
     invariant factors of M/N multiplies it into the relation lattice of the
     quotient; this avoids the saturation computation entirely.
     """
+    from .elements import basis_matrix
     from .modules import Submodule, quotient_module
 
     if m.ring.is_modular:
@@ -107,7 +109,7 @@ def torsion_preimage_by_exponent(m: FPModule, n: Submodule) -> Submodule:
         [[e if i == j else 0 for j in range(m.n_gens)] for i in range(m.n_gens)], ZZ
     )
     pre = n.lattice.preimage(scaled)
-    return Submodule(m, pre.basis_matrix(m.ring))
+    return Submodule(m, basis_matrix(pre, m.ring))
 
 
 def separates_every_nonzero_element(m: FPModule, n: Submodule, cap: int = 200_000) -> bool:
@@ -118,6 +120,7 @@ def separates_every_nonzero_element(m: FPModule, n: Submodule, cap: int = 200_00
     This is the enumeration oracle behind "every submodule is closed under
     the rationals-mod-1 rule".
     """
+    from .elements import hom_apply, module_elements
     from .modules import FPModule, quotient_module
 
     if m.ring.is_modular:
@@ -134,10 +137,10 @@ def separates_every_nonzero_element(m: FPModule, n: Submodule, cap: int = 200_00
         e *= f
     cyclic = FPModule(ZZ, 1, [(e,)])
     homs = enumerate_homs(q, cyclic, cap)
-    for x in q.elements():
+    for x in module_elements(q):
         if x.is_zero:
             continue
-        if not any(not h(x).is_zero for h in homs):
+        if not any(not hom_apply(h, x).is_zero for h in homs):
             return False
     return True
 
@@ -156,7 +159,8 @@ def enumerate_homs(m: FPModule, n: FPModule, cap: int = 200_000) -> list[Homomor
     well-definedness certificate.  Raises :class:`OracleInfeasibleError` when
     the assignment count exceeds ``cap``; it never truncates silently.
     """
-    from .homs import Homomorphism, _canonical_matrix, _is_compatible
+    from .elements import _is_compatible, module_elements
+    from .homs import Homomorphism, _canonical_matrix
 
     if m.ring != n.ring:
         raise ValueError("hom enumeration needs a common ring")
@@ -172,7 +176,7 @@ def enumerate_homs(m: FPModule, n: FPModule, cap: int = 200_000) -> list[Homomor
     if cached is not None:
         return list(cached)
 
-    targets = [x.coords for x in n.elements()]
+    targets = [x.coords for x in module_elements(n)]
     out = []
     for assignment in product(targets, repeat=m.n_gens):
         cols = list(assignment)
@@ -230,7 +234,8 @@ class ClosednessScan(NamedTuple):
 def closedness_witness_scan(
     m: FPModule, n: Submodule, cat: Subcategory
 ) -> ClosednessScan:
-    from .closure import _admits_nonzero_map, _check_compat, is_closed
+    from .closure import _admits_nonzero_map, _check_compat
+    from .elements import invariants_over, is_closed
     from .modules import all_submodules, quotient_module
 
     _check_compat(m, n, cat)
@@ -243,7 +248,7 @@ def closedness_witness_scan(
     for s in all_submodules(q):
         if s.is_zero:
             continue
-        invariants = s.lattice.invariants_over(q.lattice)
+        invariants = invariants_over(s.lattice, q.lattice)
         flags = [
             _admits_nonzero_map(invariants, a)
             for a in cat.finite_objects + cat.divisible_objects
@@ -331,18 +336,19 @@ def axiom_suite(
     f(closure(N)) must land inside closure(f(N)).
     """
     from .closure import regular_closure
-    from .modules import sub_image, sub_join
+    from .elements import is_subset_of, sub_image
+    from .modules import sub_join
 
     results = []
     for n1, n2, f in samples:
         c1 = regular_closure(m, n1, cat).closure
         c2 = regular_closure(m, n2, cat).closure
-        extension = n1.is_subset_of(c1) and n2.is_subset_of(c2)
+        extension = is_subset_of(n1, c1) and is_subset_of(n2, c2)
 
-        if n1.is_subset_of(n2):
-            mono_applicable, mono = True, c1.is_subset_of(c2)
-        elif n2.is_subset_of(n1):
-            mono_applicable, mono = True, c2.is_subset_of(c1)
+        if is_subset_of(n1, n2):
+            mono_applicable, mono = True, is_subset_of(c1, c2)
+        elif is_subset_of(n2, n1):
+            mono_applicable, mono = True, is_subset_of(c2, c1)
         else:
             mono_applicable, mono = False, True
 
@@ -354,7 +360,7 @@ def axiom_suite(
             img_of_closure = sub_image(f, c1)
             closure_of_img = regular_closure(f.cod, sub_image(f, n1), cat).closure
             cont_applicable = True
-            cont = img_of_closure.is_subset_of(closure_of_img)
+            cont = is_subset_of(img_of_closure, closure_of_img)
         else:
             cont_applicable, cont = False, True
 
@@ -403,8 +409,8 @@ def oracle_verify(report, cat: Subcategory, label):
     radical (whole, zero), and direct sums by chains against the built sum
     modules.
     """
+    from .elements import direct_sum, zero_submodule
     from .homs import hom_group
-    from .modules import direct_sum
     from .torsion import _admits_nonzero_map, _in_torsion_class, _in_torsion_free_class
     from .torsion import _sum_chain
 
@@ -412,14 +418,14 @@ def oracle_verify(report, cat: Subcategory, label):
     mismatches = []
     for x in universe.objects:
         for obj in cat.finite_objects:
-            fast = hom_group(x, obj).is_zero
+            fast = not hom_group(x, obj).generators
             slow = len(enumerate_homs(x, obj)) == 1
             if fast != slow:
                 mismatches.append({"module": label(x), "object": label(obj)})
     for x in report.T_members:
         for y in report.F_members:
             fast = _admits_nonzero_map(x.invariant_factors, y)
-            slow = not hom_group(x, y).is_zero
+            slow = bool(hom_group(x, y).generators)
             if fast != slow:
                 mismatches.append({
                     "from": label(x),
@@ -436,7 +442,7 @@ def oracle_verify(report, cat: Subcategory, label):
                 "pairs_not_in_support": [list(p) for p in sorted(listed - support)],
             })
     for x, t in report.radical_table:
-        slow = closure_by_full_enumeration(x, x.zero_submodule(), cat)
+        slow = closure_by_full_enumeration(x, zero_submodule(x), cat)
         if slow != t:
             mismatches.append({
                 "module": label(x),
@@ -502,9 +508,11 @@ def oracle_snf(a: IntMatrix, res):
 def oracle_hom(hg):
     """``hom --oracle``: the span of the generators against the enumerated
     hom set; infeasible for an infinite hom group."""
-    if not hg.element_count():
+    from .elements import hom_group_elements, hom_group_order
+
+    if not hom_group_order(hg):
         raise OracleInfeasibleError("oracle infeasible: the hom group is infinite")
-    spanned = {h.matrix for h in hg.elements()}
+    spanned = {h.matrix for h in hom_group_elements(hg)}
     listed = {h.matrix for h in enumerate_homs(hg.dom, hg.cod)}
     agree = spanned == listed
     return agree, {"agrees": agree, "hom_count": len(listed)}
@@ -520,7 +528,7 @@ def _hom_to_z(m: FPModule):
 
 def oracle_bounded(m: FPModule, bounded: bool):
     """``bounded --oracle``: M is bounded iff Hom(M, Z) = 0."""
-    agree = _hom_to_z(m).is_zero == bounded
+    agree = (not _hom_to_z(m).generators) == bounded
     return agree, {"agrees": agree}
 
 

@@ -10,7 +10,6 @@ with finite stand-ins for the infinitary closure conditions.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import cache
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
@@ -37,25 +36,6 @@ def torsion_radical(m: FPModule, cat: Subcategory) -> Submodule:
         cached = Submodule(m, _closure_lattice(m.lattice, cat))
         _RADICAL_CACHE.put(key, cached)
     return cached
-
-
-class Classification(Enum):
-    TORSION = "torsion"
-    TORSION_FREE = "torsion_free"
-    MIXED = "mixed"
-
-
-def classify(x: FPModule, cat: Subcategory) -> Classification:
-    """Torsion when the radical is everything, torsion-free when it is zero.
-
-    The zero module satisfies both and is reported as torsion.
-    """
-    t = torsion_radical(x, cat)
-    if t.is_whole:
-        return Classification.TORSION
-    if t.is_zero:
-        return Classification.TORSION_FREE
-    return Classification.MIXED
 
 
 def _in_torsion_class(chain: tuple[int, ...], cat: Subcategory) -> bool:
@@ -232,11 +212,10 @@ class ModuleUniverse:
     (:func:`class_pair_support`) without listing a submodule.  The scan
     stops at the first infinite object.
 
-    ``class_pairs[i]`` lists the same pairs in first-seen order over
-    ``all_submodules(M)``, both chains read from S's preimage lattice; an
-    object is enumerated when its ordered pairs are first read
-    (:meth:`ordered_pairs`), so a universe whose pairs are only tested as
-    sets lists no submodule.
+    :meth:`ordered_pairs` lists the same pairs of one object in first-seen
+    order over ``all_submodules(M)``, both chains read from S's preimage
+    lattice; an object is enumerated when its ordered pairs are first read,
+    so a universe whose pairs are only tested as sets lists no submodule.
 
     Closure under submodules and quotients (projections of the pair sets)
     and under finite direct sums is computed, never assumed.  A flag is
@@ -299,16 +278,13 @@ class ModuleUniverse:
         ``all_submodules(m)``, enumerated on the first call for ``m``."""
         pairs = self._ordered.get(m)
         if pairs is None:
+            from .elements import invariants_over
+
             pairs = self._ordered[m] = tuple(dict.fromkeys(
-                (s.lattice.invariants_over(m.lattice), s.lattice.quotient_invariants())
+                (invariants_over(s.lattice, m.lattice), s.lattice.quotient_invariants())
                 for s in all_submodules(m)
             ))
         return pairs
-
-    @property
-    def class_pairs(self) -> tuple:
-        """The ordered class pairs of every scanned object, in object order."""
-        return tuple(self.ordered_pairs(m) for m in self.objects[:len(self.pair_sets)])
 
     def _closure_flag(self, iso_classes, side: int):
         for pairs in self.pair_sets:

@@ -100,8 +100,8 @@ class Workspace:
     """Named definitions resolved into live objects.
 
     Name structure (parent names, subcategory member names) is tracked so
-    that serialization reproduces the document it was loaded from:
-    load -> serialize -> load is the identity.  Workspaces compare equal
+    that serialization (``elements.serialize_workspace``) reproduces the
+    document it was loaded from: load -> serialize -> load is the identity.  Workspaces compare equal
     when all their fields do.
     """
 
@@ -240,32 +240,3 @@ def load_workspace_file(path: str) -> Workspace:
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to decode") from None
     return load_workspace(doc)
-
-
-def serialize_workspace(ws: Workspace) -> dict:
-    """The document of a workspace: each module as the canonical basis of its
-    relation lattice, each submodule as its ``canonical_gens``."""
-    return {
-        "ring": ring_name(ws.ring),
-        "modules": {
-            name: {
-                "generators": m.n_gens,
-                "relations": [[encode_int(x) for x in c] for c in m.lattice.basis],
-            }
-            for name, m in ws.modules.items()
-        },
-        "submodules": {
-            name: {
-                "parent": ws.submodule_parents[name],
-                "gens": [[encode_int(x) for x in c] for c in s.canonical_gens.columns()],
-            }
-            for name, s in ws.submodules.items()
-        },
-        "subcategories": {
-            name: {
-                "finite": list(ws.subcategory_members[name][0]),
-                "divisible": list(ws.subcategory_members[name][1]),
-            }
-            for name in ws.subcategories
-        },
-    }

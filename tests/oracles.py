@@ -25,22 +25,43 @@ from modclose import (
     smith_normal_form,
     sub_meet,
 )
+from modclose.elements import (
+    ModuleElement,
+    _solve_system,
+    identity_matrix,
+    module_elements,
+    whole_submodule,
+    zero_element,
+)
 from modclose.lattices import Lattice
-from modclose.matrices import _kernel_over_z, _snf_with_inverses, _solve_over_z
+from modclose.matrices import _kernel_over_z, _snf_with_inverses
 from modclose.oracles import torsion_preimage_by_exponent
+
+
+def _solve_over_z(a: IntMatrix, b) -> tuple | None:
+    """One solution of ``a @ x = b`` over Z, or ``None`` when unsolvable."""
+    return _solve_system(a, b)[0]
+
+
+def class_pairs(universe) -> tuple:
+    """The ordered class pairs of every scanned object of a
+    ``ModuleUniverse``, in object order."""
+    return tuple(
+        universe.ordered_pairs(m) for m in universe.objects[:len(universe.pair_sets)]
+    )
 
 
 def element_set(sub: Submodule) -> frozenset:
     """All elements of a submodule of a finite module, as coordinate tuples."""
-    return frozenset(x.coords for x in sub.parent.elements() if sub.contains(x))
+    return frozenset(x.coords for x in module_elements(sub.parent) if x in sub)
 
 
 def generated_subgroup(m: FPModule, seeds) -> frozenset:
     """Closure of a set of elements under addition (finite modules)."""
-    zero = m.zero_element()
+    zero = zero_element(m)
     found = {zero.coords}
     frontier = [zero]
-    seed_elems = [m.element(s) for s in seeds]
+    seed_elems = [ModuleElement(m, s) for s in seeds]
     while frontier:
         x = frontier.pop()
         for s in seed_elems:
@@ -55,7 +76,7 @@ def subgroups_by_elements(m: FPModule, k: int) -> set:
     """Every subgroup of a finite module generated by at most ``k`` of its
     elements, as element sets.  With ``k`` at least the number of invariant
     factors this is every subgroup."""
-    elems = [x.coords for x in m.elements()]
+    elems = [x.coords for x in module_elements(m)]
     return {
         generated_subgroup(m, combo)
         for combo in combinations_with_replacement(elems, k)
@@ -128,7 +149,7 @@ def quotient_with_projection(m: FPModule, n: Submodule):
     """``(M/N, projection)``: the quotient on M's generators, whose projection
     is the identity on generator coordinates."""
     q = quotient_module(m, n)
-    return q, Homomorphism(m, q, IntMatrix.identity(m.n_gens, m.ring))
+    return q, Homomorphism(m, q, identity_matrix(m.n_gens, m.ring))
 
 
 def submodules_between(m: FPModule, n: Submodule) -> list:
@@ -142,7 +163,7 @@ def submodules_between(m: FPModule, n: Submodule) -> list:
 
 def whole_by_identity(m: FPModule) -> Submodule:
     """The whole module, generated by the identity matrix."""
-    return Submodule(m, IntMatrix.identity(m.n_gens, m.ring))
+    return Submodule(m, identity_matrix(m.n_gens, m.ring))
 
 
 def zero_by_relations(m: FPModule) -> Submodule:
@@ -410,7 +431,7 @@ def closure_by_kernel_meets(m: FPModule, n: Submodule, cat: Subcategory) -> Subm
     """The regular closure by one full kernel and one meet per hom-group
     generator, each lift certified as a homomorphism; the divisible objects
     contribute the preimage of the torsion of M/N (Q) and N itself (Q/Z)."""
-    running = m.whole_submodule()
+    running = whole_submodule(m)
     q = quotient_module(m, n)
     for obj in cat.finite_objects:
         for gen in hom_group(q, obj).generators:

@@ -8,6 +8,7 @@ from modclose import (
     Homomorphism,
     OracleInfeasibleError,
     Subcategory,
+    Submodule,
     ZZ,
     Zmod,
     axiom_suite,
@@ -25,6 +26,14 @@ from modclose import (
     sub_meet,
 )
 from modclose.closure import _admits_nonzero_map
+from modclose.elements import (
+    ModuleElement,
+    hom_apply,
+    hom_identity,
+    hom_is_zero,
+    whole_submodule,
+    zero_submodule,
+)
 from modclose.oracles import (
     separates_every_nonzero_element,
     torsion_preimage_by_exponent,
@@ -64,7 +73,7 @@ def test_subcategory_rejects_divisible_over_modular():
 def test_closure_mod4_worked_example():
     r4 = Zmod(4)
     m = present_module(r4, 1)
-    n = m.submodule([(2,)])
+    n = Submodule(m, [(2,)])
     cat = Subcategory(r4, [m])
     res = regular_closure(m, n, cat)
     assert res.closure == n
@@ -74,9 +83,9 @@ def test_closure_mod4_worked_example():
     kernels = [
         kernel_of_hom(h)
         for h in enumerate_homs(m, m)
-        if all(h(m.element(c)).is_zero for c in [(2,)])
+        if all(hom_apply(h, ModuleElement(m, c)).is_zero for c in [(2,)])
     ]
-    meet = m.whole_submodule()
+    meet = whole_submodule(m)
     for k in kernels:
         meet = sub_meet(meet, k)
     assert meet == res.closure
@@ -84,7 +93,7 @@ def test_closure_mod4_worked_example():
 
 def test_closure_dense_over_z_with_q():
     z = present_module(ZZ, 1)
-    n = z.submodule([(2,)])
+    n = Submodule(z, [(2,)])
     cat = Subcategory(ZZ, [], [DivisibleModule.Q])
     res = regular_closure(z, n, cat)
     assert res.dense and not res.closed
@@ -95,14 +104,14 @@ def test_closure_of_whole_module_is_trivial():
     r4 = Zmod(4)
     m = present_module(r4, 1)
     cat = Subcategory(r4, [m])
-    res = regular_closure(m, m.whole_submodule(), cat)
+    res = regular_closure(m, whole_submodule(m), cat)
     assert res.dense and res.closed
 
 
 def test_closure_of_zero_module():
     m = present_module(ZZ, 0)
     cat = Subcategory(ZZ, [], [DivisibleModule.Q])
-    res = regular_closure(m, m.zero_submodule(), cat)
+    res = regular_closure(m, zero_submodule(m), cat)
     assert res.dense and res.closed
 
 
@@ -110,10 +119,10 @@ def test_closure_witnesses_deterministic_and_shrinking():
     r6 = Zmod(6)
     m = present_module(r6, 1)
     cat = Subcategory(r6, [present_module(r6, 1, [(2,)])])
-    res = regular_closure(m, m.zero_submodule(), cat)
+    res = regular_closure(m, zero_submodule(m), cat)
     assert len(res.witnesses) == 1
     w = res.witnesses[0]
-    assert w.hom is not None and not w.hom.is_zero
+    assert w.hom is not None and not hom_is_zero(w.hom)
 
 
 # -- divisible rules --------------------------------------------------------------------
@@ -124,13 +133,13 @@ Q_MOD_Z_ONLY = Subcategory(ZZ, [], [DivisibleModule.Q_MOD_Z])
 
 def test_divisible_q_worked_example():
     m = present_module(ZZ, 2, [(0, 2)])  # Z + Z/2
-    c = regular_closure(m, m.zero_submodule(), Q_ONLY).closure
+    c = regular_closure(m, zero_submodule(m), Q_ONLY).closure
     assert c.canonical_gens.columns() == [(0, 1)]
 
 
 def test_divisible_q_on_free_module():
     z = present_module(ZZ, 1)
-    c = regular_closure(z, z.zero_submodule(), Q_ONLY).closure
+    c = regular_closure(z, zero_submodule(z), Q_ONLY).closure
     assert c.is_zero
 
 
@@ -149,7 +158,7 @@ def test_divisible_q_mod_z_is_identity(rng):
             tuple(rng.randint(-6, 6) for _ in range(g))
             for _ in range(rng.randint(0, 2))
         ]
-        n = m.submodule(gens)
+        n = Submodule(m, gens)
         assert regular_closure(m, n, Q_MOD_Z_ONLY).closure == n
 
 
@@ -164,8 +173,8 @@ def test_divisible_q_idempotent_and_matches_exponent_formula(rng):
                 for _ in range(rng.randint(0, 2))
             ],
         )
-        n = m.submodule(
-            [tuple(rng.randint(-6, 6) for _ in range(g)) for _ in range(rng.randint(0, 2))]
+        n = Submodule(
+            m, [tuple(rng.randint(-6, 6) for _ in range(g)) for _ in range(rng.randint(0, 2))]
         )
         c = regular_closure(m, n, Q_ONLY).closure
         assert regular_closure(m, c, Q_ONLY).closure == c
@@ -175,14 +184,14 @@ def test_divisible_q_idempotent_and_matches_exponent_formula(rng):
 def test_divisible_witnesses_are_the_objects_receiving_a_nonzero_map():
     both = Subcategory(ZZ, [], [DivisibleModule.Q, DivisibleModule.Q_MOD_Z])
     z2 = present_module(ZZ, 2)
-    free = regular_closure(z2, z2.submodule([(1, 0)]), both)  # quotient Z
+    free = regular_closure(z2, Submodule(z2, [(1, 0)]), both)  # quotient Z
     assert free.closed and not free.dense
     assert [(w.source, w.hom) for w in free.witnesses] == [
         (DivisibleModule.Q, None),
         (DivisibleModule.Q_MOD_Z, None),
     ]
     z = present_module(ZZ, 1)
-    finite = regular_closure(z, z.submodule([(6,)]), Q_ONLY)  # quotient Z/6
+    finite = regular_closure(z, Submodule(z, [(6,)]), Q_ONLY)  # quotient Z/6
     assert finite.dense and finite.witnesses == ()
 
 
@@ -195,14 +204,14 @@ def test_q_mod_z_separation_oracle():
     ]:
         g = len(rels[0])
         m = present_module(ZZ, g, rels)
-        n = m.submodule(gens)
+        n = Submodule(m, gens)
         assert separates_every_nonzero_element(m, n)
 
 
 def test_divisible_rules_reject_modular_ring():
     m = present_module(Zmod(4), 1)
     with pytest.raises(ValueError):
-        regular_closure(m, m.zero_submodule(), Q_ONLY)
+        regular_closure(m, zero_submodule(m), Q_ONLY)
 
 
 # -- density and the hom-vanishing equivalence ----------------------------------------------
@@ -211,19 +220,19 @@ def test_divisible_rules_reject_modular_ring():
 def test_density_worked_examples():
     r4 = Zmod(4)
     m = present_module(r4, 1)
-    n = m.submodule([(2,)])
+    n = Submodule(m, [(2,)])
     cat = Subcategory(r4, [m])
     assert is_dense(m, n, cat) is False
     assert is_hom_vanishing(m, n, cat) is False
 
     z = present_module(ZZ, 1)
-    nz = z.submodule([(2,)])
+    nz = Submodule(z, [(2,)])
     catq = Subcategory(ZZ, [], [DivisibleModule.Q])
     assert is_dense(z, nz, catq) is True
     assert is_hom_vanishing(z, nz, catq) is True
 
-    assert is_dense(m, m.whole_submodule(), cat) is True
-    assert is_hom_vanishing(m, m.whole_submodule(), cat) is True
+    assert is_dense(m, whole_submodule(m), cat) is True
+    assert is_hom_vanishing(m, whole_submodule(m), cat) is True
 
 
 def test_density_equivalence_random_modular(rng):
@@ -235,7 +244,7 @@ def test_density_equivalence_random_modular(rng):
             tuple(rng.randint(0, n_mod - 1) for _ in range(m.n_gens))
             for _ in range(rng.randint(0, 2))
         ]
-        n = m.submodule(gens)
+        n = Submodule(m, gens)
         objs = [
             present_module(ring, 1),
             present_module(ring, 0),
@@ -250,7 +259,7 @@ def test_density_equivalence_random_modular(rng):
 def test_closedness_worked_examples():
     r4 = Zmod(4)
     m = present_module(r4, 1)
-    n = m.submodule([(2,)])
+    n = Submodule(m, [(2,)])
     cat = Subcategory(r4, [m])
     assert is_closed(m, n, cat) is True
     scan = closedness_witness_scan(m, n, cat)
@@ -258,14 +267,14 @@ def test_closedness_worked_examples():
     assert len(scan.entries) == 1  # the unique nonzero submodule of Z/2
 
     z = present_module(ZZ, 1)
-    nz = z.submodule([(2,)])
+    nz = Submodule(z, [(2,)])
     catq = Subcategory(ZZ, [], [DivisibleModule.Q])
     assert is_closed(z, nz, catq) is False
     scan2 = closedness_witness_scan(z, nz, catq)
     assert not scan2.exists_reading_closed and scan2.agrees_with_closure
 
-    assert is_closed(m, m.whole_submodule(), cat) is True
-    scan3 = closedness_witness_scan(m, m.whole_submodule(), cat)
+    assert is_closed(m, whole_submodule(m), cat) is True
+    scan3 = closedness_witness_scan(m, whole_submodule(m), cat)
     assert scan3.entries == () and scan3.exists_reading_closed
 
 
@@ -273,7 +282,7 @@ def test_scan_infeasible_on_infinite_quotient():
     z = present_module(ZZ, 1)
     cat = Subcategory(ZZ, [], [DivisibleModule.Q])
     with pytest.raises(OracleInfeasibleError):
-        closedness_witness_scan(z, z.zero_submodule(), cat)
+        closedness_witness_scan(z, zero_submodule(z), cat)
 
 
 def test_forall_reading_fails_over_z_with_both_divisibles():
@@ -281,7 +290,7 @@ def test_forall_reading_fails_over_z_with_both_divisibles():
     # agrees; but Hom(-, Q) = 0 breaks the universal reading
     m = present_module(ZZ, 1, [(2,)])
     cat = Subcategory(ZZ, [], [DivisibleModule.Q, DivisibleModule.Q_MOD_Z])
-    scan = closedness_witness_scan(m, m.zero_submodule(), cat)
+    scan = closedness_witness_scan(m, zero_submodule(m), cat)
     assert scan.closure_closed is True
     assert scan.exists_reading_closed is True
     assert scan.agrees_with_closure
@@ -296,14 +305,14 @@ def test_intersecting_generator_kernels_equals_all_homs(rng):
         n_mod = rng.choice([4, 6, 9])
         ring = Zmod(n_mod)
         m = random_finite_module(rng, ring, max_gens=2, max_order=36)
-        n = m.submodule(
-            [tuple(rng.randint(0, n_mod - 1) for _ in range(m.n_gens))]
+        n = Submodule(
+            m, [tuple(rng.randint(0, n_mod - 1) for _ in range(m.n_gens))]
         )
         obj = present_module(ring, 1)
         cat = Subcategory(ring, [obj])
         res = regular_closure(m, n, cat)
         q = quotient_module(m, n)
-        meet = m.whole_submodule()
+        meet = whole_submodule(m)
         for h in enumerate_homs(q, obj):
             lifted = Homomorphism(m, obj, h.matrix)
             meet = sub_meet(meet, kernel_of_hom(lifted))
@@ -347,7 +356,7 @@ def test_closure_matches_kernel_meets_on_wide_modules(rng):
             ]
 
         m = present_module(ring, k, columns(rng.randint(0, 2)))
-        n = m.submodule(columns(rng.randint(1, 3)))
+        n = Submodule(m, columns(rng.randint(1, 3)))
         cat = Subcategory(
             ring, [_injective_object(rng, ring, 3) for _ in range(rng.randint(1, 2))]
         )
@@ -362,9 +371,12 @@ def test_closure_matches_kernel_meets_on_wide_modules(rng):
         ]
         assert [w.hom for w in res.witnesses] == lifted
         assert [w.source for w in res.witnesses] == [h.cod for h in lifted]
-        meet = m.whole_submodule()
+        meet = whole_submodule(m)
         for w in res.witnesses:
-            assert all(w.hom(m.element(c)).is_zero for c in n.canonical_gens.columns())
+            assert all(
+                hom_apply(w.hom, ModuleElement(m, c)).is_zero
+                for c in n.canonical_gens.columns()
+            )
             meet = sub_meet(meet, kernel_of_hom(w.hom))
         assert meet == res.closure
         proper += not (res.dense or res.closed)
@@ -375,8 +387,8 @@ def test_closure_matches_prime_support_form_at_desk_scale(rng):
     for _ in range(900):
         ring = Zmod(rng.choice([4, 6, 8, 9, 12, 18, 20, 36, 72]))
         m = random_finite_module(rng, ring, max_gens=3, max_order=ring.modulus**3)
-        n = m.submodule(
-            [
+        n = Submodule(
+            m, [
                 tuple(rng.randrange(ring.modulus) for _ in range(m.n_gens))
                 for _ in range(rng.randint(0, 2))
             ]
@@ -403,7 +415,7 @@ def test_nonzero_map_by_invariant_factors_matches_hom_group(rng):
         for _ in range(120):
             x, a = module(ring), module(ring)
             admits = _admits_nonzero_map(x.invariant_factors, a)
-            assert admits == (not hom_group(x, a).is_zero)
+            assert admits == bool(hom_group(x, a).generators)
             free_pairs += x.free_rank() > 0 and a.free_rank() > 0
             answers.add(admits)
     assert free_pairs > 0 and answers == {True, False}
@@ -414,8 +426,8 @@ def test_closure_is_idempotent(rng):
         n_mod = rng.choice([4, 6, 8, 12])
         ring = Zmod(n_mod)
         m = random_finite_module(rng, ring, max_gens=2, max_order=36)
-        n = m.submodule(
-            [tuple(rng.randint(0, n_mod - 1) for _ in range(m.n_gens))]
+        n = Submodule(
+            m, [tuple(rng.randint(0, n_mod - 1) for _ in range(m.n_gens))]
         )
         cat = Subcategory(ring, [present_module(ring, 1)])
         c = regular_closure(m, n, cat).closure
@@ -429,8 +441,8 @@ def test_axiom_suite_worked_example():
     r4 = Zmod(4)
     m = present_module(r4, 1)
     cat = Subcategory(r4, [m])
-    n = m.submodule([(2,)])
-    samples = [(n, m.zero_submodule(), Homomorphism.identity(m))]
+    n = Submodule(m, [(2,)])
+    samples = [(n, zero_submodule(m), hom_identity(m))]
     report = axiom_suite(m, cat, samples)
     assert report.extension_ok
     assert report.monotonicity_ok
@@ -441,10 +453,10 @@ def test_axiom_suite_worked_example():
 
 def test_axiom_suite_continuity_with_projection():
     z = present_module(ZZ, 1)
-    n = z.submodule([(2,)])
+    n = Submodule(z, [(2,)])
     q = quotient_module(z, n)
     proj = Homomorphism(z, q, [[1]])
     cat = Subcategory(ZZ, [], [DivisibleModule.Q_MOD_Z])
-    report = axiom_suite(z, cat, [(n, z.zero_submodule(), proj)])
+    report = axiom_suite(z, cat, [(n, zero_submodule(z), proj)])
     assert report.continuity_ok
     assert report.all_axioms_ok

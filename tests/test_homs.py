@@ -7,6 +7,7 @@ from modclose import (
     FPModule,
     Homomorphism,
     OracleInfeasibleError,
+    Submodule,
     ZZ,
     Zmod,
     enumerate_homs,
@@ -16,6 +17,18 @@ from modclose import (
     is_injective_module,
     kernel_of_hom,
     present_module,
+)
+from modclose.elements import (
+    hom_add,
+    hom_apply,
+    hom_compose,
+    hom_group_elements,
+    hom_identity,
+    hom_is_zero,
+    hom_scale,
+    hom_zero,
+    is_subset_of,
+    module_elements,
 )
 
 from modclose.torsion import TRIAL_DIVISION_BOUND, _prime_factors
@@ -83,11 +96,11 @@ def test_hom_group_matches_block_system_and_orders():
         assert hg.structure == hom_structure_block_system(m, n)
         for gen, d in zip(hg.generators, hg.structure):
             assert Homomorphism(m, n, gen.matrix) == gen
-            assert not gen.is_zero
+            assert not hom_is_zero(gen)
             if d:
-                assert gen.scale(d).is_zero
+                assert hom_is_zero(hom_scale(gen, d))
                 for p in _prime_factors(d):
-                    assert not gen.scale(d // p).is_zero
+                    assert not hom_is_zero(hom_scale(gen, d // p))
 
 
 def test_hom_generators_stay_small_over_z():
@@ -137,7 +150,7 @@ def test_zero_map_normal_form():
     m = present_module(ZZ, 1, [(4,)])
     n = present_module(ZZ, 1, [(6,)])
     h = Homomorphism(m, n, [[6]])
-    assert h.is_zero
+    assert hom_is_zero(h)
     assert h.matrix.entries == ((0,),)
 
 
@@ -149,21 +162,21 @@ def test_composition_well_defined_and_functorial(rng):
         c = random_finite_module(rng, ring)
         f = _random_hom(rng, a, b)
         g = _random_hom(rng, b, c)
-        gf = g.compose(f)
-        for x in a.elements():
-            assert gf(x) == g(f(x))
-        assert kernel_of_hom(f).is_subset_of(kernel_of_hom(gf))
+        gf = hom_compose(g, f)
+        for x in module_elements(a):
+            assert hom_apply(gf, x) == hom_apply(g, hom_apply(f, x))
+        assert is_subset_of(kernel_of_hom(f), kernel_of_hom(gf))
 
 
 def _random_hom(rng, a, b):
     hg = hom_group(a, b)
-    if hg.is_zero:
-        return Homomorphism.zero(a, b)
-    h = Homomorphism.zero(a, b)
+    if not hg.generators:
+        return hom_zero(a, b)
+    h = hom_zero(a, b)
     for gen, d in zip(hg.generators, hg.structure):
         r = rng.randrange(d if d else 7)
         if r:
-            h = h + gen.scale(r)
+            h = hom_add(h, hom_scale(gen, r))
     return h
 
 
@@ -174,13 +187,13 @@ def test_kernel_of_hom_examples():
     r = Zmod(4)
     m = present_module(r, 1)
     double = Homomorphism(m, m, [[2]])
-    assert kernel_of_hom(double) == m.submodule([(2,)])
-    assert {x.coords for x in m.elements() if double(x).is_zero} == {(0,), (2,)}
+    assert kernel_of_hom(double) == Submodule(m, [(2,)])
+    assert {x.coords for x in module_elements(m) if hom_apply(double, x).is_zero} == {(0,), (2,)}
 
-    zero = Homomorphism.zero(m, m)
+    zero = hom_zero(m, m)
     assert kernel_of_hom(zero).is_whole
 
-    ident = Homomorphism.identity(m)
+    ident = hom_identity(m)
     assert kernel_of_hom(ident).is_zero
 
 
@@ -197,7 +210,7 @@ def test_enumerate_homs_examples():
 
     z3 = present_module(ZZ, 1, [(3,)])
     homs = enumerate_homs(z2, z3)
-    assert len(homs) == 1 and homs[0].is_zero
+    assert len(homs) == 1 and hom_is_zero(homs[0])
 
 
 def test_enumerate_homs_cap_is_explicit():
@@ -227,7 +240,7 @@ def test_hom_group_span_equals_enumeration_small_sweep():
         for a in mods:
             for b in mods:
                 hg = hom_group(a, b)
-                spanned = {h.matrix for h in hg.elements()}
+                spanned = {h.matrix for h in hom_group_elements(hg)}
                 listed = {h.matrix for h in enumerate_homs(a, b)}
                 assert spanned == listed
 

@@ -15,12 +15,17 @@ from modclose import (
     smith_normal_form,
     solve_linear,
 )
+from modclose.elements import (
+    ModuleElement,
+    identity_matrix,
+    whole_submodule,
+    zero_matrix,
+)
 from modclose.lattices import Lattice
-from modclose.matrices import _solve_over_z
 from modclose.cli import main
 from modclose.oracles import det_cofactor, minor_gcd
 
-from oracles import det_bareiss, kernel_by_modulus_columns
+from oracles import _solve_over_z, det_bareiss, kernel_by_modulus_columns
 
 
 def snf_invariants_hold(a):
@@ -73,7 +78,7 @@ def test_snf_worked_example():
 
 
 def test_snf_identity():
-    a = IntMatrix.identity(3)
+    a = identity_matrix(3)
     res = smith_normal_form(a)
     assert res.d == a
     assert res.u == a
@@ -81,7 +86,7 @@ def test_snf_identity():
 
 
 def test_snf_zero_matrix():
-    a = IntMatrix.zeros(2, 3)
+    a = zero_matrix(2, 3)
     res = smith_normal_form(a)
     assert res.d == a
     assert (res.u @ a @ res.v) == res.d
@@ -89,7 +94,7 @@ def test_snf_zero_matrix():
 
 def test_snf_empty_matrices():
     for rows, cols in [(0, 0), (0, 3), (3, 0)]:
-        a = IntMatrix.zeros(rows, cols)
+        a = zero_matrix(rows, cols)
         res = smith_normal_form(a)
         assert res.d.rows == rows and res.d.cols == cols
         assert (res.u @ a @ res.v) == res.d
@@ -277,9 +282,9 @@ def test_matmul_shape_check():
 
 
 def test_empty_matrix_product():
-    a = IntMatrix.zeros(2, 0)
-    b = IntMatrix.zeros(0, 3)
-    assert (a @ b) == IntMatrix.zeros(2, 3)
+    a = zero_matrix(2, 0)
+    b = zero_matrix(0, 3)
+    assert (a @ b) == zero_matrix(2, 3)
 
 
 # -- one echelon per system ----------------------------------------------------
@@ -321,8 +326,8 @@ _NON_INTEGERS = {
     "relation": lambda: present_module(ZZ, 1, [[2.7]]),
     "lattice column": lambda: Lattice.from_columns(1, [[2.9]]),
     "coset reduction": lambda: Lattice.from_columns(1, [(2,)]).reduce([2.5]),
-    "element": lambda: present_module(Zmod(12), 2).element([1.7, 2]),
-    "membership": lambda: present_module(ZZ, 1).whole_submodule().contains([1.5]),
+    "element": lambda: ModuleElement(present_module(Zmod(12), 2), [1.7, 2]),
+    "membership": lambda: whole_submodule(present_module(ZZ, 1)).contains([1.5]),
     "right-hand side": lambda: solve_linear(IntMatrix([[2]]), [4.0]),
 }
 

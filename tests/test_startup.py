@@ -112,6 +112,38 @@ COMMANDS = [
 ]
 COMMAND_IDS = [argv[0] for _, argv in COMMANDS]
 
+# The modclose.* modules each command loads, besides ``cli``, ``errors``,
+# ``workspace``, ``rings``, ``commands`` and its own handler.  The element
+# code (``elements``) loads only under --oracle, and the bounded and
+# free-rank oracles never list an element.
+_LOADS = {
+    "closure": {"closure", "homs", "lattices", "matrices", "modules"},
+    "verify": {"caches", "closure", "lattices", "matrices", "modules", "torsion"},
+    "snf": {"matrices"},
+    "hom": {"closure", "homs", "lattices", "matrices", "modules"},
+    "bounded": {"lattices", "matrices", "modules"},
+    "free-rank": {"lattices", "matrices", "modules"},
+}
+_ORACLE_LOADS = {
+    "closure": {"caches", "elements", "oracles"},
+    "verify": {"elements", "homs", "oracles"},
+    "snf": {"caches", "oracles"},
+    "hom": {"caches", "elements", "oracles"},
+    "bounded": {"caches", "homs", "oracles"},
+    "free-rank": {"caches", "homs", "oracles"},
+}
+
+
+def _expected_modules(command: str, oracle: bool) -> set[str]:
+    names = {"cli", "errors", "workspace", "rings", "commands"} | _LOADS[command]
+    if oracle:
+        names |= _ORACLE_LOADS[command]
+    return {f"modclose.{name}" for name in names} | {_own_module(command)}
+
+
+def _modclose_modules(loaded: set[str]) -> set[str]:
+    return {name for name in loaded if name.startswith("modclose.")}
+
 
 def _with_workspace(tmp_path, doc, argv):
     """``argv`` with ``--workspace`` naming a file that holds ``doc``, if any."""
@@ -140,8 +172,9 @@ def test_no_command_loads_argparse(tmp_path, doc, argv):
     # nor the oracles, nor the module of another command
     loaded, report = _run_fresh(tmp_path, doc, argv)
     assert report and "oracle" not in report
-    assert not loaded & {"argparse", "gettext", "modclose.oracles"}
+    assert not loaded & {"argparse", "gettext", "modclose.oracles", "modclose.elements"}
     assert loaded & COMMAND_MODULES == {_own_module(argv[0])}
+    assert _modclose_modules(loaded) == _expected_modules(argv[0], oracle=False)
 
 
 @pytest.mark.parametrize("doc, argv", COMMANDS, ids=COMMAND_IDS)
@@ -149,6 +182,7 @@ def test_every_oracle_run_loads_its_own_command_and_agrees(tmp_path, doc, argv):
     loaded, report = _run_fresh(tmp_path, doc, argv + ["--oracle"])
     assert "modclose.oracles" in loaded
     assert loaded & COMMAND_MODULES == {_own_module(argv[0])}
+    assert _modclose_modules(loaded) == _expected_modules(argv[0], oracle=True)
     check = report["oracle"]
     assert all(check.values()) if argv[0] == "snf" else check["agrees"] is True
 
@@ -183,6 +217,62 @@ def test_only_the_witnesses_of_finite_objects_load_the_hom_engine(
     loaded, report = _run_fresh(tmp_path, doc, argv)
     assert report.get("all_passed", True) is True
     assert ("modclose.homs" in loaded) is loads_homs
+
+
+WS_Z4 = {
+    "ring": "Zmod:4",
+    "modules": {"R": {"generators": 1, "relations": []}},
+    "subcategories": {"A": {"finite": ["R"], "divisible": []}},
+}
+
+
+def test_a_failing_verify_law_alone_loads_the_element_code(tmp_path):
+    # the laws hold for genuine subcategories, so T is rigged to {Z/4}; the
+    # first failing pair of a law is read from the listed submodules of an
+    # object, which loads the element code (and the hom engine it imports)
+    argv = _with_workspace(
+        tmp_path, WS_Z4, ["verify", "--cat", "A", "--max-gens", "2", "--max-order", "16"]
+    )
+    loaded, out = _fresh(
+        "import modclose.torsion as torsion\n"
+        "torsion._in_torsion_class = lambda chain, cat: chain == (4,)\n"
+        "from modclose import cli\n"
+        f"assert cli.main({argv!r}) == 1"
+    )
+    failed = {c["name"]: c["counterexample"] for c in json.loads(out)["checks"] if not c["passed"]}
+    assert failed == {
+        "subcategory_meets_torsion_class_trivially": {"object": [4]},
+        "torsion_and_torsion_free_intersect_trivially": {"module": [4]},
+        "no_nonzero_hom_torsion_to_torsion_free": {"from": [4], "to": [2]},
+        "radical_lies_in_torsion_class": {"module": []},
+        "torsion_class_closed_under_quotients": {"module": [4], "quotient": []},
+        "torsion_class_closed_under_finite_sums": {"left": [4], "right": [4]},
+        "torsion_class_closed_under_extensions": {"middle": [4, 4], "quotient": [4], "sub": [4]},
+        "torsion_class_closed_under_submodules": {"module": [4], "submodule": [2]},
+    }
+    expected = _expected_modules("verify", oracle=False)
+    assert _modclose_modules(loaded) == expected | {"modclose.elements", "modclose.homs"}
+
+
+def test_every_traced_entry_point_resolves_at_its_module_path():
+    # perfbench/traced.py wraps these paths in the traced benchmark smokes;
+    # installing its wrappers without running the CLI finds a moved one first
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    _, out = _fresh(
+        f"sys.path.insert(0, {bench!r})\n"
+        "import importlib, traced\n"
+        "tracer = traced.Tracer()\n"
+        "targets = traced.targets(tracer)\n"
+        "originals = traced.install(tracer)\n"
+        "assert traced.unwrapped_references(originals) == []\n"
+        "for modname, path, _ in targets:\n"
+        "    value = importlib.import_module(modname)\n"
+        "    for part in path.split('.'):\n"
+        "        value = getattr(value, part)\n"
+        "    assert callable(value) and hasattr(value, '__wrapped__'), (modname, path)\n"
+        "print(len(targets), 'modclose.cli' in sys.modules)"
+    )
+    assert out == "26 False"
 
 
 def test_loading_a_modular_workspace_with_a_subcategory_loads_no_hom_engine(tmp_path):

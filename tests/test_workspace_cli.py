@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modclose.cli import main
+from modclose.elements import serialize_workspace
 from modclose.workspace import (
     MAX_GENERATORS,
     decode_int,
@@ -13,7 +14,6 @@ from modclose.workspace import (
     encode_int,
     load_workspace,
     parse_ring,
-    serialize_workspace,
 )
 
 
