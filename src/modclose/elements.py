@@ -2,9 +2,8 @@
 arithmetic, submodule enumeration, and the linear solvers.
 
 The paper's results are computed on lattices, so the command-line paths call
-none of this: a request loads this module only under ``--oracle``, or when a
-``verify`` law fails and its first failing pair is read from the listed
-submodules of one object.  Otherwise it serves library users and the tests.
+none of this: a request loads this module only under ``--oracle``.  Otherwise
+it serves library users and the tests.
 The modules every request loads reach it only lazily: the certifying
 ``Homomorphism`` constructor, ``modules.all_submodules``,
 ``homs.is_injective_module`` and the solvers of ``matrices`` import it when

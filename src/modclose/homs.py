@@ -7,9 +7,8 @@ Hom(Z/d, Z) = 0 for d != 0.  A map is held by its canonical matrix.  The
 certificate of a map given by a matrix, the arithmetic of maps, the listing
 of a hom group's elements and the Baer-criterion injectivity test (the
 oracle of ``closure.is_injective_by_structure``) live in
-:mod:`modclose.elements`, which a request loads only under ``--oracle`` or
-when a ``verify`` law fails; the brute-force enumeration oracle is
-``oracles.enumerate_homs``.
+:mod:`modclose.elements`, which a request loads only under ``--oracle``;
+the brute-force enumeration oracle is ``oracles.enumerate_homs``.
 """
 
 from __future__ import annotations

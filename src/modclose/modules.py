@@ -8,8 +8,7 @@ contains n*Z^g.
 Boundedness and free-summand rank over the integers are read off the free
 rank.  Elements, their enumeration, images and preimages under maps, direct
 sums and the enumeration behind ``all_submodules`` live in
-:mod:`modclose.elements`, which a request loads only under ``--oracle`` or
-when a ``verify`` law fails.
+:mod:`modclose.elements`, which a request loads only under ``--oracle``.
 """
 
 from __future__ import annotations

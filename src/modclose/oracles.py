@@ -397,6 +397,20 @@ def oracle_closure(m: FPModule, n: Submodule, cat: Subcategory, closure: Submodu
     }
 
 
+def listed_class_pairs(m: FPModule) -> tuple:
+    """The distinct (class of S, class of M/S), as invariant-factor chains,
+    over the listed submodules S of the finite module ``m``, in first-seen
+    order over ``all_submodules(m)``; both chains are read from S's preimage
+    lattice.  The oracle of ``torsion.class_pair_support``."""
+    from .elements import invariants_over
+    from .modules import all_submodules
+
+    return tuple(dict.fromkeys(
+        (invariants_over(s.lattice, m.lattice), s.lattice.quotient_invariants())
+        for s in all_submodules(m)
+    ))
+
+
 def oracle_verify(report, cat: Subcategory, label):
     """``verify --oracle``: every fast path of ``verify_torsion_theory``
     against its enumeration, with modules named by ``label``.
@@ -434,7 +448,7 @@ def oracle_verify(report, cat: Subcategory, label):
                     "nonzero_by_hom_group": slow,
                 })
     for x, support in zip(universe.objects, universe.pair_sets):
-        listed = set(universe.ordered_pairs(x))
+        listed = set(listed_class_pairs(x))
         if support != listed:
             mismatches.append({
                 "module": label(x),

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .caches import BoundedCache
 from .closure import Subcategory, _admits_nonzero_map, _closure_lattice, _exponent
 from .lattices import Lattice
-from .modules import FPModule, Submodule, all_submodules, quotient_module
+from .modules import FPModule, Submodule, quotient_module
 from .rings import Ring, _divisors, _seen_part
 
 
@@ -210,12 +210,9 @@ class ModuleUniverse:
     the submodules S of M = ``objects[i]``, as invariant-factor chains, read
     from the Littlewood-Richardson support of M's chain
     (:func:`class_pair_support`) without listing a submodule.  The scan
-    stops at the first infinite object.
-
-    :meth:`ordered_pairs` lists the same pairs of one object in first-seen
-    order over ``all_submodules(M)``, both chains read from S's preimage
-    lattice; an object is enumerated when its ordered pairs are first read,
-    so a universe whose pairs are only tested as sets lists no submodule.
+    stops at the first infinite object.  ``verify`` reads a failing law's
+    counterexample from these sets as well, as the least failing pair in
+    tuple order; only ``oracles.listed_class_pairs`` lists submodules.
 
     Closure under submodules and quotients (projections of the pair sets)
     and under finite direct sums is computed, never assumed.  A flag is
@@ -226,24 +223,23 @@ class ModuleUniverse:
         "ring",
         "objects",
         "pair_sets",
-        "_ordered",
         "closed_under_submodules",
         "closed_under_quotients",
         "closed_under_sums",
     )
 
     def __init__(self, ring: Ring, objects):
-        self._fill(ring, objects, {}, {})
+        self._fill(ring, objects, {})
 
     def adjoin(self, extra) -> "ModuleUniverse":
         """This universe with the modules ``extra`` adjoined, reusing the
-        pair sets and the ordered pairs already computed."""
+        pair sets already computed."""
         known = {m.invariant_factors: p for m, p in zip(self.objects, self.pair_sets)}
         grown = object.__new__(ModuleUniverse)
-        grown._fill(self.ring, self.objects + tuple(extra), known, dict(self._ordered))
+        grown._fill(self.ring, self.objects + tuple(extra), known)
         return grown
 
-    def _fill(self, ring: Ring, objects, known: dict, ordered: dict) -> None:
+    def _fill(self, ring: Ring, objects, known: dict) -> None:
         objs = sorted(
             objects,
             key=lambda m: (len(m.invariant_factors), m.invariant_factors, m.n_gens),
@@ -258,7 +254,6 @@ class ModuleUniverse:
                 kept.append(m)
         self.ring = ring
         self.objects = tuple(kept)
-        self._ordered = ordered
         memo: dict = {}
         pair_sets = []
         for m in self.objects:
@@ -272,19 +267,6 @@ class ModuleUniverse:
         self.closed_under_submodules = self._closure_flag(seen, 0)
         self.closed_under_quotients = self._closure_flag(seen, 1)
         self.closed_under_sums = _first_bad_sum(self.objects, seen.__contains__) is None
-
-    def ordered_pairs(self, m: FPModule) -> tuple:
-        """The class pairs of the finite object ``m`` in first-seen order over
-        ``all_submodules(m)``, enumerated on the first call for ``m``."""
-        pairs = self._ordered.get(m)
-        if pairs is None:
-            from .elements import invariants_over
-
-            pairs = self._ordered[m] = tuple(dict.fromkeys(
-                (invariants_over(s.lattice, m.lattice), s.lattice.quotient_invariants())
-                for s in all_submodules(m)
-            ))
-        return pairs
 
     def _closure_flag(self, iso_classes, side: int):
         for pairs in self.pair_sets:
@@ -301,8 +283,8 @@ class ModuleUniverse:
 # direct sums and the T -> F law on invariant-factor chains, but it still
 # reads three radicals per object (one echelon each over Z/n), one preimage
 # and one pushed-back lattice per object, and a gcd test per (T, F) pair, all
-# growing with the universe; a failing law and ``verify --oracle`` list every
-# submodule of an object, which takes time at least its order.  Z/12 with at
+# growing with the universe; ``verify --oracle`` lists every submodule of
+# each object, which takes time at least its order.  Z/12 with at
 # most 3 generators and order at most 300 sums to 2,168.
 UNIVERSE_ORDER_CAP = 4096
 
@@ -392,9 +374,10 @@ def verify_torsion_theory(
     direct sums, and extensions realizable inside universe objects.
 
     The laws on submodules, quotients and extensions are decided on the
-    universe's pair sets, so no submodule is listed while they hold.  Only
-    an object where a law fails is enumerated, to report the first failing
-    pair in enumeration order (the first such object in universe order).
+    universe's pair sets, so no submodule is listed.  A failing law reports
+    the least failing (submodule chain, quotient chain) pair, in tuple
+    order, of the first object in universe order where it fails; both depend
+    only on the invariant-factor chains, not on how an object is presented.
     Membership in T (no nonzero map into the subcategory) and in F (maps
     into the subcategory separate elements) is decided once per
     invariant-factor chain by gcds, and direct sums by their chains, so a
@@ -417,7 +400,11 @@ def verify_torsion_theory(
         universe = universe.adjoin(objects[len(universe.objects):])
     objects = list(universe.objects)
     if len(universe.pair_sets) < len(objects):
-        raise ValueError("submodule enumeration requires a finite module")
+        infinite = objects[len(universe.pair_sets)]
+        raise ValueError(
+            f"verify requires finite universe objects: the object with "
+            f"invariant factors {_label(infinite)} is infinite"
+        )
 
     radical_table = tuple((m, torsion_radical(m, cat)) for m in objects)
 
@@ -534,18 +521,14 @@ def verify_torsion_theory(
          lambda mc, sc, qc: in_f(sc) and in_f(qc) and not in_f(mc),
          ext),
     )
-    # each law is decided on the pair sets; the first object where it fails
-    # is enumerated to report its first failing pair in enumeration order
     bad_by_law: dict[str, dict | None] = {}
     for m, pairs in zip(objects, universe.pair_sets):
         mc = m.invariant_factors
         for name, fails, report in pair_laws:
-            if name not in bad_by_law and any(fails(mc, sc, qc) for sc, qc in pairs):
-                bad_by_law[name] = next(
-                    report(mc, sc, qc)
-                    for sc, qc in universe.ordered_pairs(m)
-                    if fails(mc, sc, qc)
-                )
+            if name not in bad_by_law:
+                least = min((p for p in pairs if fails(mc, *p)), default=None)
+                if least is not None:
+                    bad_by_law[name] = report(mc, *least)
     bad_by_law["torsion_class_closed_under_finite_sums"] = _first_bad_sum(t_members, in_t)
     bad_by_law["torsion_free_class_closed_under_finite_products"] = _first_bad_sum(
         f_members, in_f

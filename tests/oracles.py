@@ -35,7 +35,7 @@ from modclose.elements import (
 )
 from modclose.lattices import Lattice
 from modclose.matrices import _kernel_over_z, _snf_with_inverses
-from modclose.oracles import torsion_preimage_by_exponent
+from modclose.oracles import listed_class_pairs, torsion_preimage_by_exponent
 
 
 def _solve_over_z(a: IntMatrix, b) -> tuple | None:
@@ -44,10 +44,10 @@ def _solve_over_z(a: IntMatrix, b) -> tuple | None:
 
 
 def class_pairs(universe) -> tuple:
-    """The ordered class pairs of every scanned object of a
+    """The listed class pairs of every scanned object of a
     ``ModuleUniverse``, in object order."""
     return tuple(
-        universe.ordered_pairs(m) for m in universe.objects[:len(universe.pair_sets)]
+        listed_class_pairs(m) for m in universe.objects[:len(universe.pair_sets)]
     )
 
 

@@ -228,13 +228,13 @@ def test_universe_flags_undecided_on_infinite_objects():
 
 
 def test_universe_flags_propagate_enumeration_errors(monkeypatch):
-    import modclose.torsion as torsion_mod
+    import modclose.modules as modules_mod
 
     def broken(m):
         raise ValueError("enumeration broke")
 
-    monkeypatch.setattr(torsion_mod, "all_submodules", broken)
-    # the flags read the pair sets; the ordered pairs are enumerated on read
+    monkeypatch.setattr(modules_mod, "all_submodules", broken)
+    # the flags read the pair sets; only the oracle's listed pairs enumerate
     u = ModuleUniverse(Zmod(4), [present_module(Zmod(4), 1)])
     with pytest.raises(ValueError, match="enumeration broke"):
         class_pairs(u)
@@ -302,7 +302,7 @@ def test_infinite_object_leaves_flags_undecided_and_verify_refuses():
     assert class_pairs(u) == ()  # Z sorts first and stops the scan
     assert u.closed_under_submodules is None and u.closed_under_quotients is None
     cat = Subcategory(ZZ, divisible_objects=[DivisibleModule.Q])
-    with pytest.raises(ValueError, match="requires a finite module"):
+    with pytest.raises(ValueError, match=r"invariant factors \[0\] is infinite"):
         verify_torsion_theory(u, cat)
     # finite objects only: the scan covers every object
     u = ModuleUniverse(ZZ, enumerate_universe(ZZ, 2, 8))
@@ -385,6 +385,7 @@ def test_verify_adjoin_enumerates_each_object_once(monkeypatch):
     # pair set of Z/12 alone, a verify whose laws all pass lists no
     # submodule, and the report equals that over a universe holding Z/12
     # from the start
+    import modclose.modules as modules_mod
     import modclose.torsion as torsion_mod
 
     r12 = Zmod(12)
@@ -393,12 +394,12 @@ def test_verify_adjoin_enumerates_each_object_once(monkeypatch):
     expected = verify_torsion_theory(ModuleUniverse(r12, objects + [cat.finite_objects[0]]), cat)
     u = ModuleUniverse(r12, objects)
     supports, listings = [], []
-    support, listing = torsion_mod.class_pair_support, torsion_mod.all_submodules
+    support, listing = torsion_mod.class_pair_support, modules_mod.all_submodules
     monkeypatch.setattr(
         torsion_mod, "class_pair_support",
         lambda chain, memo=None: supports.append(chain) or support(chain, memo),
     )
-    monkeypatch.setattr(torsion_mod, "all_submodules", lambda m: listings.append(m) or listing(m))
+    monkeypatch.setattr(modules_mod, "all_submodules", lambda m: listings.append(m) or listing(m))
     rep = verify_torsion_theory(u, cat)
     assert rep.all_passed
     assert len(objects) == 7 and len(rep.universe.objects) == 8
@@ -528,25 +529,30 @@ def _presented_scan(objects):
 
 
 def _first_pair_counterexamples(scan, in_t, in_f):
-    """The first counterexample of each pair law, in scan order."""
+    """The counterexample of each pair law: among the triples of the first
+    object in scan order where it fails, the one with the least (chain of S,
+    chain of M/S)."""
+    position = {mc: i for i, mc in enumerate(dict.fromkeys(mc for mc, _, _ in scan))}
     bad = dict.fromkeys(PAIR_CHECKS)
 
-    def note(name, value):
-        bad[name] = bad[name] or value
+    def note(name, key, value):
+        if bad[name] is None or key < bad[name][0]:
+            bad[name] = (key, value)
 
     for mc, sc, qc in scan:
+        key = (position[mc], sc, qc)
         ext = {"middle": list(mc), "sub": list(sc), "quotient": list(qc)}
         if in_t(mc) and not in_t(qc):
-            note(PAIR_CHECKS[0], {"module": list(mc), "quotient": list(qc)})
+            note(PAIR_CHECKS[0], key, {"module": list(mc), "quotient": list(qc)})
         if in_t(mc) and not in_t(sc):
-            note(PAIR_CHECKS[1], {"module": list(mc), "submodule": list(sc)})
+            note(PAIR_CHECKS[1], key, {"module": list(mc), "submodule": list(sc)})
         if in_f(mc) and not in_f(sc):
-            note(PAIR_CHECKS[2], {"module": list(mc), "submodule": list(sc)})
+            note(PAIR_CHECKS[2], key, {"module": list(mc), "submodule": list(sc)})
         if in_t(sc) and in_t(qc) and not in_t(mc):
-            note(PAIR_CHECKS[3], ext)
+            note(PAIR_CHECKS[3], key, ext)
         if in_f(sc) and in_f(qc) and not in_f(mc):
-            note(PAIR_CHECKS[4], ext)
-    return bad
+            note(PAIR_CHECKS[4], key, ext)
+    return {name: found and found[1] for name, found in bad.items()}
 
 
 SUM_CHECKS = (
@@ -571,7 +577,8 @@ def _first_sum_counterexamples(chains, sums, in_t, in_f):
 @pytest.mark.parametrize("n", [12, 36])
 def test_pair_laws_report_the_first_counterexample(n, rng, monkeypatch):
     # the laws hold for genuine subcategories, so T and F are rigged to
-    # random sets of chains to make them fail
+    # random sets of chains to make them fail; each pair law reports the
+    # least failing pair of the first object where it fails
     import modclose.torsion as torsion_mod
 
     ring = Zmod(n)
@@ -604,6 +611,48 @@ def test_pair_laws_report_the_first_counterexample(n, rng, monkeypatch):
         expected.update(_first_sum_counterexamples(ordered, sums, in_t, in_f))
         assert got == expected
         failures += sum(v is not None for v in expected.values())
+    assert failures > 0
+
+
+def _scrambled(rng, ring, chain):
+    """The class of ``chain`` on two generators in random coordinates:
+    Z^2 / U diag(1, ..., chain) for a random unimodular U."""
+    d = (1,) * (2 - len(chain)) + chain
+    u = [[1, 0], [0, 1]]
+    for _ in range(4):
+        a = rng.randint(-3, 3)
+        i = rng.randrange(2)
+        u[i] = [x + a * y for x, y in zip(u[i], u[1 - i])]  # a row operation
+    return present_module(ring, 2, [(u[0][j] * d[j], u[1][j] * d[j]) for j in range(2)])
+
+
+@pytest.mark.parametrize("n", [8, 12, 36])
+def test_verify_checks_do_not_depend_on_the_presentation(n, rng, monkeypatch):
+    # T and F are rigged to random sets of chains so that laws fail; every
+    # check, counterexamples included, reads the chains alone, so diagonal
+    # and scrambled presentations of one universe report the same checks
+    import modclose.torsion as torsion_mod
+
+    ring = Zmod(n)
+    chains = [m.invariant_factors for m in enumerate_universe(ring, 2, 36)]
+    cat = Subcategory(ring, [present_module(ring, 1)])
+    diagonal = ModuleUniverse(ring, [_diagonal(ring, c) for c in chains])
+    failures = 0
+    for _ in range(20):
+        scrambled = ModuleUniverse(ring, [_scrambled(rng, ring, c) for c in chains])
+        assert scrambled.objects != diagonal.objects
+        assert [m.invariant_factors for m in scrambled.objects] == [
+            m.invariant_factors for m in diagonal.objects
+        ]
+        t_set = {c for c in chains if rng.random() < 0.5}
+        f_set = {c for c in chains if rng.random() < 0.5}
+        monkeypatch.setattr(torsion_mod, "_in_torsion_class", lambda x, c: x in t_set)
+        monkeypatch.setattr(
+            torsion_mod, "_in_torsion_free_class", lambda x, c: x in f_set
+        )
+        checks = verify_torsion_theory(diagonal, cat).checks
+        assert verify_torsion_theory(scrambled, cat).checks == checks
+        failures += sum(c.counterexample is not None for c in checks)
     assert failures > 0
 
 

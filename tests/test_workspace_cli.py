@@ -608,7 +608,10 @@ def test_cli_verify_with_an_infinite_object_exits_2(tmp_path, capsys):
         capsys, ["verify", "--workspace", path, "--cat", "Q", "--universe", "Z2,Z"]
     )
     assert code == 2 and out == ""
-    assert err == "modclose: error: submodule enumeration requires a finite module\n"
+    assert err == (
+        "modclose: error: verify requires finite universe objects: "
+        "the object with invariant factors [0] is infinite\n"
+    )
 
 
 def test_cli_verify_refuses_a_universe_naming_no_module(tmp_path, capsys):
