@@ -3,10 +3,13 @@
 Hom(M, N) is computed as a finitely generated module with an explicit
 generating set, by the gcd formula in the Smith coordinates of M and N:
 Hom(sum_j Z/d_j, sum_i Z/e_i) = sum_{i,j} Z/gcd(d_j, e_i), with
-Hom(Z/d, Z) = 0 for d != 0.  A map is held by its canonical matrix.  The
-certificate of a map given by a matrix, the arithmetic of maps, the listing
-of a hom group's elements and the Baer-criterion injectivity test (the
-oracle of ``closure.is_injective_by_structure``) live in
+Hom(Z/d, Z) = 0 for d != 0, the pieces regrouped into invariant factors by
+pairwise gcds and lcms (``rings._regroup``).  ``HOM_PIECE_CAP`` bounds the
+piece count s, and with it the answer: at most s generators, each a matrix
+of the size of the presentations.  A map is held by its canonical matrix.
+The certificate of a map given by a matrix, the arithmetic of maps, the
+listing of a hom group's elements and the Baer-criterion injectivity test
+(the oracle of ``closure.is_injective_by_structure``) live in
 :mod:`modclose.elements`, which a request loads only under ``--oracle``;
 the brute-force enumeration oracle is ``oracles.enumerate_homs``.
 """
@@ -15,9 +18,9 @@ from __future__ import annotations
 
 from math import gcd
 
-from .matrices import IntMatrix, _snf_with_inverses
+from .matrices import IntMatrix
 from .modules import FPModule, Submodule
-from .rings import ZZ
+from .rings import _regroup
 
 
 class Homomorphism:
@@ -95,12 +98,12 @@ class HomGroup:
         return f"HomGroup(structure={list(self.structure)!r})"
 
 
-# Cap on the pieces Z/gcd(d_j, e_i) of one hom group.  Their regrouping is a
-# dense s x s Smith reduction, cubic in the piece count s: Hom(Z^k, (Z/2)^k)
-# took 0.46 s at 256 pieces, 5.7 s at 576, 12 s at 784 and 29 s at 1,024
-# (77 MB peak RSS) on a 2-core VM, while a workspace module may have 256
-# generators, so a request could ask for 65,536 pieces.  The benchmark's
-# largest has 60.
+# Cap on the pieces Z/gcd(d_j, e_i) of one hom group.  The answer is up to s
+# generators of b x a cells for s pieces, so Hom(Z^k, (Z/2)^k), k^4 cells,
+# took 0.10 s at 576 pieces, 0.35 s at 1,024 and 1.2 s at 2,304 (in process,
+# a 2-core VM; 0.3 s for the whole CLI request at 576), while a workspace
+# module may have 256 generators, so a request could ask for 65,536 pieces
+# of 65,536 cells each.  The benchmark's largest has 60.
 HOM_PIECE_CAP = 576
 
 
@@ -111,11 +114,11 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
     is the sum of the pieces Hom(Z/d_j, Z/e_i) = Z/gcd(d_j, e_i), generated
     by multiplication with e_i / gcd(d_j, e_i) (with 1 when d_j is 0, and
     no piece when d_j is nonzero and e_i is 0).  A piece maps back to the
-    presentations as ``U_N^-1 E_ij U_M``.  The pieces are regrouped by one
-    Smith reduction of their orders, so generators are aligned with the
-    invariant factors and enumerating coefficient boxes walks each
-    homomorphism exactly once.  More than ``HOM_PIECE_CAP`` pieces raise
-    ``ValueError`` before that reduction.
+    presentations as ``U_N^-1 E_ij U_M``.  The pieces are regrouped by
+    pairwise gcds and lcms of their orders (``rings._regroup``), so
+    generators are aligned with the invariant factors and enumerating
+    coefficient boxes walks each homomorphism exactly once.  More than
+    ``HOM_PIECE_CAP`` pieces raise ``ValueError`` before the regrouping.
     """
     if m.ring != n.ring:
         raise ValueError("hom groups need a common ring")
@@ -139,27 +142,18 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
             f"hom group too large: {s} cyclic pieces, past the cap of "
             f"{HOM_PIECE_CAP}; use modules with fewer invariant factors"
         )
-    rel_mat = IntMatrix(
-        [[orders[k] if k == l else 0 for l in range(s)] for k in range(s)], ZZ,
-        rows=s, cols=s,
-    )
-    _, dd, _, uinv = _snf_with_inverses(rel_mat)
-    # generator t is U_N^-1 Phi_t U_M, where Phi_t holds c * uinv[k][t] at
-    # (i, j) for each piece k = (i, j, c): a sum of the rank-one products
-    # (column i of U_N^-1)(row j of U_M), one per nonzero coefficient
+    structure, coefficients = _regroup(orders)
+    # generator t is U_N^-1 Phi_t U_M, where Phi_t holds c * v at (i, j) for
+    # each piece k = (i, j, c) with coefficient v in t: a sum of the rank-one
+    # products (column i of U_N^-1)(row j of U_M), one per such piece
     uinv_cols = [tuple(row[i] for row in uinv_n) for i in range(b)]
 
     gens = []
-    structure = []
-    for t in range(s):
-        f = dd[t][t]
-        if f == 1:
-            continue
+    for coefs in coefficients:
         cols = [[0] * b for _ in range(a)]
-        for k, (i, j, c) in enumerate(pieces):
-            coef = c * uinv[k][t]
-            if not coef:
-                continue
+        for k, v in coefs.items():
+            i, j, c = pieces[k]
+            coef = c * v
             left = uinv_cols[i]
             for col, x in zip(cols, u_m[j]):
                 if x:
@@ -167,8 +161,7 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
                     for r in range(b):
                         col[r] += x * left[r]
         gens.append(Homomorphism._trusted(m, n, _canonical_matrix(n, cols)))
-        structure.append(f)
-    return HomGroup(m, n, tuple(gens), tuple(structure))
+    return HomGroup(m, n, tuple(gens), structure)
 
 
 def kernel_of_hom(f: Homomorphism) -> Submodule:

@@ -1,6 +1,7 @@
 """Base rings of scalars: the integers, or the integers modulo n, the
-divisors of a modulus (the ideals of Z/n), and the part of a number on the
-primes of another."""
+divisors of a modulus (the ideals of Z/n), the part of a number on the
+primes of another, and the regrouping of a sum of cyclic groups into
+invariant factors."""
 
 from __future__ import annotations
 
@@ -93,3 +94,53 @@ def _seen_part(d: int, e: int) -> int:
         rest //= g
         g = gcd(rest, g)
     return part
+
+
+def _regroup(orders: list[int] | tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The invariant factors of the sum of the cyclic pieces Z/orders[k] (an
+    order 0 is Z), in divisibility order with 0 last and units dropped, and
+    for each a generator ``{k: coefficient}`` over the pieces, each
+    coefficient reduced modulo its piece's order.
+
+    Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b), so replacing each pair of
+    factors at positions i < j by their gcd and lcm in turn leaves every
+    factor dividing the later ones (Fuchs, *Infinite Abelian Groups* I,
+    section 15).  When a does not divide b, gcds alone give coprime x | a
+    and y | b with x*y = lcm(a, b): start from x = a, y = b / gcd(a, b) and
+    move h = gcd(x, y) from x into y until h = 1.  Then (a/x)*g_a + (b/y)*g_b
+    has order x*y, the lcm, and x*g_a + y*g_b has order (a/x)*(b/y), the
+    gcd; on each prime one of them is the whole p-part of g_a and the other
+    that of g_b, so together they generate the pair's sum.  A free piece
+    (0) is swapped towards the end.
+    """
+    chain = list(orders)
+    gens = [{k: 1} for k in range(len(chain))]
+
+    def combine(ga, s, gb, t):
+        out = {}
+        for g, c in ((ga, s), (gb, t)):
+            for k, v in g.items():
+                v = out.get(k, 0) + c * v
+                out[k] = v % orders[k] if orders[k] else v
+        return {k: v for k, v in out.items() if v}
+
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            if (b % a == 0) if a else b == 0:
+                continue
+            if not a:
+                chain[i], chain[j] = b, 0
+                gens[i], gens[j] = gens[j], gens[i]
+                continue
+            g = gcd(a, b)
+            x, y = a, b // g
+            h = gcd(x, y)
+            while h != 1:
+                x, y = x // h, y * h
+                h = gcd(x, y)
+            ga, gb = gens[i], gens[j]
+            chain[i], chain[j] = g, x * y
+            gens[i], gens[j] = combine(ga, x, gb, y), combine(ga, a // x, gb, b // y)
+    kept = [t for t, f in enumerate(chain) if f != 1]
+    return tuple(chain[t] for t in kept), tuple(gens[t] for t in kept)

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations_with_replacement, product
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .caches import BoundedCache
 from .closure import Subcategory, _admits_nonzero_map, _closure_lattice, _exponent
 from .lattices import Lattice
 from .modules import FPModule, Submodule, quotient_module
-from .rings import Ring, _divisors, _seen_part
+from .rings import Ring, _divisors, _regroup, _seen_part
 
 
 # (M, subcategory) -> radical.  verify misses once per universe object and
@@ -63,18 +63,9 @@ def _in_torsion_free_class(chain: tuple[int, ...], cat: Subcategory) -> bool:
 
 def _sum_chain(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The invariant-factor chain of the direct sum of modules with chains
-    ``a`` and ``b``, without building either module.
-
-    Z/x + Z/y is Z/gcd(x, y) + Z/lcm(x, y), so replacing each pair of
-    factors (d_i, d_j), i < j, by their gcd and lcm in turn leaves every
-    factor dividing the later ones (a 0, a free factor, sorts last); the
-    units are dropped.
-    """
-    d = list(a + b)
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
-    return tuple(x for x in d if x != 1)
+    ``a`` and ``b``, without building either module: the regrouping of
+    their factors by pairwise gcds and lcms (``rings._regroup``)."""
+    return _regroup(a + b)[0]
 
 
 def _first_bad_sum(members, member_of):

@@ -36,6 +36,7 @@ from modclose.elements import (
 from modclose.lattices import Lattice
 from modclose.matrices import _kernel_over_z, _snf_with_inverses
 from modclose.oracles import listed_class_pairs, torsion_preimage_by_exponent
+from modclose.rings import _regroup
 
 
 def _solve_over_z(a: IntMatrix, b) -> tuple | None:
@@ -390,11 +391,25 @@ def hom_structure_block_system(m: FPModule, n: FPModule) -> tuple:
     return tuple(f for f in factors if f != 1)
 
 
+def regroup_dense(orders) -> tuple:
+    """The invariant factors of the sum of the cyclic pieces Z/orders[k]
+    by a dense Smith reduction of their diagonal matrix, units dropped: the
+    oracle of ``rings._regroup``."""
+    s = len(orders)
+    diag = IntMatrix(
+        [[orders[k] if k == l else 0 for l in range(s)] for k in range(s)], ZZ,
+        rows=s, cols=s,
+    )
+    _, d, _, _ = _snf_with_inverses(diag)
+    return tuple(d[t][t] for t in range(s) if d[t][t] != 1)
+
+
 def hom_generators_dense(m: FPModule, n: FPModule) -> list:
     """The matrices of ``hom_group``'s generators built by dense products:
     ``U_N^-1 @ Phi_t @ U_M`` for each generator t, Phi_t holding each piece's
-    multiplier times its Smith coefficient, then reduced modulo the
-    codomain's relation lattice."""
+    multiplier times its coefficient in t from ``rings._regroup``, then
+    reduced modulo the codomain's relation lattice.  It checks the rank-one
+    assembly, not the choice of generators."""
     a, b = m.n_gens, n.n_gens
     d, u_m, _ = m.lattice.smith_coordinates()
     e, _, uinv_n = n.lattice.smith_coordinates()
@@ -406,21 +421,14 @@ def hom_generators_dense(m: FPModule, n: FPModule) -> list:
                 continue
             pieces.append((i, j, ei // g if dj else 1))
             orders.append(g)
-    s = len(pieces)
-    rel_mat = IntMatrix(
-        [[orders[k] if k == l else 0 for l in range(s)] for k in range(s)], ZZ,
-        rows=s, cols=s,
-    )
-    _, dd, _, uinv = _snf_with_inverses(rel_mat)
     left = IntMatrix(uinv_n, ZZ, rows=b, cols=b)
     right = IntMatrix(u_m, ZZ, rows=a, cols=a)
     out = []
-    for t in range(s):
-        if dd[t][t] == 1:
-            continue
+    for coefs in _regroup(orders)[1]:
         phi = [[0] * a for _ in range(b)]
-        for k, (i, j, c) in enumerate(pieces):
-            phi[i][j] = c * uinv[k][t]
+        for k, v in coefs.items():
+            i, j, c = pieces[k]
+            phi[i][j] = c * v
         mat = left @ IntMatrix(phi, ZZ, rows=b, cols=a) @ right
         cols = [n.lattice.reduce(col) for col in mat.columns()]
         out.append(IntMatrix.from_columns(cols, b, n.ring))

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -31,10 +32,11 @@ from modclose.elements import (
     module_elements,
 )
 
+from modclose.rings import _regroup
 from modclose.torsion import TRIAL_DIVISION_BOUND, _prime_factors
 
 from conftest import random_finite_module
-from oracles import hom_generators_dense, hom_structure_block_system
+from oracles import hom_generators_dense, hom_structure_block_system, regroup_dense
 
 
 # -- hom groups -------------------------------------------------------------------
@@ -133,6 +135,58 @@ def test_hom_generators_equal_the_dense_products():
         assert [g.matrix for g in hg.generators] == hom_generators_dense(m, n)
         nontrivial += bool(hg.generators)
     assert nontrivial >= 150
+    # Z/4 + Z/12 into Z/6 + Z/36, off the diagonal: the pieces Z/2, Z/4, Z/6
+    # and Z/12 are out of divisibility order, so generators sum several
+    m = FPModule(ZZ, 2, [(4, 4), (0, 12)])
+    n = FPModule(ZZ, 2, [(6, 6), (0, 36)])
+    hg = hom_group(m, n)
+    assert hg.structure == (2, 2, 12, 12)
+    assert [g.matrix for g in hg.generators] == hom_generators_dense(m, n)
+
+
+def _order_of(coefs, orders):
+    """The order of ``sum v * x_k`` in the sum of the Z/orders[k], 0 when a
+    free piece has a nonzero coefficient."""
+    out = 1
+    for k, v in coefs.items():
+        if not orders[k]:
+            return 0
+        out = math.lcm(out, orders[k] // math.gcd(orders[k], v))
+    return out
+
+
+def test_regroup_matches_the_dense_smith_reduction():
+    rng = random.Random(23017)
+    pools = [
+        [x for x in range(1, 73) if 72 % x == 0],
+        [x for x in range(1, 361) if 360 % x == 0],
+        [0, 0, 1, 2, 3, 4, 5, 7, 9, 11, 25],
+    ]
+    cases = [(), (1, 1, 1), (0,), (0, 0, 0), (0, 1, 0), (12, 8, 3), (6, 0, 4)]
+    cases += [
+        tuple(rng.choice(pool) for _ in range(rng.randint(1, 7)))
+        for pool in pools for _ in range(1000)
+    ]
+    boxes = 0
+    for orders in cases:
+        structure, gens = _regroup(orders)
+        assert structure == regroup_dense(orders)
+        assert [_order_of(g, orders) for g in gens] == list(structure)
+        for g in gens:
+            assert all(0 < v < (orders[k] or v + 1) for k, v in g.items())
+        size = math.prod(structure)
+        if 0 < size <= 2000:
+            # the coefficient box lists every element exactly once
+            boxes += 1
+            seen = {
+                tuple(
+                    sum(r * g.get(k, 0) for r, g in zip(box, gens)) % o
+                    for k, o in enumerate(orders)
+                )
+                for box in product(*map(range, structure))
+            }
+            assert len(seen) == size == math.prod(orders)
+    assert boxes >= 1000
 
 
 # -- homomorphism values ---------------------------------------------------------------

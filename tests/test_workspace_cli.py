@@ -824,8 +824,7 @@ WS_HOM_CAP = {
 
 
 def test_cli_hom_refuses_a_hom_group_past_the_piece_cap(tmp_path, capsys):
-    # Hom(Z^25, (Z/2)^25) has 625 pieces Z/2: its regrouping would be a
-    # dense 625 x 625 Smith reduction
+    # Hom(Z^25, (Z/2)^25) has 625 pieces Z/2, past the cap of 576
     path = write_ws(tmp_path, WS_HOM_CAP)
     start = time.perf_counter()
     code, out, err = run_cli(
@@ -843,7 +842,9 @@ def test_cli_hom_at_the_piece_cap_answers(tmp_path, capsys):
         capsys, ["hom", "--workspace", path, "--module", "F3", "--cod", "T192"]
     )
     assert code == 0
-    assert json.loads(out)["structure"] == [2] * 576
+    report = json.loads(out)
+    assert report["structure"] == [2] * 576
+    assert len(report["generators"]) == 576
 
 
 def test_cli_closure_refuses_witnesses_past_the_piece_cap(tmp_path, capsys):
