@@ -236,12 +236,6 @@ def whole_submodule(m: FPModule) -> Submodule:
     return Submodule(m, Lattice(g, units, tuple((j, 1) for j in range(g))))
 
 
-def submodule_elements(u: Submodule) -> Iterator[ModuleElement]:
-    for x in module_elements(u.parent):
-        if x in u:
-            yield x
-
-
 def submodule_size(u: Submodule) -> int | None:
     """Number of elements of the submodule, or ``None`` when infinite."""
     sub_covol = u.lattice.covolume()

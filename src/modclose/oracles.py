@@ -7,16 +7,18 @@ of all submodules of the quotient.  The closure-operator axiom suite and the
 ``--oracle`` check of each command live here too.  Desk scale only.
 
 This module loads only when an oracle runs, and imports the closure, hom,
-module and element code only in the functions that use it.
+module and element code only in the functions that use it.  The homs of each
+pair (M, N) that ``enumerate_homs`` lists are memoized in a
+``functools.lru_cache`` of 1024 entries (``_all_homs``).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .caches import BoundedCache
 from .errors import OracleInfeasibleError
 from .matrices import IntMatrix
 from .rings import ZZ
@@ -145,12 +147,6 @@ def separates_every_nonzero_element(m: FPModule, n: Submodule, cap: int = 200_00
     return True
 
 
-# (M, N) -> every homomorphism M -> N, filled by enumerate_homs.  One
-# ``verify --oracle`` fills an entry per (universe object, subcategory object)
-# pair, at most a few hundred at desk scale.
-_ENUM_CACHE = BoundedCache(1024)
-
-
 def enumerate_homs(m: FPModule, n: FPModule, cap: int = 200_000) -> list[Homomorphism]:
     """The complete list of homomorphisms M -> N, by brute force.
 
@@ -159,9 +155,6 @@ def enumerate_homs(m: FPModule, n: FPModule, cap: int = 200_000) -> list[Homomor
     well-definedness certificate.  Raises :class:`OracleInfeasibleError` when
     the assignment count exceeds ``cap``; it never truncates silently.
     """
-    from .elements import _is_compatible, module_elements
-    from .homs import Homomorphism, _canonical_matrix
-
     if m.ring != n.ring:
         raise ValueError("hom enumeration needs a common ring")
     if not (m.is_finite and n.is_finite):
@@ -171,19 +164,24 @@ def enumerate_homs(m: FPModule, n: FPModule, cap: int = 200_000) -> list[Homomor
         raise OracleInfeasibleError(
             f"oracle infeasible: {total} generator assignments exceed cap {cap}"
         )
-    key = (m, n)
-    cached = _ENUM_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
+    return list(_all_homs(m, n))
+
+
+# Memo size 1024: one ``verify --oracle`` fills an entry per (universe
+# object, subcategory object) pair, at most a few hundred at desk scale.
+@lru_cache(maxsize=1024)
+def _all_homs(m: FPModule, n: FPModule) -> tuple:
+    """Every homomorphism M -> N of finite modules, by ``enumerate_homs``'s
+    brute force, without its checks."""
+    from .elements import _is_compatible, module_elements
+    from .homs import Homomorphism, _canonical_matrix
 
     targets = [x.coords for x in module_elements(n)]
-    out = []
-    for assignment in product(targets, repeat=m.n_gens):
-        cols = list(assignment)
-        if _is_compatible(m, n, cols):
-            out.append(Homomorphism._trusted(m, n, _canonical_matrix(n, cols)))
-    _ENUM_CACHE.put(key, tuple(out))
-    return out
+    return tuple(
+        Homomorphism._trusted(m, n, _canonical_matrix(n, assignment))
+        for assignment in product(targets, repeat=m.n_gens)
+        if _is_compatible(m, n, assignment)
+    )
 
 
 def is_hom_vanishing(m: FPModule, n: Submodule, cat: Subcategory) -> bool:
@@ -317,10 +315,6 @@ class AxiomReport(NamedTuple):
             and self.idempotency_ok
             and self.continuity_ok
         )
-
-    @property
-    def additivity_held_count(self) -> int:
-        return sum(1 for s in self.samples if s.additivity_held)
 
 
 def axiom_suite(

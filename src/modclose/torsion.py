@@ -6,36 +6,32 @@ to themselves form the torsion class T, modules with vanishing radical the
 torsion-free class F; ``verify_torsion_theory`` checks the defining laws and
 the closure properties of both classes over a finite universe of modules,
 with finite stand-ins for the infinitary closure conditions.
+
+The module-level memos are ``functools.lru_cache``s of 1024 entries each, on
+``torsion_radical``, ``_lr_support`` and ``class_pair_support``; their
+``cache_info()`` gives the hits and misses of a process.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations_with_replacement, product
 from math import gcd
 from typing import NamedTuple
 
-from .caches import BoundedCache
 from .closure import Subcategory, _admits_nonzero_map, _closure_lattice, _exponent
 from .lattices import Lattice
 from .modules import FPModule, Submodule, quotient_module
 from .rings import Ring, _divisors, _regroup, _seen_part
 
 
-# (M, subcategory) -> radical.  verify misses once per universe object and
-# per radical it presents as a module (5 to 19 times on the benchmark's
-# ``universe`` requests), so the cap holds every radical of a command.
-_RADICAL_CACHE = BoundedCache(1024)
-
-
+# Memo size 1024: verify misses once per universe object and per radical it
+# presents as a module (5 to 19 times on the benchmark's ``universe``
+# requests), so the memo holds every radical of a command.
+@lru_cache(maxsize=1024)
 def torsion_radical(m: FPModule, cat: Subcategory) -> Submodule:
     """The largest submodule invisible to the subcategory: closure of zero."""
-    key = (m, cat)
-    cached = _RADICAL_CACHE.get(key)
-    if cached is None:
-        cached = Submodule(m, _closure_lattice(m.lattice, cat))
-        _RADICAL_CACHE.put(key, cached)
-    return cached
+    return Submodule(m, _closure_lattice(m.lattice, cat))
 
 
 def _in_torsion_class(chain: tuple[int, ...], cat: Subcategory) -> bool:
@@ -87,6 +83,9 @@ def _inside(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
     return shapes
 
 
+# Memo size 1024: one entry per p-type (partition), each prime of a chain
+# sharing it; a desk-scale command meets a few dozen types.
+@lru_cache(maxsize=1024)
 def _lr_support(lam: tuple[int, ...]) -> frozenset:
     """The (mu, nu) with Littlewood-Richardson coefficient c^lam_{mu nu}
     nonzero, as partitions without zero parts: for each mu inside ``lam``,
@@ -156,7 +155,24 @@ def _prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def class_pair_support(chain: tuple[int, ...], memo: dict | None = None) -> frozenset:
+# Caps on the pair-set work of one chain, each checked before the work it
+# bounds.  The Littlewood-Richardson search of a p-type grows fast with its
+# cell count (the sum of its exponents): on a 2-core Xeon VM every type of 16
+# cells takes at most 0.1 s, of 18 cells 0.2 s, of 20 cells 0.53 s (for
+# (6, 4, 3, 2, 1, 1, 1, 1, 1), 4,053 pairs), and five sampled types of 22
+# cells 0.8 to 1.3 s.  Forming the product over the primes costs about
+# 16 us a pair: the 65,625 pairs of (27720,) * 4 take 1.1 s.  The
+# benchmark's verify requests reach 5 cells and 14 pairs; the tests other
+# than those of these caps reach 8 cells.
+PAIR_TYPE_CELL_CAP = 20
+PAIR_SET_CAP = 100_000
+
+
+# Memo size 1024: one entry per invariant-factor chain; a universe build
+# meets one per object (at most a few hundred at desk scale), and verify's
+# rebuild with the subcategory's missing classes hits them again.
+@lru_cache(maxsize=1024)
+def class_pair_support(chain: tuple[int, ...]) -> frozenset:
     """The distinct (class of S, class of M/S), as invariant-factor chains,
     over the submodules S of the finite module M with invariant-factor chain
     ``chain``, found without listing a submodule.
@@ -166,15 +182,18 @@ def class_pair_support(chain: tuple[int, ...], memo: dict | None = None) -> froz
     p-group of type lam has a subgroup of type mu with quotient of type nu
     iff the Littlewood-Richardson coefficient c^lam_{mu nu} is nonzero
     (Green; Klein 1968; Macdonald, *Symmetric Functions and Hall
-    Polynomials*, ch. II), which does not depend on p.  ``memo`` maps each
-    type lam to its support; one universe build shares it across objects.
-    The primes come from ``_prime_factors`` of the largest factor, which
-    raises ``ValueError`` past its trial-division bound.
+    Polynomials*, ch. II), which does not depend on p.  The primes come
+    from ``_prime_factors`` of the largest factor, which raises
+    ``ValueError`` past its trial-division bound.
+
+    Raises ``ValueError`` for a p-type of more than ``PAIR_TYPE_CELL_CAP``
+    cells, before any support is searched, and for a pair set of more than
+    ``PAIR_SET_CAP`` pairs, as soon as the supports found so far multiply
+    past it and before the product over the primes is formed.
     """
     if 0 in chain:
         raise ValueError("class pairs require a finite module")
-    memo = {} if memo is None else memo
-    per_prime = []
+    types = []
     for p in _prime_factors(chain[-1]) if chain else ():
         exps = []
         for d in chain:
@@ -184,10 +203,22 @@ def class_pair_support(chain: tuple[int, ...], memo: dict | None = None) -> froz
                 e += 1
             if e:
                 exps.append(e)
-        lam = tuple(reversed(exps))
-        if lam not in memo:
-            memo[lam] = _lr_support(lam)
-        per_prime.append([((p, mu), (p, nu)) for mu, nu in memo[lam]])
+        if sum(exps) > PAIR_TYPE_CELL_CAP:
+            raise ValueError(
+                f"class pairs of {list(chain)}: its {p}-part has {sum(exps)} "
+                f"cells, past the cell cap of {PAIR_TYPE_CELL_CAP}"
+            )
+        types.append((p, tuple(reversed(exps))))
+    per_prime, size = [], 1
+    for p, lam in types:
+        support = _lr_support(lam)
+        size *= len(support)
+        if size > PAIR_SET_CAP:
+            raise ValueError(
+                f"class pairs of {list(chain)}: at least {size} pairs, past the "
+                f"pair-set cap of {PAIR_SET_CAP}"
+            )
+        per_prime.append([((p, mu), (p, nu)) for mu, nu in support])
     return frozenset(
         (_chain_of([sub for sub, _ in combo]), _chain_of([quo for _, quo in combo]))
         for combo in product(*per_prime)
@@ -200,10 +231,11 @@ class ModuleUniverse:
     ``pair_sets[i]`` is the set of distinct (class of S, class of M/S) over
     the submodules S of M = ``objects[i]``, as invariant-factor chains, read
     from the Littlewood-Richardson support of M's chain
-    (:func:`class_pair_support`) without listing a submodule.  The scan
-    stops at the first infinite object.  ``verify`` reads a failing law's
-    counterexample from these sets as well, as the least failing pair in
-    tuple order; only ``oracles.listed_class_pairs`` lists submodules.
+    (:func:`class_pair_support`, which refuses a chain past its work caps)
+    without listing a submodule.  The scan stops at the first infinite
+    object.  ``verify`` reads a failing law's counterexample from these sets
+    as well, as the least failing pair in tuple order; only
+    ``oracles.listed_class_pairs`` lists submodules.
 
     Closure under submodules and quotients (projections of the pair sets)
     and under finite direct sums is computed, never assumed.  A flag is
@@ -220,17 +252,6 @@ class ModuleUniverse:
     )
 
     def __init__(self, ring: Ring, objects):
-        self._fill(ring, objects, {})
-
-    def adjoin(self, extra) -> "ModuleUniverse":
-        """This universe with the modules ``extra`` adjoined, reusing the
-        pair sets already computed."""
-        known = {m.invariant_factors: p for m, p in zip(self.objects, self.pair_sets)}
-        grown = object.__new__(ModuleUniverse)
-        grown._fill(self.ring, self.objects + tuple(extra), known)
-        return grown
-
-    def _fill(self, ring: Ring, objects, known: dict) -> None:
         objs = sorted(
             objects,
             key=lambda m: (len(m.invariant_factors), m.invariant_factors, m.n_gens),
@@ -245,15 +266,11 @@ class ModuleUniverse:
                 kept.append(m)
         self.ring = ring
         self.objects = tuple(kept)
-        memo: dict = {}
         pair_sets = []
         for m in self.objects:
             if not m.is_finite:
                 break
-            pairs = known.get(m.invariant_factors)
-            if pairs is None:
-                pairs = class_pair_support(m.invariant_factors, memo)
-            pair_sets.append(pairs)
+            pair_sets.append(class_pair_support(m.invariant_factors))
         self.pair_sets = tuple(pair_sets)
         self.closed_under_submodules = self._closure_flag(seen, 0)
         self.closed_under_quotients = self._closure_flag(seen, 1)
@@ -358,8 +375,9 @@ def verify_torsion_theory(
 ) -> TorsionTheoryReport:
     """Run every torsion-theory law over the universe and report per check.
 
-    Objects of the subcategory are adjoined to the universe if missing,
-    reusing the class pairs already computed; when none is missing, the
+    Objects of the subcategory whose classes the universe lacks are
+    adjoined to it (the rebuilt universe finds the pair sets already
+    computed in ``class_pair_support``'s memo); when none is missing, the
     given universe is reused as it is.  The closure conditions on T and F
     are checked in their finite variants: quotients, submodules, pairwise
     direct sums, and extensions realizable inside universe objects.
@@ -381,15 +399,15 @@ def verify_torsion_theory(
     """
     if universe.ring != cat.ring:
         raise ValueError("universe and subcategory must share a ring")
-    objects = list(universe.objects)
-    known = {m.invariant_factors for m in objects}
+    classes = {m.invariant_factors for m in universe.objects}
+    missing = []
     for obj in cat.finite_objects:
-        if obj.invariant_factors not in known:
-            known.add(obj.invariant_factors)
-            objects.append(obj)
-    if len(objects) > len(universe.objects):
-        universe = universe.adjoin(objects[len(universe.objects):])
-    objects = list(universe.objects)
+        if obj.invariant_factors not in classes:
+            classes.add(obj.invariant_factors)
+            missing.append(obj)
+    if missing:
+        universe = ModuleUniverse(universe.ring, universe.objects + tuple(missing))
+    objects = universe.objects
     if len(universe.pair_sets) < len(objects):
         infinite = objects[len(universe.pair_sets)]
         raise ValueError(
@@ -399,6 +417,7 @@ def verify_torsion_theory(
 
     radical_table = tuple((m, torsion_radical(m, cat)) for m in objects)
 
+    # per-call memos, one entry per chain the laws meet
     @cache
     def in_t(chain: tuple[int, ...]) -> bool:
         return _in_torsion_class(chain, cat)
@@ -410,54 +429,12 @@ def verify_torsion_theory(
     t_members = tuple(m for m in objects if in_t(m.invariant_factors))
     f_members = tuple(m for m in objects if in_f(m.invariant_factors))
 
-    checks: list[CheckResult] = []
+    def module(m):
+        return {"module": _label(m)}
 
-    def add(name, passed, detail="", counterexample=None):
-        checks.append(CheckResult(name, passed, detail, counterexample))
-
-    # the subcategory must meet T only in zero, and must consist of
-    # torsion-free objects
-    bad = next(
-        (a for a in cat.finite_objects if not a.is_zero and in_t(a.invariant_factors)),
-        None,
-    )
-    add(
-        "subcategory_meets_torsion_class_trivially",
-        bad is None,
-        counterexample=None if bad is None else {"object": _label(bad)},
-    )
-    bad = next((a for a in cat.finite_objects if not in_f(a.invariant_factors)), None)
-    add(
-        "subcategory_inside_torsion_free_class",
-        bad is None,
-        counterexample=None if bad is None else {"object": _label(bad)},
-    )
-
-    # T and F intersect trivially
-    bad = next((m for m in t_members if m in f_members and not m.is_zero), None)
-    add(
-        "torsion_and_torsion_free_intersect_trivially",
-        bad is None,
-        counterexample=None if bad is None else {"module": _label(bad)},
-    )
-
-    # no nonzero homomorphism from T to F, by the gcd formula on chains
-    witness = next(
-        (
-            {"from": _label(x), "to": _label(y)}
-            for x in t_members
-            for y in f_members
-            if _admits_nonzero_map(x.invariant_factors, y)
-        ),
-        None,
-    )
-    add("no_nonzero_hom_torsion_to_torsion_free", witness is None, counterexample=witness)
-
-    # radical laws
-    idem_bad = None
-    rad_in_t_bad = None
-    quot_rad_bad = None
-    quot_in_f_bad = None
+    # the radical laws, one pass over the objects: the first object where
+    # each law fails
+    idem_bad = rad_in_t_bad = quot_bad = None
     for m, t in radical_table:
         # t(M) presented on its canonical generators b, and the radical of
         # that module pushed back into M along b
@@ -468,74 +445,67 @@ def verify_torsion_theory(
             m.n_gens, m.lattice.basis + tuple(b.apply(c) for c in inner.basis)
         )
         if pushed != t.lattice:
-            idem_bad = idem_bad or {"module": _label(m)}
+            idem_bad = idem_bad or module(m)
         if not in_t(smod.invariant_factors):
-            rad_in_t_bad = rad_in_t_bad or {"module": _label(m)}
+            rad_in_t_bad = rad_in_t_bad or module(m)
         # F membership of M/t(M) is the vanishing of its radical, so one
-        # radical decides both laws
+        # radical decides two laws
         if not torsion_radical(quotient_module(m, t), cat).is_zero:
-            quot_rad_bad = quot_rad_bad or {"module": _label(m)}
-            quot_in_f_bad = quot_in_f_bad or {"module": _label(m)}
-    add("radical_is_idempotent", idem_bad is None, counterexample=idem_bad)
-    add("radical_lies_in_torsion_class", rad_in_t_bad is None, counterexample=rad_in_t_bad)
-    add(
-        "radical_of_quotient_by_radical_vanishes",
-        quot_rad_bad is None,
-        counterexample=quot_rad_bad,
-    )
-    add(
-        "quotient_by_radical_is_torsion_free",
-        quot_in_f_bad is None,
-        counterexample=quot_in_f_bad,
-    )
+            quot_bad = quot_bad or module(m)
 
-    # closure properties, finite variants, over the (submodule class,
-    # quotient class) pairs of each universe object; each law with its test
-    # on the chains of M, S and M/S and its counterexample
-    def ext(mc, sc, qc):
+    def pair_law(fails, report):
+        """The least (S, M/S) pair, reported on the chains of M, S and M/S,
+        of the first object whose pair set holds one that ``fails``."""
+        for m, pairs in zip(objects, universe.pair_sets):
+            mc = m.invariant_factors
+            least = min((p for p in pairs if fails(mc, *p)), default=None)
+            if least is not None:
+                return report(mc, *least)
+        return None
+
+    def quotient(mc, sc, qc):
+        return {"module": list(mc), "quotient": list(qc)}
+
+    def submodule(mc, sc, qc):
+        return {"module": list(mc), "submodule": list(sc)}
+
+    def extension(mc, sc, qc):
         return {"middle": list(mc), "sub": list(sc), "quotient": list(qc)}
 
-    pair_laws = (
-        ("torsion_class_closed_under_quotients",
-         lambda mc, sc, qc: in_t(mc) and not in_t(qc),
-         lambda mc, sc, qc: {"module": list(mc), "quotient": list(qc)}),
-        ("torsion_class_closed_under_submodules",
-         lambda mc, sc, qc: in_t(mc) and not in_t(sc),
-         lambda mc, sc, qc: {"module": list(mc), "submodule": list(sc)}),
-        ("torsion_free_class_closed_under_submodules",
-         lambda mc, sc, qc: in_f(mc) and not in_f(sc),
-         lambda mc, sc, qc: {"module": list(mc), "submodule": list(sc)}),
-        ("torsion_class_closed_under_extensions",
-         lambda mc, sc, qc: in_t(sc) and in_t(qc) and not in_t(mc),
-         ext),
-        ("torsion_free_class_closed_under_extensions",
-         lambda mc, sc, qc: in_f(sc) and in_f(qc) and not in_f(mc),
-         ext),
+    realizable = "finite variant: extensions realizable inside universe objects"
+    # (name, detail, first counterexample or None), in report order
+    laws = (
+        ("subcategory_meets_torsion_class_trivially", "", next(
+            ({"object": _label(a)} for a in cat.finite_objects
+             if not a.is_zero and in_t(a.invariant_factors)), None)),
+        ("subcategory_inside_torsion_free_class", "", next(
+            ({"object": _label(a)} for a in cat.finite_objects
+             if not in_f(a.invariant_factors)), None)),
+        ("torsion_and_torsion_free_intersect_trivially", "", next(
+            (module(m) for m in t_members if m in f_members and not m.is_zero), None)),
+        # by the gcd formula on chains
+        ("no_nonzero_hom_torsion_to_torsion_free", "", next(
+            ({"from": _label(x), "to": _label(y)} for x in t_members for y in f_members
+             if _admits_nonzero_map(x.invariant_factors, y)), None)),
+        ("radical_is_idempotent", "", idem_bad),
+        ("radical_lies_in_torsion_class", "", rad_in_t_bad),
+        ("radical_of_quotient_by_radical_vanishes", "", quot_bad),
+        ("quotient_by_radical_is_torsion_free", "", quot_bad),
+        ("torsion_class_closed_under_quotients", "", pair_law(
+            lambda mc, sc, qc: in_t(mc) and not in_t(qc), quotient)),
+        ("torsion_class_closed_under_finite_sums", "finite variant",
+         _first_bad_sum(t_members, in_t)),
+        ("torsion_class_closed_under_extensions", realizable, pair_law(
+            lambda mc, sc, qc: in_t(sc) and in_t(qc) and not in_t(mc), extension)),
+        ("torsion_class_closed_under_submodules", "hereditary property", pair_law(
+            lambda mc, sc, qc: in_t(mc) and not in_t(sc), submodule)),
+        ("torsion_free_class_closed_under_submodules", "", pair_law(
+            lambda mc, sc, qc: in_f(mc) and not in_f(sc), submodule)),
+        ("torsion_free_class_closed_under_finite_products", "finite variant",
+         _first_bad_sum(f_members, in_f)),
+        ("torsion_free_class_closed_under_extensions", realizable, pair_law(
+            lambda mc, sc, qc: in_f(sc) and in_f(qc) and not in_f(mc), extension)),
     )
-    bad_by_law: dict[str, dict | None] = {}
-    for m, pairs in zip(objects, universe.pair_sets):
-        mc = m.invariant_factors
-        for name, fails, report in pair_laws:
-            if name not in bad_by_law:
-                least = min((p for p in pairs if fails(mc, *p)), default=None)
-                if least is not None:
-                    bad_by_law[name] = report(mc, *least)
-    bad_by_law["torsion_class_closed_under_finite_sums"] = _first_bad_sum(t_members, in_t)
-    bad_by_law["torsion_free_class_closed_under_finite_products"] = _first_bad_sum(
-        f_members, in_f
-    )
-    extension = "finite variant: extensions realizable inside universe objects"
-    for name, detail in (
-        ("torsion_class_closed_under_quotients", ""),
-        ("torsion_class_closed_under_finite_sums", "finite variant"),
-        ("torsion_class_closed_under_extensions", extension),
-        ("torsion_class_closed_under_submodules", "hereditary property"),
-        ("torsion_free_class_closed_under_submodules", ""),
-        ("torsion_free_class_closed_under_finite_products", "finite variant"),
-        ("torsion_free_class_closed_under_extensions", extension),
-    ):
-        bad = bad_by_law.get(name)
-        add(name, bad is None, detail, bad)
 
     return TorsionTheoryReport(
         cat=cat,
@@ -543,5 +513,5 @@ def verify_torsion_theory(
         T_members=t_members,
         F_members=f_members,
         radical_table=radical_table,
-        checks=tuple(checks),
+        checks=tuple(CheckResult(name, bad is None, detail, bad) for name, detail, bad in laws),
     )

@@ -118,19 +118,19 @@ COMMAND_IDS = [argv[0] for _, argv in COMMANDS]
 # free-rank oracles never list an element.
 _LOADS = {
     "closure": {"closure", "homs", "lattices", "matrices", "modules"},
-    "verify": {"caches", "closure", "lattices", "matrices", "modules", "torsion"},
+    "verify": {"closure", "lattices", "matrices", "modules", "torsion"},
     "snf": {"matrices"},
     "hom": {"closure", "homs", "lattices", "matrices", "modules"},
     "bounded": {"lattices", "matrices", "modules"},
     "free-rank": {"lattices", "matrices", "modules"},
 }
 _ORACLE_LOADS = {
-    "closure": {"caches", "elements", "oracles"},
+    "closure": {"elements", "oracles"},
     "verify": {"elements", "homs", "oracles"},
-    "snf": {"caches", "oracles"},
-    "hom": {"caches", "elements", "oracles"},
-    "bounded": {"caches", "homs", "oracles"},
-    "free-rank": {"caches", "homs", "oracles"},
+    "snf": {"oracles"},
+    "hom": {"elements", "oracles"},
+    "bounded": {"homs", "oracles"},
+    "free-rank": {"homs", "oracles"},
 }
 
 

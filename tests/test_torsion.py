@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -25,9 +26,9 @@ from modclose import (
     torsion_radical,
     verify_torsion_theory,
 )
-from modclose.caches import BoundedCache
 from modclose.elements import zero_submodule
 from modclose.lattices import Lattice
+from modclose.matrices import IntMatrix
 from modclose.torsion import (
     UNIVERSE_ORDER_CAP,
     class_pair_support,
@@ -296,6 +297,30 @@ def test_pair_support_refuses_infinite_chains():
         class_pair_support((2, 0))
 
 
+def test_pair_support_caps_its_work(monkeypatch):
+    import modclose.torsion as torsion_mod
+
+    # a 3-type of 21 cells is refused before any support is searched, even
+    # that of the 2-type, which comes first
+    searched = []
+    monkeypatch.setattr(torsion_mod, "_lr_support", lambda lam: searched.append(lam))
+    with pytest.raises(ValueError, match="3-part has 21 cells, past the cell cap of 20"):
+        class_pair_support.__wrapped__((2, 2 * 3**21))
+    assert searched == []
+    monkeypatch.undo()
+    # a type at the cap is searched: (Z/2)^20 has a subgroup (Z/2)^k with
+    # quotient (Z/2)^(20-k) for each k
+    assert torsion_mod.PAIR_TYPE_CELL_CAP == 20
+    assert len(class_pair_support((2,) * 20)) == 21
+    # a pair set at the cap is formed, one past it is refused
+    chain = (2 * 3 * 5 * 7, 2 * 3 * 5**2 * 7)
+    monkeypatch.setattr(torsion_mod, "PAIR_SET_CAP", len(class_pair_support(chain)))
+    assert class_pair_support.__wrapped__(chain) == class_pair_support(chain)
+    monkeypatch.setattr(torsion_mod, "PAIR_SET_CAP", torsion_mod.PAIR_SET_CAP - 1)
+    with pytest.raises(ValueError, match="pairs, past the pair-set cap of"):
+        class_pair_support.__wrapped__(chain)
+
+
 def test_infinite_object_leaves_flags_undecided_and_verify_refuses():
     z2, z = present_module(ZZ, 1, [(2,)]), present_module(ZZ, 1)
     u = ModuleUniverse(ZZ, [z2, z])
@@ -382,29 +407,27 @@ def test_verify_adjoins_subcategory_objects():
 
 def test_verify_adjoin_enumerates_each_object_once(monkeypatch):
     # Z/12 is missing from the 7-object universe: adjoining it computes the
-    # pair set of Z/12 alone, a verify whose laws all pass lists no
-    # submodule, and the report equals that over a universe holding Z/12
-    # from the start
+    # pair set of Z/12 alone (one new miss of a fresh pair-set memo), a
+    # verify whose laws all pass lists no submodule, and the report equals
+    # that over a universe holding Z/12 from the start
     import modclose.modules as modules_mod
     import modclose.torsion as torsion_mod
 
     r12 = Zmod(12)
     objects = enumerate_universe(r12, 2, 8)
     cat = Subcategory(r12, [present_module(r12, 1)])
-    expected = verify_torsion_theory(ModuleUniverse(r12, objects + [cat.finite_objects[0]]), cat)
+    support = lru_cache(maxsize=1024)(torsion_mod.class_pair_support.__wrapped__)
+    monkeypatch.setattr(torsion_mod, "class_pair_support", support)
     u = ModuleUniverse(r12, objects)
-    supports, listings = [], []
-    support, listing = torsion_mod.class_pair_support, modules_mod.all_submodules
-    monkeypatch.setattr(
-        torsion_mod, "class_pair_support",
-        lambda chain, memo=None: supports.append(chain) or support(chain, memo),
-    )
+    misses = support.cache_info().misses
+    listings, listing = [], modules_mod.all_submodules
     monkeypatch.setattr(modules_mod, "all_submodules", lambda m: listings.append(m) or listing(m))
     rep = verify_torsion_theory(u, cat)
     assert rep.all_passed
     assert len(objects) == 7 and len(rep.universe.objects) == 8
-    assert supports == [(12,)]
+    assert support.cache_info().misses == misses + 1
     assert listings == []
+    expected = verify_torsion_theory(ModuleUniverse(r12, objects + [cat.finite_objects[0]]), cat)
     for name in ("objects", "pair_sets", "closed_under_submodules",
                  "closed_under_quotients", "closed_under_sums"):
         assert getattr(rep.universe, name) == getattr(expected.universe, name), name
@@ -656,25 +679,15 @@ def test_verify_checks_do_not_depend_on_the_presentation(n, rng, monkeypatch):
     assert failures > 0
 
 
-def test_bounded_cache_keeps_at_most_its_cap():
-    cache = BoundedCache(4)
-    for k in range(10):
-        cache.put(k, str(k))
-        assert len(cache) <= 4
-    assert [cache.get(k) for k in range(10)] == [None] * 6 + ["6", "7", "8", "9"]
-    cache.put(9, "nine")  # a stored key is replaced in place, nothing dropped
-    assert len(cache) == 4 and cache.get(6) == "6" and cache.get(9) == "nine"
-
-
 def test_radical_cache_is_bounded(monkeypatch):
     import modclose.oracles as oracles_mod
     import modclose.torsion as torsion_mod
 
-    for cache in (torsion_mod._RADICAL_CACHE, oracles_mod._ENUM_CACHE):
-        assert isinstance(cache, BoundedCache) and cache.cap == 1024
+    for memo in (torsion_mod.torsion_radical, torsion_mod._lr_support,
+                 torsion_mod.class_pair_support, oracles_mod._all_homs):
+        assert memo.cache_info().maxsize == 1024
     # filled past a small cap, the radicals stay right and the size bounded
-    small = BoundedCache(3)
-    monkeypatch.setattr(torsion_mod, "_RADICAL_CACHE", small)
+    small = lru_cache(maxsize=3)(torsion_mod.torsion_radical.__wrapped__)
     ring = Zmod(12)
     cat = Subcategory(ring, [present_module(ring, 1, [(4,)])])
     objects = enumerate_universe(ring, 2, 36)
@@ -682,8 +695,65 @@ def test_radical_cache_is_bounded(monkeypatch):
     for _ in range(2):
         for m in objects:
             expected = closure_by_prime_support(m, zero_submodule(m), cat)
-            assert torsion_radical(m, cat) == expected
-            assert len(small) <= 3
+            assert small(m, cat) == expected
+            assert small.cache_info().currsize <= 3
+    assert small.cache_info().misses == 2 * len(objects)
+
+
+_CHECKS = [
+    ("subcategory_meets_torsion_class_trivially", ""),
+    ("subcategory_inside_torsion_free_class", ""),
+    ("torsion_and_torsion_free_intersect_trivially", ""),
+    ("no_nonzero_hom_torsion_to_torsion_free", ""),
+    ("radical_is_idempotent", ""),
+    ("radical_lies_in_torsion_class", ""),
+    ("radical_of_quotient_by_radical_vanishes", ""),
+    ("quotient_by_radical_is_torsion_free", ""),
+    ("torsion_class_closed_under_quotients", ""),
+    ("torsion_class_closed_under_finite_sums", "finite variant"),
+    ("torsion_class_closed_under_extensions",
+     "finite variant: extensions realizable inside universe objects"),
+    ("torsion_class_closed_under_submodules", "hereditary property"),
+    ("torsion_free_class_closed_under_submodules", ""),
+    ("torsion_free_class_closed_under_finite_products", "finite variant"),
+    ("torsion_free_class_closed_under_extensions",
+     "finite variant: extensions realizable inside universe objects"),
+]
+
+
+def test_verify_reports_its_checks_in_one_order(monkeypatch):
+    # the 15 checks, by name and detail, in report order, whether the laws
+    # pass or (with T and F rigged to fixed class sets) fail
+    import modclose.torsion as torsion_mod
+
+    ring = Zmod(12)
+    cat = Subcategory(ring, [present_module(ring, 1, [(4,)])])
+    u = ModuleUniverse(ring, enumerate_universe(ring, 2, 36))
+    rep = verify_torsion_theory(u, cat)
+    assert rep.all_passed
+    assert [(c.name, c.detail) for c in rep.checks] == _CHECKS
+    monkeypatch.setattr(torsion_mod, "_in_torsion_class",
+                        lambda chain, c: chain in {(), (2,), (12,), (2, 2)})
+    monkeypatch.setattr(torsion_mod, "_in_torsion_free_class",
+                        lambda chain, c: chain in {(), (3,), (6,), (2, 2)})
+    rep = verify_torsion_theory(u, cat)
+    assert [(c.name, c.detail) for c in rep.checks] == _CHECKS
+    assert {c.name: c.counterexample for c in rep.checks if not c.passed} == {
+        "subcategory_inside_torsion_free_class": {"object": [4]},
+        "torsion_and_torsion_free_intersect_trivially": {"module": [2, 2]},
+        "no_nonzero_hom_torsion_to_torsion_free": {"from": [2], "to": [6]},
+        "radical_lies_in_torsion_class": {"module": [3]},
+        "torsion_class_closed_under_quotients": {"module": [12], "quotient": [6]},
+        "torsion_class_closed_under_finite_sums": {"left": [2], "right": [12]},
+        "torsion_class_closed_under_extensions":
+            {"middle": [4], "sub": [2], "quotient": [2]},
+        "torsion_class_closed_under_submodules": {"module": [12], "submodule": [3]},
+        "torsion_free_class_closed_under_submodules": {"module": [6], "submodule": [2]},
+        "torsion_free_class_closed_under_finite_products": {"left": [3], "right": [3]},
+        "torsion_free_class_closed_under_extensions":
+            {"middle": [2, 6], "sub": [2, 2], "quotient": [3]},
+    }
+    assert all(c.passed == (c.counterexample is None) for c in rep.checks)
 
 
 def _whole(lat, cat):
@@ -698,23 +768,36 @@ def _doubled(lat, cat):
     )
 
 
+def _halved(lat, cat):
+    k = lat.dim
+    two = IntMatrix.from_columns([tuple(2 * (i == j) for i in range(k)) for j in range(k)], k, ZZ)
+    return lat.preimage(two)
+
+
 @pytest.mark.parametrize("rig, failing", [
     # t(M) = M: t(Z/2) = Z/2 maps into Z/4, so it lies outside T
     (_whole, {"radical_lies_in_torsion_class": {"module": [2]}}),
     # t(M) = 2M: t(Z/4) = 2Z/4 has t(2Z/4) = 0, and it maps into Z/4
     (_doubled, {"radical_is_idempotent": {"module": [4]},
                 "radical_lies_in_torsion_class": {"module": [4]}}),
-], ids=["whole", "doubled"])
+    # t(M) = {x : 2x = 0}: t(Z/2) = Z/2 maps into Z/4, and t(Z/4) = 2Z/4
+    # leaves Z/4 / 2Z/4 = Z/2 with a nonzero radical
+    (_halved, {"radical_lies_in_torsion_class": {"module": [2]},
+               "radical_of_quotient_by_radical_vanishes": {"module": [4]},
+               "quotient_by_radical_is_torsion_free": {"module": [4]}}),
+], ids=["whole", "doubled", "halved"])
 def test_radical_laws_catch_a_wrong_radical(rig, failing, monkeypatch):
     # the laws are computed on lattices, not assumed from the closed form
     import modclose.torsion as torsion_mod
 
-    monkeypatch.setattr(torsion_mod, "_RADICAL_CACHE", BoundedCache(1024))
+    fresh = lru_cache(maxsize=1024)(torsion_mod.torsion_radical.__wrapped__)
+    monkeypatch.setattr(torsion_mod, "torsion_radical", fresh)
     monkeypatch.setattr(torsion_mod, "_closure_lattice", rig)
     ring = Zmod(12)
     cat = Subcategory(ring, [present_module(ring, 1, [(4,)])])
     rep = verify_torsion_theory(ModuleUniverse(ring, enumerate_universe(ring, 1, 12)), cat)
-    radical_laws = {c.name: c for c in rep.checks if c.name.startswith("radical_")}
+    radical_laws = {c.name: c for c in rep.checks if "radical" in c.name}
+    assert len(radical_laws) == 4
     assert {name for name, c in radical_laws.items() if not c.passed} == set(failing)
     for name, counterexample in failing.items():
         assert radical_laws[name].counterexample == counterexample

@@ -614,6 +614,41 @@ def test_cli_verify_with_an_infinite_object_exits_2(tmp_path, capsys):
     )
 
 
+def test_cli_verify_refuses_a_module_past_the_pair_set_caps(tmp_path, capsys):
+    # diag(2, 4, ..., 256) has a 2-part of 36 cells, past the cell cap, so it
+    # is refused before any Littlewood-Richardson search; (27720*13)^4 has
+    # six small p-types whose supports multiply past the pair-set cap
+    import time
+
+    diag = [[2 ** (i + 1) if i == j else 0 for i in range(8)] for j in range(8)]
+    doc = {
+        "ring": "Z",
+        "modules": {
+            "M": {"generators": 8, "relations": diag},
+            "N": {"generators": 4, "relations": [[360360 * (i == j) for i in range(4)]
+                                                  for j in range(4)]},
+        },
+        "subcategories": {"Q": {"finite": [], "divisible": ["Q"]}},
+    }
+    path = write_ws(tmp_path, doc)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, ["verify", "--workspace", path, "--cat", "Q", "--universe", "M"]
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err == (
+        "modclose: error: class pairs of [2, 4, 8, 16, 32, 64, 128, 256]: its "
+        "2-part has 36 cells, past the cell cap of 20\n"
+    )
+    code, out, err = run_cli(
+        capsys, ["verify", "--workspace", path, "--cat", "Q", "--universe", "N"]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("modclose: error: class pairs of [360360, 360360, 360360, 360360]: ")
+    assert err.endswith("pairs, past the pair-set cap of 100000\n")
+
+
 def test_cli_verify_refuses_a_universe_naming_no_module(tmp_path, capsys):
     path = write_ws(tmp_path, WS_Z12)
     for names in (",", ",,"):
@@ -694,8 +729,8 @@ def test_cli_verify_oracle_reports_a_wrong_pair_set(tmp_path, capsys, monkeypatc
 
     real = torsion_mod.class_pair_support
 
-    def wrong(chain, memo=None):
-        return real(chain, memo) - {((), chain)} if chain else real(chain, memo)
+    def wrong(chain):
+        return real(chain) - {((), chain)} if chain else real(chain)
 
     monkeypatch.setattr(torsion_mod, "class_pair_support", wrong)
     path = write_ws(tmp_path, WS_Z12)
@@ -756,10 +791,12 @@ def test_cli_verify_oracle_reports_a_wrong_radical(tmp_path, capsys, monkeypatch
     # every radical rigged to zero (in a fresh radical cache): the laws still
     # pass, and the enumerated closures of zero name the objects whose
     # radical under {Z/4} is not
-    import modclose.torsion as torsion_mod
-    from modclose.caches import BoundedCache
+    from functools import lru_cache
 
-    monkeypatch.setattr(torsion_mod, "_RADICAL_CACHE", BoundedCache(1024))
+    import modclose.torsion as torsion_mod
+
+    fresh = lru_cache(maxsize=1024)(torsion_mod.torsion_radical.__wrapped__)
+    monkeypatch.setattr(torsion_mod, "torsion_radical", fresh)
     monkeypatch.setattr(torsion_mod, "_closure_lattice", lambda lat, cat: lat)
     code, oracle = _verify_z12_oracle(tmp_path, capsys)
     assert code == 1
