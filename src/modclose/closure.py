@@ -3,16 +3,16 @@
 The closure of a submodule N of M is the intersection of the kernels of all
 homomorphisms from M into objects of the subcategory that vanish on N.  Over
 Z and Z/n it depends only on which primes the subcategory sees, recorded by
-one number E (``_exponent``): over Z/n the lcm of the objects' invariant
-factors, each a product of full prime powers of n; over Z 0 when Q/Z, which
-sees every prime, is present, and 1 under {Q} alone, which sees none.  The
-closure of N is then the one rule ``_closure_lattice``: the x of M with
-k*x in N for some k >= 1 coprime to E, read from the Smith coordinates of
-N's preimage lattice L in Z^g (``Lattice.saturation(E)``).  Maps into the
-subcategory separate exactly the parts of M/N on the primes of E, and the
-free part, which no k kills.  Hom groups serve only as witnesses, so the
-hom engine (``modclose.homs``) loads only when ``regular_closure`` lists
-the witnesses of finite objects.
+one number E, set once per subcategory (``Subcategory.exponent``): over Z/n
+the lcm of the objects' invariant factors, each a product of full prime
+powers of n; over Z 0 when Q/Z, which sees every prime, is present, and 1
+under {Q} alone, which sees none.  The closure of N is then the one rule
+``_closure_lattice``: the x of M with k*x in N for some k >= 1 coprime to E,
+read from the Smith coordinates of N's preimage lattice L in Z^g
+(``Lattice.saturation(E)``).  Maps into the subcategory separate exactly the
+parts of M/N on the primes of E, and the free part, which no k kills.  Hom
+groups serve only as witnesses, so the hom engine (``modclose.homs``) loads
+only when ``regular_closure`` lists the witnesses of finite objects.
 """
 
 from __future__ import annotations
@@ -72,9 +72,13 @@ class Subcategory:
     criterion (``is_injective_module``) is kept as its oracle.  Over Z no
     nonzero finitely generated module is injective, so the objects are
     divisible: a nonempty subset of {Q, Q/Z}.
+
+    ``exponent`` is E, whose primes are the primes the subcategory sees: 0
+    (every prime) when Q/Z is present, else the lcm of the invariant factors
+    of the finite objects, which is 1 (no prime) under {Q} alone.
     """
 
-    __slots__ = ("ring", "finite_objects", "divisible_objects", "_hash")
+    __slots__ = ("ring", "finite_objects", "divisible_objects", "exponent", "_hash")
 
     def __init__(
         self,
@@ -111,6 +115,10 @@ class Subcategory:
         self.ring = ring
         self.finite_objects = finite
         self.divisible_objects = divisible
+        self.exponent = (
+            0 if DivisibleModule.Q_MOD_Z in divisible
+            else lcm(*(e for a in finite for e in a.invariant_factors))
+        )
         self._hash = None
 
     def __eq__(self, other: object) -> bool:
@@ -138,6 +146,9 @@ class ClosureWitness(NamedTuple):
 
     source: object  # an FPModule of the subcategory, or a DivisibleModule
     hom: Homomorphism | None  # None for divisible objects
+    # the position of ``source`` among the subcategory's finite (or
+    # divisible) objects, which may hold equal modules under different names
+    position: int
 
 
 class ClosureResult(NamedTuple):
@@ -154,19 +165,10 @@ def _check_compat(m: FPModule, n: Submodule, cat: Subcategory) -> None:
         raise ValueError(f"subcategory over {cat.ring} cannot close over {m.ring}")
 
 
-def _exponent(cat: Subcategory) -> int:
-    """E, whose primes are the primes the subcategory sees: 0 (every prime)
-    when Q/Z is present, else the lcm of the invariant factors of the finite
-    objects, which is 1 (no prime) under {Q} alone."""
-    if DivisibleModule.Q_MOD_Z in cat.divisible_objects:
-        return 0
-    return lcm(*(e for a in cat.finite_objects for e in a.invariant_factors))
-
-
 def _closure_lattice(lat: Lattice, cat: Subcategory) -> Lattice:
     """The preimage lattice of the closure of the submodule whose preimage
     lattice is ``lat``, by the rule of the module docstring."""
-    return lat.saturation(_exponent(cat))
+    return lat.saturation(cat.exponent)
 
 
 def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResult:
@@ -186,13 +188,13 @@ def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResul
         from .homs import Homomorphism, hom_group
 
         witnesses += [
-            ClosureWitness(source=obj, hom=Homomorphism._trusted(m, obj, gen.matrix))
-            for obj in cat.finite_objects
+            ClosureWitness(obj, Homomorphism._trusted(m, obj, gen.matrix), i)
+            for i, obj in enumerate(cat.finite_objects)
             for gen in hom_group(q, obj).generators
         ]
     witnesses += [
-        ClosureWitness(source=div, hom=None)
-        for div in cat.divisible_objects
+        ClosureWitness(div, None, i)
+        for i, div in enumerate(cat.divisible_objects)
         if _admits_nonzero_map(q.invariant_factors, div)
     ]
     return ClosureResult(

@@ -22,9 +22,8 @@ def run(ws, args) -> tuple[int, dict]:
         if w.hom is None:
             witnesses.append({"object": w.source.value, "hom_matrix": None})
         else:
-            idx = cat.finite_objects.index(w.source)
             witnesses.append(
-                {"object": finite_names[idx], "hom_matrix": matrix_rows(w.hom.matrix)}
+                {"object": finite_names[w.position], "hom_matrix": matrix_rows(w.hom.matrix)}
             )
     report = {
         "module": mname,

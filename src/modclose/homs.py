@@ -32,7 +32,7 @@ class Homomorphism:
     has the zero matrix and equal maps have equal matrices.
     """
 
-    __slots__ = ("dom", "cod", "matrix", "_hash")
+    __slots__ = ("dom", "cod", "matrix")
 
     def __init__(self, dom: FPModule, cod: FPModule, matrix):
         from .elements import certified_matrix
@@ -40,7 +40,6 @@ class Homomorphism:
         self.dom = dom
         self.cod = cod
         self.matrix = certified_matrix(dom, cod, matrix)
-        self._hash = None
 
     @classmethod
     def _trusted(cls, dom: FPModule, cod: FPModule, canonical: IntMatrix):
@@ -48,7 +47,6 @@ class Homomorphism:
         obj.dom = dom
         obj.cod = cod
         obj.matrix = canonical
-        obj._hash = None
         return obj
 
     # -- value semantics ---------------------------------------------------------
@@ -62,9 +60,7 @@ class Homomorphism:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.dom, self.cod, self.matrix))
-        return self._hash
+        return hash((self.dom, self.cod, self.matrix))
 
     def __repr__(self) -> str:
         return f"Homomorphism({list(map(list, self.matrix.entries))!r})"

@@ -34,7 +34,7 @@ class IntMatrix:
     or zero columns are legal and denote zero maps and zero modules.
     """
 
-    __slots__ = ("rows", "cols", "entries", "ring", "_hash")
+    __slots__ = ("rows", "cols", "entries", "ring")
 
     def __init__(
         self,
@@ -61,7 +61,6 @@ class IntMatrix:
         self.cols = cols
         self.entries = tuple(data)
         self.ring = ring
-        self._hash = None
 
     @classmethod
     def from_columns(
@@ -84,7 +83,6 @@ class IntMatrix:
         mat.cols = cols
         mat.entries = entries
         mat.ring = ring
-        mat._hash = None
         return mat
 
     # -- accessors ---------------------------------------------------------
@@ -137,9 +135,7 @@ class IntMatrix:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.ring, self.rows, self.cols, self.entries))
-        return self._hash
+        return hash((self.ring, self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         return f"IntMatrix({list(map(list, self.entries))!r}, ring={self.ring})"

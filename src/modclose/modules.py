@@ -49,7 +49,7 @@ class FPModule:
     equal iff they present the same quotient on the same generators.
     """
 
-    __slots__ = ("ring", "n_gens", "lattice", "invariant_factors", "_hash")
+    __slots__ = ("ring", "n_gens", "lattice", "invariant_factors")
 
     def __init__(self, ring: Ring, n_gens: int, relations=None):
         if n_gens < 0:
@@ -75,7 +75,6 @@ class FPModule:
                 relations, n_gens, ring, scaled_units, "relation matrix"
             )
         self.invariant_factors = self.lattice.quotient_invariants()
-        self._hash = None
 
     @property
     def relations(self) -> IntMatrix:
@@ -110,9 +109,7 @@ class FPModule:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.ring, self.n_gens, self.lattice))
-        return self._hash
+        return hash((self.ring, self.n_gens, self.lattice))
 
     def __repr__(self) -> str:
         return (
@@ -150,7 +147,7 @@ class Submodule:
     compare equal and share identical ``canonical_gens``.
     """
 
-    __slots__ = ("parent", "lattice", "_hash")
+    __slots__ = ("parent", "lattice")
 
     def __init__(self, parent: FPModule, gens=None):
         self.parent = parent
@@ -167,7 +164,6 @@ class Submodule:
             self.lattice = _lattice_arg(
                 gens, parent.n_gens, parent.ring, parent.lattice.basis, "generator matrix"
             )
-        self._hash = None
 
     @property
     def canonical_gens(self) -> IntMatrix:
@@ -205,9 +201,7 @@ class Submodule:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.parent, self.lattice))
-        return self._hash
+        return hash((self.parent, self.lattice))
 
     def __repr__(self) -> str:
         return f"Submodule(gens={[list(c) for c in self.canonical_gens.columns()]!r})"

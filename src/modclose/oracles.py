@@ -279,14 +279,12 @@ class AxiomSampleResult(NamedTuple):
     idempotency: bool
     continuity_applicable: bool
     continuity: bool
-    additivity_held: bool
 
 
 class AxiomReport(NamedTuple):
     """Outcome of the closure-operator axiom checks on a list of samples.
 
-    Extension, monotonicity, continuity and idempotency are requirements;
-    additivity is only measured, never required.
+    Extension, monotonicity, continuity and idempotency are requirements.
     """
 
     samples: tuple[AxiomSampleResult, ...]
@@ -325,13 +323,12 @@ def axiom_suite(
     """Check the closure axioms on sampled (N, N', f) triples.
 
     Per sample: N and its closure witness extension and idempotency; the pair
-    (N, N') witnesses monotonicity when comparable and additivity always; a
-    homomorphism f out of M (when given) witnesses continuity:
+    (N, N') witnesses monotonicity when comparable; a homomorphism f out of
+    M (when given) witnesses continuity:
     f(closure(N)) must land inside closure(f(N)).
     """
     from .closure import regular_closure
     from .elements import is_subset_of, sub_image
-    from .modules import sub_join
 
     results = []
     for n1, n2, f in samples:
@@ -358,9 +355,6 @@ def axiom_suite(
         else:
             cont_applicable, cont = False, True
 
-        join_closure = regular_closure(m, sub_join(n1, n2), cat).closure
-        additivity = join_closure == sub_join(c1, c2)
-
         results.append(
             AxiomSampleResult(
                 extension=extension,
@@ -369,7 +363,6 @@ def axiom_suite(
                 idempotency=idem,
                 continuity_applicable=cont_applicable,
                 continuity=cont,
-                additivity_held=additivity,
             )
         )
     return AxiomReport(samples=tuple(results))

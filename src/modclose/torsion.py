@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement, product
 from math import gcd
 from typing import NamedTuple
 
-from .closure import Subcategory, _admits_nonzero_map, _closure_lattice, _exponent
+from .closure import Subcategory, _admits_nonzero_map, _closure_lattice
 from .lattices import Lattice
 from .modules import FPModule, Submodule, quotient_module
 from .rings import Ring, _divisors, _regroup, _seen_part
@@ -37,15 +37,14 @@ def torsion_radical(m: FPModule, cat: Subcategory) -> Submodule:
 def _in_torsion_class(chain: tuple[int, ...], cat: Subcategory) -> bool:
     """Membership in T of the class of an invariant-factor chain: the
     radical is everything, so no factor is free and none has a prime that
-    the subcategory sees (a prime of E, ``closure._exponent``)."""
-    exponent = _exponent(cat)
-    return all(d and gcd(d, exponent) == 1 for d in chain)
+    the subcategory sees (a prime of E, ``Subcategory.exponent``)."""
+    return all(d and gcd(d, cat.exponent) == 1 for d in chain)
 
 
 def _in_torsion_free_class(chain: tuple[int, ...], cat: Subcategory) -> bool:
     """Membership in F of the class of an invariant-factor chain: the
     radical vanishes, so every nonzero factor has all its primes among the
-    primes of E (``closure._exponent``).
+    primes of E (``Subcategory.exponent``).
 
     The radical of a direct sum is the sum of the radicals of the summands,
     and the radical of Z/d is the part of Z/d off the primes of E, which is
@@ -53,8 +52,7 @@ def _in_torsion_free_class(chain: tuple[int, ...], cat: Subcategory) -> bool:
     0, only over Z) has zero radical: the maps from Z into a nonzero
     divisible group have joint kernel 0.
     """
-    exponent = _exponent(cat)
-    return all(d == 0 or _seen_part(d, exponent) == d for d in chain)
+    return all(d == 0 or _seen_part(d, cat.exponent) == d for d in chain)
 
 
 def _sum_chain(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -290,10 +288,10 @@ class ModuleUniverse:
 # no longer lists submodules while its laws hold, and it decides membership,
 # direct sums and the T -> F law on invariant-factor chains, but it still
 # reads three radicals per object (one echelon each over Z/n), one preimage
-# and one pushed-back lattice per object, and a gcd test per (T, F) pair, all
-# growing with the universe; ``verify --oracle`` lists every submodule of
-# each object, which takes time at least its order.  Z/12 with at
-# most 3 generators and order at most 300 sums to 2,168.
+# per object, and a gcd test per (T, F) pair, all growing with the universe;
+# ``verify --oracle`` lists every submodule of each object, which takes time
+# at least its order.  Z/12 with at most 3 generators and order at most 300
+# sums to 2,168.
 UNIVERSE_ORDER_CAP = 4096
 
 
@@ -394,8 +392,9 @@ def verify_torsion_theory(
     nonzero map runs from T to F reads the same gcd formula on each pair of
     chains.  The radical table and the radical laws compute each radical as
     the closure of zero, on lattices: t(M) is presented on its canonical
-    generators b by the preimage of M's relations under b, and its own
-    radical is pushed back into M along b.  No hom group is built.
+    generators b by the preimage of M's relations under b, and the radical
+    is idempotent on M when that module's own radical is all of it.  No hom
+    group is built.
     """
     if universe.ring != cat.ring:
         raise ValueError("universe and subcategory must share a ring")
@@ -436,15 +435,11 @@ def verify_torsion_theory(
     # each law fails
     idem_bad = rad_in_t_bad = quot_bad = None
     for m, t in radical_table:
-        # t(M) presented on its canonical generators b, and the radical of
-        # that module pushed back into M along b
+        # t(M) presented on its canonical generators b, which map it onto
+        # t(M), so t(t(M)) = t(M) exactly when its radical is whole
         b = t.canonical_gens
         smod = FPModule(m.ring, b.cols, m.lattice.preimage(b))
-        inner = torsion_radical(smod, cat).lattice
-        pushed = Lattice.from_columns(
-            m.n_gens, m.lattice.basis + tuple(b.apply(c) for c in inner.basis)
-        )
-        if pushed != t.lattice:
+        if not torsion_radical(smod, cat).is_whole:
             idem_bad = idem_bad or module(m)
         if not in_t(smod.invariant_factors):
             rad_in_t_bad = rad_in_t_bad or module(m)

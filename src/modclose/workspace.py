@@ -219,11 +219,13 @@ def load_workspace(doc: dict) -> Workspace:
         for mname in finite_names:
             if not isinstance(mname, str) or mname not in ws.modules:
                 raise ValueError(f"subcategory {name!r}: unknown module {mname!r}")
+        from .closure import DivisibleModule
+        tags = [d.value for d in DivisibleModule]
         for tag in divisible:
-            if tag not in ("Q", "QmodZ"):
+            if tag not in tags:
                 raise ValueError(
                     f"subcategory {name!r}: unknown divisible object {tag!r}; "
-                    f"use \"Q\" or \"QmodZ\""
+                    f"use {' or '.join(map(json.dumps, tags))}"
                 )
         try:
             ws.add_subcategory(name, finite_names, divisible)

@@ -67,6 +67,19 @@ def test_subcategory_rejects_divisible_over_modular():
         Subcategory(Zmod(4), [present_module(Zmod(4), 1)], [DivisibleModule.Q])
 
 
+@pytest.mark.parametrize("ring, objects, divisible, exponent", [
+    (ZZ, [], [DivisibleModule.Q], 1),
+    (ZZ, [], [DivisibleModule.Q_MOD_Z], 0),
+    (ZZ, [], [DivisibleModule.Q, DivisibleModule.Q_MOD_Z], 0),
+    (Zmod(12), [(4,)], [], 4),
+    (Zmod(12), [(4,), (3,)], [], 12),
+    (Zmod(12), [(1,)], [], 1),  # the zero module alone sees no prime
+], ids=["Q", "QmodZ", "Q-QmodZ", "Z4", "Z4-Z3", "zero"])
+def test_subcategory_exponent(ring, objects, divisible, exponent):
+    finite = [present_module(ring, 1, [rel]) for rel in objects]
+    assert Subcategory(ring, finite, divisible).exponent == exponent
+
+
 # -- worked closure examples -----------------------------------------------------------
 
 

@@ -146,6 +146,32 @@ def test_cli_closure_whole_submodule(tmp_path, capsys):
     assert doc["dense"] is True and doc["closed"] is True
 
 
+def test_cli_closure_names_each_witness_by_its_object(tmp_path, capsys):
+    # R and S are equal modules under two names: each witness is named by
+    # the position of its object in the subcategory, not by equality
+    doc = {
+        "ring": "Zmod:4",
+        "modules": {"R": {"generators": 1}, "S": {"generators": 1}},
+        "submodules": {"z": {"parent": "R", "gens": []}},
+        "subcategories": {"A": {"finite": ["R", "S"]}},
+    }
+    path = write_ws(tmp_path, doc)
+    code, out, _ = run_cli(
+        capsys, ["closure", "--workspace", path, "--module", "R", "--sub", "z", "--cat", "A"]
+    )
+    assert code == 0
+    assert [w["object"] for w in json.loads(out)["witnesses"]] == ["R", "S"]
+
+
+def test_unknown_divisible_object_names_the_accepted_tags():
+    doc = {"ring": "Z", "subcategories": {"A": {"divisible": ["Q", "Z(2^inf)"]}}}
+    with pytest.raises(ValueError) as info:
+        load_workspace(doc)
+    assert str(info.value) == (
+        "subcategory 'A': unknown divisible object 'Z(2^inf)'; use \"Q\" or \"QmodZ\""
+    )
+
+
 def test_cli_closure_with_oracle(tmp_path, capsys):
     path = write_ws(tmp_path, WS_MOD4)
     code, out, _ = run_cli(
