@@ -29,7 +29,7 @@ def run(ws, args) -> tuple[int, dict]:
         "module": mname,
         "submodule": sname,
         "subcategory": cname,
-        "closure_generators": [list(c) for c in res.closure.canonical_gens.columns()],
+        "closure_generators": [list(c) for c in res.closure.canonical_gens],
         "dense": res.dense,
         "closed": res.closed,
         "witnesses": witnesses,

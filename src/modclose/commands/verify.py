@@ -35,7 +35,7 @@ def run(ws, args) -> tuple[int, dict]:
         "torsion_members": [label(m) for m in report_obj.T_members],
         "torsion_free_members": [label(m) for m in report_obj.F_members],
         "radical_table": {
-            label(m): [list(c) for c in t.canonical_gens.columns()]
+            label(m): [list(c) for c in t.canonical_gens]
             for m, t in report_obj.radical_table
         },
         "checks": [

@@ -70,7 +70,7 @@ def _solve_system(a: IntMatrix, b: Sequence[int] | None = None):
     """
     # the echelon is read through its module, where a caller may count it
     rows, cols, n = a.rows, a.cols, a.ring.modulus
-    stack = matrices._identity_stack(a)
+    stack = matrices._identity_stack(a.columns())
     if n:
         zero = (0,) * cols
         stack += [tuple(n * (i == k) for i in range(rows)) + zero for k in range(rows)]
@@ -132,10 +132,6 @@ def invariants_over(lat: Lattice, sub: Lattice) -> tuple[int, ...]:
             raise ValueError("lattice is not contained in this lattice")
         coords.append(c)
     return Lattice.from_columns(len(lat.basis), coords).quotient_invariants()
-
-
-def basis_matrix(lat: Lattice, ring: Ring = ZZ) -> IntMatrix:
-    return IntMatrix.from_columns(lat.basis, lat.dim, ring)
 
 
 # -- modules and their elements ----------------------------------------------------
@@ -289,7 +285,7 @@ def sub_image(f: Homomorphism, u: Submodule) -> Submodule:
     of the codomain's relation basis and the images of the generators."""
     if u.parent != f.dom:
         raise ValueError("submodule does not live in the homomorphism's domain")
-    images = tuple(f.matrix.apply(c) for c in u.canonical_gens.columns())
+    images = tuple(f.matrix.apply(c) for c in u.canonical_gens)
     lattice = Lattice.from_columns(f.cod.n_gens, f.cod.lattice.basis + images)
     return Submodule(f.cod, lattice)
 
@@ -298,7 +294,7 @@ def sub_preimage(f: Homomorphism, w: Submodule) -> Submodule:
     """Preimage ``{x : f(x) in w}`` of a submodule of the codomain."""
     if w.parent != f.cod:
         raise ValueError("submodule does not live in the homomorphism's codomain")
-    return Submodule(f.dom, w.lattice.preimage(f.matrix))
+    return Submodule(f.dom, w.lattice.preimage(f.matrix.columns()))
 
 
 def direct_sum(m1: FPModule, m2: FPModule) -> FPModule:
@@ -514,7 +510,7 @@ def serialize_workspace(ws: Workspace) -> dict:
         "submodules": {
             name: {
                 "parent": ws.submodule_parents[name],
-                "gens": [[encode_int(x) for x in c] for c in s.canonical_gens.columns()],
+                "gens": [[encode_int(x) for x in c] for c in s.canonical_gens],
             }
             for name, s in ws.submodules.items()
         },

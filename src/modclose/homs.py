@@ -110,8 +110,9 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
     is the sum of the pieces Hom(Z/d_j, Z/e_i) = Z/gcd(d_j, e_i), generated
     by multiplication with e_i / gcd(d_j, e_i) (with 1 when d_j is 0, and
     no piece when d_j is nonzero and e_i is 0).  A piece maps back to the
-    presentations as ``U_N^-1 E_ij U_M``.  The pieces are regrouped by
-    pairwise gcds and lcms of their orders (``rings._regroup``), so
+    presentations as ``U_N^-1 E_ij U_M``, column i of U_N^-1 (``uinv[i]``
+    of N's Smith coordinates) times row j of U_M.  The pieces are regrouped
+    by pairwise gcds and lcms of their orders (``rings._regroup``), so
     generators are aligned with the invariant factors and enumerating
     coefficient boxes walks each homomorphism exactly once.  More than
     ``HOM_PIECE_CAP`` pieces raise ``ValueError`` before the regrouping.
@@ -141,16 +142,14 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
     structure, coefficients = _regroup(orders)
     # generator t is U_N^-1 Phi_t U_M, where Phi_t holds c * v at (i, j) for
     # each piece k = (i, j, c) with coefficient v in t: a sum of the rank-one
-    # products (column i of U_N^-1)(row j of U_M), one per such piece
-    uinv_cols = [tuple(row[i] for row in uinv_n) for i in range(b)]
-
+    # products (uinv_n[i])(u_m[j]), one per such piece
     gens = []
     for coefs in coefficients:
         cols = [[0] * b for _ in range(a)]
         for k, v in coefs.items():
             i, j, c = pieces[k]
             coef = c * v
-            left = uinv_cols[i]
+            left = uinv_n[i]
             for col, x in zip(cols, u_m[j]):
                 if x:
                     x *= coef
@@ -162,7 +161,7 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
 
 def kernel_of_hom(f: Homomorphism) -> Submodule:
     """The submodule ``{x : f(x) = 0}`` of the domain."""
-    return Submodule(f.dom, f.cod.lattice.preimage(f.matrix))
+    return Submodule(f.dom, f.cod.lattice.preimage(f.matrix.columns()))
 
 
 def is_injective_module(a: FPModule) -> bool:

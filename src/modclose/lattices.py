@@ -27,13 +27,12 @@ class Lattice:
     row; two lattices are equal iff their bases are identical tuples.
     """
 
-    __slots__ = ("dim", "basis", "pivots", "_hash", "_smith")
+    __slots__ = ("dim", "basis", "pivots", "_smith")
 
     def __init__(self, dim: int, basis: tuple, pivots: tuple):
         self.dim = dim
         self.basis = basis
         self.pivots = pivots  # (row, value) per basis column, rows ascending
-        self._hash = None
         self._smith = None
 
     @classmethod
@@ -118,22 +117,19 @@ class Lattice:
         diag, _, uinv = self.smith_coordinates()
         return Lattice.from_columns(
             self.dim,
-            [
-                tuple(_seen_part(d, e) * row[i] for row in uinv)
-                for i, d in enumerate(diag)
-                if d
-            ],
+            [tuple(_seen_part(d, e) * x for x in col) for d, col in zip(diag, uinv) if d],
         )
 
-    def preimage(self, f: IntMatrix) -> "Lattice":
-        """The lattice ``{x in Z^(f.cols) : f @ x in self}``, from the columns
-        ``(f e_j, e_j)`` and ``(l, 0)`` for l in self.  Only the entries of
-        ``f`` are read, so a matrix over Z/n is taken as is when self contains
-        n*Z^(f.rows)."""
-        if f.rows != self.dim:
-            raise ValueError("matrix does not map into this lattice's ambient space")
-        cols = _identity_stack(f) + [c + (0,) * f.cols for c in self.basis]
-        return Lattice.from_stacked(self.dim, f.cols, cols)
+    def preimage(self, images: Sequence[Sequence[int]]) -> "Lattice":
+        """``{x in Z^k : sum_j x_j * images[j] in self}`` for the images in
+        Z^dim of the unit vectors of Z^k, from the columns ``(images[j], e_j)``
+        and ``(l, 0)`` for l in self.  Only the entries are read, so images
+        over Z/n are taken as they are when self contains n*Z^dim."""
+        k = len(images)
+        if any(len(c) != self.dim for c in images):
+            raise ValueError(f"an image does not lie in Z^{self.dim}")
+        cols = _identity_stack(images) + [c + (0,) * k for c in self.basis]
+        return Lattice.from_stacked(self.dim, k, cols)
 
     # -- quotient data ---------------------------------------------------------
 
@@ -142,8 +138,8 @@ class Lattice:
 
         ``diag`` has ``dim`` entries, units included, each dividing the next,
         with 0 (free factor) last.  Coordinate ``i`` of ``u @ x`` is the image
-        of ``x`` in the summand Z/diag[i], and column ``i`` of ``uinv = u^-1``
-        generates that summand; both are tuples of row tuples.
+        of ``x`` in the summand Z/diag[i] (``u`` is a tuple of row tuples),
+        and ``uinv[i]``, column i of ``uinv = u^-1``, generates that summand.
 
         The reduction runs once per instance: the result is kept on this
         object and freed with it.  Equal lattices built separately reduce
@@ -158,7 +154,7 @@ class Lattice:
             self._smith = (
                 tuple(d[i][i] if i < diag_len else 0 for i in range(self.dim)),
                 tuple(map(tuple, u)),
-                tuple(map(tuple, uinv)),
+                tuple(zip(*uinv)),
             )
         return self._smith
 
@@ -186,9 +182,7 @@ class Lattice:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.dim, self.basis))
-        return self._hash
+        return hash((self.dim, self.basis))
 
     def __repr__(self) -> str:
         return f"Lattice(dim={self.dim}, basis={[list(c) for c in self.basis]!r})"

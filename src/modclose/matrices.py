@@ -220,10 +220,10 @@ def _stacked_echelon(top: int, dim: int, columns: Iterable[Sequence[int]]):
     return [b[top:] for b in basis[k:]], [r - top for r in pivrows[k:]]
 
 
-def _identity_stack(a: IntMatrix) -> list[tuple[int, ...]]:
-    """The columns ``(a e_j, e_j)`` of ``[a; I]``."""
-    cols = a.cols
-    return [a.column(j) + tuple(int(i == j) for i in range(cols)) for j in range(cols)]
+def _identity_stack(columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The columns ``(c_j, e_j)`` of ``[c; I]``, for the columns ``c_j``."""
+    k = len(columns)
+    return [tuple(c) + tuple(int(i == j) for i in range(k)) for j, c in enumerate(columns)]
 
 
 class SNFResult:
@@ -379,7 +379,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     if a.ring.is_modular:
         raise ValueError("Smith reduction runs over the integers; build the matrix over Z")
     rows, cols = a.rows, a.cols
-    basis, _ = _echelon(rows + cols, _identity_stack(a))
+    basis, _ = _echelon(rows + cols, _identity_stack(a.columns()))
     h = IntMatrix.from_columns([c[:rows] for c in basis], rows)
     w = IntMatrix.from_columns([c[rows:] for c in basis], cols)
     u, d, v, _ = _snf_with_inverses(h)

@@ -140,11 +140,11 @@ class Submodule:
     once with the parent's relation basis, or the preimage :class:`Lattice`
     itself, taken as is: a lattice in Z^g containing the parent's relations.
 
-    ``canonical_gens`` is a deterministic generating matrix, computed when
-    read: the echelon basis of the preimage lattice with columns lying in the
-    relation lattice removed (those map to zero) and the survivors reduced to
-    canonical coordinates.  Submodules of the same parent with equal spans
-    compare equal and share identical ``canonical_gens``.
+    ``canonical_gens`` is a deterministic generating set, computed when read:
+    a tuple of the echelon basis columns of the preimage lattice that lie
+    outside the relation lattice, reduced to canonical coordinates, without
+    repeats.  Submodules of the same parent with equal spans compare equal
+    and share identical ``canonical_gens``.
     """
 
     __slots__ = ("parent", "lattice")
@@ -166,11 +166,9 @@ class Submodule:
             )
 
     @property
-    def canonical_gens(self) -> IntMatrix:
-        parent = self.parent
-        reduced = map(parent.lattice.reduce, self.lattice.basis)
-        cols = list(dict.fromkeys(c for c in reduced if any(c)))
-        return IntMatrix.from_columns(cols, parent.n_gens, parent.ring)
+    def canonical_gens(self) -> tuple[tuple[int, ...], ...]:
+        reduced = map(self.parent.lattice.reduce, self.lattice.basis)
+        return tuple(dict.fromkeys(c for c in reduced if any(c)))
 
     # -- predicates ---------------------------------------------------------
 
@@ -204,7 +202,7 @@ class Submodule:
         return hash((self.parent, self.lattice))
 
     def __repr__(self) -> str:
-        return f"Submodule(gens={[list(c) for c in self.canonical_gens.columns()]!r})"
+        return f"Submodule(gens={[list(c) for c in self.canonical_gens]!r})"
 
 
 def _check_same_parent(u: Submodule, v: Submodule) -> None:
@@ -243,11 +241,11 @@ def sub_as_module(u: Submodule):
     """
     parent = u.parent
     b = u.canonical_gens
-    rel = parent.lattice.preimage(b)
-    smod = FPModule(parent.ring, b.cols, rel)
+    smod = FPModule(parent.ring, len(b), parent.lattice.preimage(b))
     from .homs import Homomorphism
 
-    return smod, Homomorphism(smod, parent, b)
+    inclusion = IntMatrix.from_columns(b, parent.n_gens, parent.ring)
+    return smod, Homomorphism(smod, parent, inclusion)
 
 
 def all_submodules(m: FPModule) -> list[Submodule]:

@@ -97,7 +97,6 @@ def torsion_preimage_by_exponent(m: FPModule, n: Submodule) -> Submodule:
     invariant factors of M/N multiplies it into the relation lattice of the
     quotient; this avoids the saturation computation entirely.
     """
-    from .elements import basis_matrix
     from .modules import Submodule, quotient_module
 
     if m.ring.is_modular:
@@ -107,11 +106,8 @@ def torsion_preimage_by_exponent(m: FPModule, n: Submodule) -> Submodule:
     for f in q.invariant_factors:
         if f:
             e *= f
-    scaled = IntMatrix(
-        [[e if i == j else 0 for j in range(m.n_gens)] for i in range(m.n_gens)], ZZ
-    )
-    pre = n.lattice.preimage(scaled)
-    return Submodule(m, basis_matrix(pre, m.ring))
+    scaled = [tuple(e * (i == j) for i in range(m.n_gens)) for j in range(m.n_gens)]
+    return Submodule(m, n.lattice.preimage(scaled))
 
 
 def separates_every_nonzero_element(m: FPModule, n: Submodule, cap: int = 200_000) -> bool:
@@ -253,7 +249,7 @@ def closedness_witness_scan(
         ]
         entries.append(
             ScanEntry(
-                generators=tuple(s.canonical_gens.columns()),
+                generators=s.canonical_gens,
                 invariants=invariants,
                 nonzero_hom_per_object=tuple(flags),
                 exists_nonzero_hom=any(flags),
@@ -380,7 +376,7 @@ def oracle_closure(m: FPModule, n: Submodule, cat: Subcategory, closure: Submodu
     agree = recomputed == closure
     return agree, {
         "agrees": agree,
-        "closure_generators": [list(c) for c in recomputed.canonical_gens.columns()],
+        "closure_generators": [list(c) for c in recomputed.canonical_gens],
     }
 
 
@@ -447,7 +443,7 @@ def oracle_verify(report, cat: Subcategory, label):
         if slow != t:
             mismatches.append({
                 "module": label(x),
-                "radical_by_enumeration": [list(c) for c in slow.canonical_gens.columns()],
+                "radical_by_enumeration": [list(c) for c in slow.canonical_gens],
             })
         fast = _in_torsion_class(x.invariant_factors, cat)
         if fast != slow.is_whole:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import combinations_with_replacement, product
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .closure import Subcategory, _admits_nonzero_map, _closure_lattice
@@ -124,8 +124,8 @@ def _chain_of(types) -> tuple[int, ...]:
     return tuple(reversed(factors))
 
 
-# Largest trial divisor of ``_prime_factors``: enough to factor any number
-# below 2^40, in about 0.2 s at most.
+# Largest trial divisor of ``_prime_factors`` and most trial divisions of
+# ``_modulus_divisors``: enough to factor any number below 2^40, in 0.2 s.
 TRIAL_DIVISION_BOUND = 2**20
 
 
@@ -151,6 +151,22 @@ def _prime_factors(n: int) -> dict[int, int]:
     if rest > 1:
         out[rest] = out.get(rest, 0) + 1
     return out
+
+
+def _factored_divisors(factors: dict[int, int], limit: int) -> list[int]:
+    """Ascending divisors in ``[2, limit]`` of prod(p**k for p, k in factors)."""
+    divs = [1]
+    for p, k in factors.items():
+        divs = [d * p**i for d in divs for i in range(k + 1) if d * p**i <= limit]
+    return sorted(divs)[1:]
+
+
+def _modulus_divisors(n: int, limit: int) -> list[int]:
+    """``rings._divisors(n, limit)``, read from ``_prime_factors(n)`` (which
+    refuses a modulus it cannot factor) past ``TRIAL_DIVISION_BOUND`` trial divisions."""
+    if min(isqrt(n), limit) <= TRIAL_DIVISION_BOUND:
+        return _divisors(n, limit)
+    return _factored_divisors(_prime_factors(n), limit)
 
 
 # Caps on the pair-set work of one chain, each checked before the work it
@@ -305,7 +321,7 @@ def enumerate_universe(ring: Ring, max_gens: int, max_order: int) -> list[FPModu
     """
     if max_gens < 0 or max_order < 1:
         raise ValueError("bounds must be nonnegative (and order at least 1)")
-    divisors = _divisors(ring.modulus, max_order) if ring.is_modular else None
+    divisors = _modulus_divisors(ring.modulus, max_order) if ring.is_modular else None
     chains: list[tuple[int, ...]] = []
     total = 0
 
@@ -438,7 +454,7 @@ def verify_torsion_theory(
         # t(M) presented on its canonical generators b, which map it onto
         # t(M), so t(t(M)) = t(M) exactly when its radical is whole
         b = t.canonical_gens
-        smod = FPModule(m.ring, b.cols, m.lattice.preimage(b))
+        smod = FPModule(m.ring, len(b), m.lattice.preimage(b))
         if not torsion_radical(smod, cat).is_whole:
             idem_bad = idem_bad or module(m)
         if not in_t(smod.invariant_factors):

@@ -109,10 +109,7 @@ def universe_chains(modulus: int, max_gens: int, max_order: int) -> list:
 
 def join_by_elements(u: Submodule, v: Submodule) -> frozenset:
     m = u.parent
-    seeds = [c for c in u.canonical_gens.columns()] + [
-        c for c in v.canonical_gens.columns()
-    ]
-    return generated_subgroup(m, seeds)
+    return generated_subgroup(m, u.canonical_gens + v.canonical_gens)
 
 
 def meet_by_elements(u: Submodule, v: Submodule) -> frozenset:
@@ -142,7 +139,7 @@ def kernel_by_modulus_columns(a: IntMatrix) -> IntMatrix:
 def quotient_by_concatenation(m: FPModule, n: Submodule) -> FPModule:
     """M/N presented by M's relation columns followed by N's canonical
     generators, echelonized afresh."""
-    cols = m.relations.columns() + n.canonical_gens.columns()
+    cols = m.relations.columns() + list(n.canonical_gens)
     return FPModule(m.ring, m.n_gens, cols)
 
 
@@ -174,7 +171,7 @@ def zero_by_relations(m: FPModule) -> Submodule:
 
 def image_by_matrix(f: Homomorphism, u: Submodule) -> Submodule:
     """f(U), generated by the images of U's canonical generators."""
-    cols = [f.matrix.apply(c) for c in u.canonical_gens.columns()]
+    cols = [f.matrix.apply(c) for c in u.canonical_gens]
     return Submodule(f.cod, IntMatrix.from_columns(cols, f.cod.n_gens, f.cod.ring))
 
 
@@ -421,7 +418,7 @@ def hom_generators_dense(m: FPModule, n: FPModule) -> list:
                 continue
             pieces.append((i, j, ei // g if dj else 1))
             orders.append(g)
-    left = IntMatrix(uinv_n, ZZ, rows=b, cols=b)
+    left = IntMatrix.from_columns(uinv_n, b)
     right = IntMatrix(u_m, ZZ, rows=a, cols=a)
     out = []
     for coefs in _regroup(orders)[1]:
@@ -470,18 +467,25 @@ def closure_by_prime_support(m: FPModule, n: Submodule, cat: Subcategory) -> Sub
     scaled = [
         tuple(m_s if i == j else 0 for i in range(m.n_gens)) for j in range(m.n_gens)
     ]
-    return Submodule(m, list(n.canonical_gens.columns()) + scaled)
+    return Submodule(m, list(n.canonical_gens) + scaled)
 
 
-def canonical_gens_eager(sub: Submodule) -> IntMatrix:
+def canonical_gens_eager(sub: Submodule) -> tuple:
     """A submodule's canonical generators as they were built when every
     submodule stored them: the echelon basis of its preimage lattice reduced
-    modulo the parent's relation lattice, zero and repeated columns dropped.
-    The zero submodule is the one with no such column."""
+    modulo the parent's relation lattice, zero and repeated columns dropped,
+    as a tuple of columns.  The zero submodule is the one with no such
+    column."""
     parent = sub.parent
     cols = []
     for c in sub.lattice.basis:
         r = parent.lattice.reduce(c)
         if any(r) and r not in cols:
             cols.append(r)
-    return IntMatrix.from_columns(cols, parent.n_gens, parent.ring)
+    return tuple(cols)
+
+
+def basis_matrix(lat: Lattice, ring=ZZ) -> IntMatrix:
+    """The canonical basis of a lattice as the columns of a matrix over
+    ``ring``."""
+    return IntMatrix.from_columns(lat.basis, lat.dim, ring)

@@ -88,7 +88,7 @@ def test_criterion_1_density_equivalence_exhaustive():
                     checked += 1
                     if not (dense == vanish_matrix == vanish_brute == vanish_structural):
                         discrepancies.append(
-                            (n, m.invariant_factors, sub.canonical_gens.columns(),
+                            (n, m.invariant_factors, sub.canonical_gens,
                              obj.invariant_factors)
                         )
     elapsed = time.monotonic() - start
@@ -116,7 +116,7 @@ def test_criterion_2_closedness_scan_exhaustive():
                     checked += 1
                     if not scan.agrees_with_closure:
                         discrepancies.append(
-                            (n, m.invariant_factors, sub.canonical_gens.columns(),
+                            (n, m.invariant_factors, sub.canonical_gens,
                              obj.invariant_factors)
                         )
     # documented counterexample to the universal reading over Z: a torsion

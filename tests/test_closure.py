@@ -147,7 +147,7 @@ Q_MOD_Z_ONLY = Subcategory(ZZ, [], [DivisibleModule.Q_MOD_Z])
 def test_divisible_q_worked_example():
     m = present_module(ZZ, 2, [(0, 2)])  # Z + Z/2
     c = regular_closure(m, zero_submodule(m), Q_ONLY).closure
-    assert c.canonical_gens.columns() == [(0, 1)]
+    assert c.canonical_gens == ((0, 1),)
 
 
 def test_divisible_q_on_free_module():
@@ -388,7 +388,7 @@ def test_closure_matches_kernel_meets_on_wide_modules(rng):
         for w in res.witnesses:
             assert all(
                 hom_apply(w.hom, ModuleElement(m, c)).is_zero
-                for c in n.canonical_gens.columns()
+                for c in n.canonical_gens
             )
             meet = sub_meet(meet, kernel_of_hom(w.hom))
         assert meet == res.closure

@@ -32,8 +32,13 @@ from modclose.elements import (
     module_elements,
 )
 
-from modclose.rings import _regroup
-from modclose.torsion import TRIAL_DIVISION_BOUND, _prime_factors
+from modclose.rings import _divisors, _regroup
+from modclose.torsion import (
+    TRIAL_DIVISION_BOUND,
+    _factored_divisors,
+    _modulus_divisors,
+    _prime_factors,
+)
 
 from conftest import random_finite_module
 from oracles import hom_generators_dense, hom_structure_block_system, regroup_dense
@@ -358,3 +363,24 @@ def test_prime_factors_are_bounded():
     assert _prime_factors(p * q) == {p: 1, q: 1}
     with pytest.raises(ValueError, match=f"trial-division bound {TRIAL_DIVISION_BOUND}"):
         _prime_factors(2**5 * (2**61 - 1))
+
+
+def test_divisors_read_from_a_factorization_match_trial_division():
+    rng = random.Random(5150)
+    for _ in range(3000):
+        n = rng.randint(2, 10**6)
+        limit = rng.choice([n, rng.randint(1, n), rng.randint(1, 2000)])
+        assert _factored_divisors(_prime_factors(n), limit) == _divisors(n, limit), (n, limit)
+    # within TRIAL_DIVISION_BOUND trial divisions the universe's divisors are
+    # rings._divisors; past it they come from the factorization, which
+    # refuses a modulus it cannot factor
+    for n in (12, 2**40, 2**61 - 1):
+        assert _modulus_divisors(n, TRIAL_DIVISION_BOUND) == _divisors(n, TRIAL_DIVISION_BOUND)
+    n, limit = 2**30 * 3**20, 10**20
+    expected = sorted(
+        2**a * 3**b for a in range(31) for b in range(21) if 1 < 2**a * 3**b <= limit
+    )
+    assert _modulus_divisors(n, limit) == expected
+    assert _modulus_divisors(2**50, 10**20) == [2**i for i in range(1, 51)]
+    with pytest.raises(ValueError, match="cannot factor 2305843009213693951"):
+        _modulus_divisors(2**61 - 1, TRIAL_DIVISION_BOUND + 1)

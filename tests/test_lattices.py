@@ -304,8 +304,19 @@ def _check_against_smith(a, l1, l2, f):
     assert kernel.basis == tuple(k.columns())  # already canonical
     assert kernel == kernel_by_smith(a)
     assert l1.intersect(l2) == intersect_by_smith(l1, l2)
-    assert l1.preimage(f) == preimage_by_smith(l1, f)
+    assert l1.preimage(f.columns()) == preimage_by_smith(l1, f)
     assert l1.saturation() == saturation_by_smith(l1)
+
+
+def test_preimage_reads_the_images_of_the_unit_vectors():
+    # {x in Z^3 : x0*(1, 0) + x1*(0, 1) + x2*(1, 1) in 2Z + 3Z}
+    lat = Lattice.from_columns(2, [(2, 0), (0, 3)])
+    images = [(1, 0), (0, 1), (1, 1)]
+    assert lat.preimage(images) == preimage_by_smith(lat, IntMatrix.from_columns(images, 2))
+    assert lat.preimage([]) == Lattice.from_columns(0, [])
+    for bad in ([(1, 0), (1, 0, 0)], [(1,)]):
+        with pytest.raises(ValueError, match=r"an image does not lie in Z\^2"):
+            lat.preimage(bad)
 
 
 def test_stacked_echelon_matches_smith_oracles():

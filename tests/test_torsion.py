@@ -28,7 +28,6 @@ from modclose import (
 )
 from modclose.elements import zero_submodule
 from modclose.lattices import Lattice
-from modclose.matrices import IntMatrix
 from modclose.torsion import (
     UNIVERSE_ORDER_CAP,
     class_pair_support,
@@ -770,8 +769,7 @@ def _doubled(lat, cat):
 
 def _halved(lat, cat):
     k = lat.dim
-    two = IntMatrix.from_columns([tuple(2 * (i == j) for i in range(k)) for j in range(k)], k, ZZ)
-    return lat.preimage(two)
+    return lat.preimage([tuple(2 * (i == j) for i in range(k)) for j in range(k)])
 
 
 @pytest.mark.parametrize("rig, failing", [

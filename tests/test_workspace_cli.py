@@ -675,6 +675,66 @@ def test_cli_verify_refuses_a_module_past_the_pair_set_caps(tmp_path, capsys):
     assert err.endswith("pairs, past the pair-set cap of 100000\n")
 
 
+@pytest.mark.parametrize("modulus, max_gens, message", [
+    # 2^61 - 1 is prime, past the factoring bound: at the first divisor
+    # search past TRIAL_DIVISION_BOUND trial divisions, not after minutes
+    (2**61 - 1, "1", "cannot factor 2305843009213693951: its cofactor "
+     "2305843009213693951 has no prime factor up to the trial-division bound 1048576"),
+    # 2^50 and 2^60: their divisors, read from the factorization, reach the
+    # cap; a search by trial division takes 2^25 and 2^30 steps
+    (2**50, "2", "universe too large: the module orders found so far sum to 8191, "
+     "past the cap of 4096; lower the generator or order bound"),
+    (2**60, "2", "universe too large: the module orders found so far sum to 8191, "
+     "past the cap of 4096; lower the generator or order bound"),
+])
+def test_cli_verify_bounds_its_divisor_search(tmp_path, capsys, modulus, max_gens, message):
+    doc = {
+        "ring": f"Zmod:{modulus}",
+        "modules": {"R": {"generators": 1, "relations": []}},
+        "subcategories": {"A": {"finite": ["R"], "divisible": []}},
+    }
+    path = write_ws(tmp_path, doc)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "--workspace", path, "--cat", "A", "--max-gens", max_gens,
+         "--max-order", "100000000000000000000"],
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err == f"modclose: error: {message}\n"
+
+
+def test_cli_verify_and_a_divisible_closure_build_no_matrix(tmp_path, capsys, monkeypatch):
+    # generating sets travel as column tuples, so neither request converts a
+    # matrix through IntMatrix.__init__ (the Smith reductions of lattices
+    # take their basis as is)
+    from modclose.matrices import IntMatrix
+
+    builds = []
+    init = IntMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counted)
+    path = write_ws(tmp_path, WS_Z12)
+    code, out, _ = run_cli(
+        capsys,
+        ["verify", "--workspace", path, "--cat", "A", "--max-gens", "2", "--max-order", "36"],
+    )
+    assert code == 0 and json.loads(out)["all_passed"]
+    assert builds == []
+    doc = dict(WS_Z, submodules={"x": {"parent": "M", "gens": [[1, 0]]}})
+    path = write_ws(tmp_path, doc, "z.json")
+    code, out, _ = run_cli(
+        capsys, ["closure", "--workspace", path, "--module", "M", "--sub", "x", "--cat", "Q"]
+    )
+    assert code == 0 and json.loads(out)["closure_generators"] == [[1, 0], [0, 1]]
+    assert builds == []
+
+
 def test_cli_verify_refuses_a_universe_naming_no_module(tmp_path, capsys):
     path = write_ws(tmp_path, WS_Z12)
     for names in (",", ",,"):
