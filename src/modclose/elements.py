@@ -1,24 +1,22 @@
 """Element-level code: module elements, certified homomorphisms and their
-arithmetic, submodule enumeration, and the linear solvers.
+arithmetic, and submodule enumeration.
 
 The paper's results are computed on lattices, so the command-line paths call
 none of this: a request loads this module only under ``--oracle``.  Otherwise
 it serves library users and the tests.
 The modules every request loads reach it only lazily: the certifying
-``Homomorphism`` constructor, ``modules.all_submodules``,
-``homs.is_injective_module`` and the solvers of ``matrices`` import it when
-called.  Methods that lived on those modules' classes are functions here,
-taking the object they act on first.
+``Homomorphism`` constructor, ``modules.all_submodules`` and
+``homs.is_injective_module`` import it when called.  Methods that lived on
+those modules' classes are functions here, taking the object they act on
+first.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from enum import Enum
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from . import matrices
 from .homs import Homomorphism, HomGroup, _canonical_matrix
 from .lattices import Lattice
 from .matrices import IntMatrix
@@ -53,52 +51,6 @@ def with_ring(a: IntMatrix, ring: Ring) -> IntMatrix:
     if a.ring.is_modular:
         raise ValueError(f"cannot recast a {a.ring} matrix into {ring}")
     return IntMatrix(a.entries, ring, rows=a.rows, cols=a.cols)
-
-
-def _solve_system(a: IntMatrix, b: Sequence[int] | None = None):
-    """``(particular, kernel)`` of ``a @ x = b`` from one echelon of the
-    columns ``(a e_j, e_j)`` and, over Z/n, ``(n e_i, 0)``.
-
-    The echelon columns with a pivot in the lower block have a zero upper
-    block: they are the canonical basis of the integer solutions of
-    ``a x = 0``, over Z/n of ``a x in n*Z^rows``, a lattice containing
-    n*Z^cols whose columns that are nonzero mod n generate the kernel.  The
-    others are ``(a w + n y, w)``; forward substitution on their pivot rows
-    reduces ``(b, 0)`` to ``(0, -x)`` exactly when ``b`` lies in their span.
-    ``particular`` is ``None`` without ``b`` or a solution, and is not reduced
-    mod n.  Cohen, GTM 138, section 2.4.
-    """
-    # the echelon is read through its module, where a caller may count it
-    rows, cols, n = a.rows, a.cols, a.ring.modulus
-    stack = matrices._identity_stack(a.columns())
-    if n:
-        zero = (0,) * cols
-        stack += [tuple(n * (i == k) for i in range(rows)) + zero for k in range(rows)]
-    basis, pivrows = matrices._echelon(rows + cols, stack)
-    k = bisect_left(pivrows, rows)
-    lower = [c[rows:] for c in basis[k:]]
-    if n:
-        lower = [c for c in lower if any(x % n for x in c)]
-    kernel = IntMatrix.from_columns(lower, cols, a.ring)
-    if b is None:
-        return None, kernel
-    v = [*b] + [0] * cols
-    for col, r in zip(basis[:k], pivrows):
-        q, rem = divmod(v[r], col[r])
-        if rem:
-            return None, kernel
-        v = [vi - q * ci for vi, ci in zip(v, col)]
-    return (None if any(v[:rows]) else tuple(-x for x in v[rows:])), kernel
-
-
-def kernel_basis(a: IntMatrix, ring: Ring | None = None) -> IntMatrix:
-    """Generators of ``{x : a @ x = 0}`` over the ring, as matrix columns.
-
-    Over Z the columns are the canonical lattice basis.  Over Z/n they are
-    the canonical basis of ``{x in Z^cols : a x in n*Z^rows}``, reduced mod n,
-    with the columns that vanish mod n dropped.
-    """
-    return _solve_system(a if ring is None else with_ring(a, ring))[1]
 
 
 # -- lattices -------------------------------------------------------------------

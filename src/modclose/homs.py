@@ -69,9 +69,13 @@ class Homomorphism:
 def _canonical_matrix(cod: FPModule, columns) -> IntMatrix:
     """The matrix of integer image columns, each reduced by the codomain's
     relation lattice, which over Z/n contains n*Z^g, so the entries are read
-    whatever their ring."""
-    reduce = cod.lattice.reduce
-    return IntMatrix.from_columns([reduce(c) for c in columns], cod.n_gens, cod.ring)
+    whatever their ring.  The reduced entries are ints, and over Z/n every
+    row is a pivot row whose pivot divides n, so they already lie in
+    ``[0, n)`` and the matrix is taken as is."""
+    reduced = [cod.lattice.reduce(c) for c in columns]
+    return IntMatrix._trusted(
+        tuple(zip(*reduced)) or ((),) * cod.n_gens, len(reduced), cod.ring
+    )
 
 
 class HomGroup:

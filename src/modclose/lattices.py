@@ -6,7 +6,8 @@ lattice in Hermite-style canonical form makes equality syntactic and coset
 reduction deterministic.
 
 Intersections and preimages are read from one echelon of stacked columns
-(``from_stacked``); Smith reduction is used only for the quotient's Smith
+(``from_stacked``); the kernels and linear solves of ``matrices`` are
+preimages too.  Smith reduction is used only for the quotient's Smith
 coordinates, from which the saturation is read.
 """
 

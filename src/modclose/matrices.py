@@ -2,16 +2,13 @@
 
 The canonical column echelon (Hermite) basis of a lattice, Smith normal form
 with transformation matrices, integer kernels, and linear solving.
-Everything runs on arbitrary-precision Python integers.  A system over Z/n
-is the integer system with n*Z^rows adjoined to the image, so its solutions
-form a lattice containing n*Z^cols and one integer code path (and one oracle)
-covers both rings.  Unreduced elimination over Z swells entries far past the
-size of the answer, so the echelon reduces while it builds.  Kernels and
-solutions are read from one echelon of the stacked columns ``(a e_j, e_j)``,
-with ``(n e_i, 0)`` over Z/n (``elements._solve_system``, which no
-command calls outside ``--oracle``); Smith reduction is used only for
-invariants and Smith coordinates, and the public Smith form starts from the
-Hermite form, which keeps the transforms near the size of the determinant.
+Everything runs on arbitrary-precision Python integers.  Unreduced
+elimination over Z swells entries far past the size of the answer, so the
+echelon reduces while it builds.  Kernels and solutions are preimages
+(``Lattice.preimage``) of 0, over Z/n of n*Z^rows, so one integer code path
+covers both rings.  Smith reduction is used only for invariants and Smith
+coordinates, and the public Smith form starts from the Hermite form, which
+keeps the transforms near the size of the determinant.
 
 Matrices are immutable values and may be shared freely between threads.
 """
@@ -390,32 +387,35 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     )
 
 
-def _kernel_over_z(a: IntMatrix) -> IntMatrix:
-    """Canonical basis of ``{x : a @ x = 0}`` over Z, as columns (for a matrix
-    over Z/n, the ``elements.kernel_basis`` generators)."""
-    from .elements import _solve_system
+def _preimage(a: IntMatrix, images, top: int = 0):
+    """The canonical basis of the preimage of 0 (over Z/n, of n*Z^rows)
+    under ``images``, and the matrix of its columns zero above row ``top``,
+    cut there, without those that vanish mod n.  Over Z/n the preimage
+    contains n*Z^cols, so its entries already lie in ``[0, n)``."""
+    from .lattices import Lattice
 
-    return _solve_system(a)[1]
+    n = a.ring.modulus
+    target = Lattice.diagonal((n,) * a.rows) if n else Lattice(a.rows, (), ())
+    basis = target.preimage(images).basis
+    kernel = [c[top:] for c in basis if not any(c[:top])]
+    if n:
+        kernel = [c for c in kernel if any(x % n for x in c)]
+    return basis, IntMatrix.from_columns(kernel, a.cols, a.ring)
 
 
-def solve_linear(
-    a: IntMatrix, b: Sequence[int], ring: Ring | None = None
-) -> tuple[tuple[int, ...] | None, IntMatrix]:
-    """Solve ``a @ x = b`` over the ring.
+def kernel_basis(a: IntMatrix) -> IntMatrix:
+    """Generators of ``{x : a @ x = 0}`` over the ring, as matrix columns:
+    the canonical basis of the integer solutions, over Z/n of ``a x`` in
+    n*Z^rows, without the columns that vanish mod n."""
+    return _preimage(a, a.columns())[1]
 
-    Returns ``(particular, kernel)`` where ``particular`` is one solution (or
-    ``None`` when the system is unsolvable) and ``kernel`` is
-    ``elements.kernel_basis`` of ``a``; the full solution set is the
-    particular solution plus the kernel span.  Both come from one echelon
-    (``elements._solve_system``), over Z and Z/n alike.
-    """
-    from .elements import _solve_system, with_ring
 
-    mat = a if ring is None else with_ring(a, ring)
-    vec = list(map(index, b))
-    if len(vec) != mat.rows:
-        raise ValueError(
-            f"dimension mismatch: matrix has {mat.rows} rows, vector has {len(vec)}"
-        )
-    sol, kernel = _solve_system(mat, vec)
-    return (None if sol is None else tuple(map(mat.ring.reduce, sol))), kernel
+_kernel_over_z = kernel_basis  # the name perfbench/traced.py counts
+
+
+def solve_linear(a: IntMatrix, b: Sequence[int]) -> tuple[tuple | None, IntMatrix]:
+    """``(particular, kernel_basis(a))`` for ``a @ x = b``, ``particular``
+    ``None`` when unsolvable: read from the preimage of ``(-b, a e_1, ...)``,
+    whose first basis column is ``(1, particular)`` iff a solution exists."""
+    basis, kernel = _preimage(a, [tuple(-index(x) for x in b)] + a.columns(), 1)
+    return (basis[0][1:] if basis and basis[0][0] == 1 else None), kernel

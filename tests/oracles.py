@@ -23,11 +23,11 @@ from modclose import (
     kernel_of_hom,
     quotient_module,
     smith_normal_form,
+    solve_linear,
     sub_meet,
 )
 from modclose.elements import (
     ModuleElement,
-    _solve_system,
     identity_matrix,
     module_elements,
     whole_submodule,
@@ -41,7 +41,7 @@ from modclose.rings import _regroup
 
 def _solve_over_z(a: IntMatrix, b) -> tuple | None:
     """One solution of ``a @ x = b`` over Z, or ``None`` when unsolvable."""
-    return _solve_system(a, b)[0]
+    return solve_linear(a, b)[0]
 
 
 def class_pairs(universe) -> tuple:

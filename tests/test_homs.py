@@ -7,6 +7,7 @@ import pytest
 from modclose import (
     FPModule,
     Homomorphism,
+    IntMatrix,
     OracleInfeasibleError,
     Submodule,
     ZZ,
@@ -32,6 +33,7 @@ from modclose.elements import (
     module_elements,
 )
 
+from modclose.homs import _canonical_matrix
 from modclose.rings import _divisors, _regroup
 from modclose.torsion import (
     TRIAL_DIVISION_BOUND,
@@ -195,6 +197,25 @@ def test_regroup_matches_the_dense_smith_reduction():
 
 
 # -- homomorphism values ---------------------------------------------------------------
+
+
+def test_canonical_matrix_equals_the_converted_matrix():
+    # the reduced image columns are taken as is: the same matrix, entries
+    # and shape, as converting them through IntMatrix.from_columns
+    rng = random.Random(3030)
+    rings = [ZZ] + [Zmod(n) for n in (2, 4, 6, 12, 36)]
+    for t in range(600):
+        ring = rings[t % len(rings)]
+        g, k = rng.randint(0, 3), rng.randint(0, 3)
+        rels = [tuple(rng.randint(-9, 9) for _ in range(g)) for _ in range(rng.randint(0, 3))]
+        cod = FPModule(ring, g, rels)
+        cols = [tuple(rng.randint(-50, 50) for _ in range(g)) for _ in range(k)]
+        got = _canonical_matrix(cod, cols)
+        expected = IntMatrix.from_columns(
+            [cod.lattice.reduce(c) for c in cols], g, ring
+        )
+        assert got == expected
+        assert all(type(x) is int for row in got.entries for x in row)
 
 
 def test_well_definedness_certified_at_construction():

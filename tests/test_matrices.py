@@ -163,6 +163,8 @@ def test_kernel_over_z_examples():
 def test_kernel_mod4_example():
     k = kernel_basis(IntMatrix([[2]], Zmod(4)))
     assert k.columns() == [(2,)]
+    # the integer solutions of x in 4Z have the basis (4,), which vanishes mod 4
+    assert kernel_basis(IntMatrix([[1]], Zmod(4))).cols == 0
 
 
 def span_mod_n(cols, n, width):
@@ -242,10 +244,10 @@ def test_solve_over_z_many_right_hand_sides():
     bs = [(2, 0, 2), (0, 6, 6), (1, 0, 1), (4, 6, 10), (0, 0, 0)]
     sols = [_solve_over_z(a, b) for b in bs]
     assert sols[2] is None  # odd entries: no integer solution
+    assert all(a.apply(x) != bs[2] for x in product(range(-30, 31), repeat=2))
     for b, sol in zip(bs, sols):
-        assert sol == solve_linear(a, b)[0]
-        if sol is not None:
-            assert a.apply(sol) == b
+        if b != bs[2]:
+            assert sol is not None and a.apply(sol) == b
 
 
 @pytest.mark.parametrize("n", [4, 6, 9])
@@ -265,7 +267,23 @@ def test_solve_modular_agrees_with_enumeration(n):
         )
         assert (sol is None) == (brute is None)
         if sol is not None:
-            assert a.apply(sol) == b
+            assert a.apply(sol) == b and all(0 <= x < n for x in sol)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)], ids=str)
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_kernel_and_solve_on_empty_shapes(ring, rows, cols):
+    a = zero_matrix(rows, cols, ring)
+    kernel = kernel_basis(a)
+    # with no rows every vector solves a x = 0: the kernel is all of Z^cols
+    expected = identity_matrix(cols, ring) if rows == 0 else zero_matrix(0, 0, ring)
+    assert kernel == expected
+    sol, k = solve_linear(a, (0,) * rows)
+    assert sol == (0,) * cols and k == kernel
+    if rows:
+        assert solve_linear(a, (1,) + (0,) * (rows - 1)) == (None, kernel)
+        if ring.is_modular:
+            assert solve_linear(a, (6,) * rows)[0] == ()
 
 
 # -- matrix plumbing -----------------------------------------------------------

@@ -393,6 +393,29 @@ def test_every_public_name_resolves_lazily():
     assert verdict == "AttributeError"
 
 
+def test_every_module_reference_in_the_readme_resolves():
+    # a backticked `module.name` of a modclose module names something that
+    # exists: a function that is removed or moved takes its mentions with it
+    import pkgutil
+    import re
+
+    import modclose
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {m.name for m in pkgutil.iter_modules(modclose.__path__)}
+    refs = {
+        f"{mod}.{path}"
+        for mod, path in re.findall(r"`(?:modclose\.)?(\w+)\.([\w.]+)`", readme)
+        if mod in modules
+    }
+    assert refs
+    for ref in sorted(refs):
+        try:
+            pkgutil.resolve_name(f"modclose.{ref}")
+        except (ImportError, AttributeError):
+            pytest.fail(f"README.md names `{ref}`, which modclose does not define")
+
+
 def test_ring_value_semantics():
     assert Ring(0) == ZZ and hash(Ring(0)) == hash(ZZ)
     assert Zmod(12) == Ring(12) and hash(Zmod(12)) == hash(Ring(12))

@@ -705,20 +705,27 @@ def test_cli_verify_bounds_its_divisor_search(tmp_path, capsys, modulus, max_gen
     assert err == f"modclose: error: {message}\n"
 
 
-def test_cli_verify_and_a_divisible_closure_build_no_matrix(tmp_path, capsys, monkeypatch):
-    # generating sets travel as column tuples, so neither request converts a
-    # matrix through IntMatrix.__init__ (the Smith reductions of lattices
-    # take their basis as is)
+@pytest.fixture
+def builds(monkeypatch):
+    """The arguments of the ``IntMatrix.__init__`` calls made while the test
+    runs."""
     from modclose.matrices import IntMatrix
 
-    builds = []
+    calls = []
     init = IntMatrix.__init__
 
     def counted(self, *args, **kwargs):
-        builds.append(args)
+        calls.append(args)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(IntMatrix, "__init__", counted)
+    return calls
+
+
+def test_cli_verify_and_a_divisible_closure_build_no_matrix(tmp_path, capsys, builds):
+    # generating sets travel as column tuples, so neither request converts a
+    # matrix through IntMatrix.__init__ (the Smith reductions of lattices
+    # take their basis as is)
     path = write_ws(tmp_path, WS_Z12)
     code, out, _ = run_cli(
         capsys,
@@ -732,6 +739,26 @@ def test_cli_verify_and_a_divisible_closure_build_no_matrix(tmp_path, capsys, mo
         capsys, ["closure", "--workspace", path, "--module", "M", "--sub", "x", "--cat", "Q"]
     )
     assert code == 0 and json.loads(out)["closure_generators"] == [[1, 0], [0, 1]]
+    assert builds == []
+
+
+def test_cli_finite_closure_and_hom_build_no_matrix(tmp_path, capsys, builds):
+    # a hom generator's matrix is its reduced image columns taken as is, so a
+    # closure under finite objects and a hom request convert no matrix either
+    path = write_ws(tmp_path, WS_MOD4)
+    code, out, _ = run_cli(
+        capsys,
+        ["closure", "--workspace", path, "--module", "R", "--sub", "twoR", "--cat", "A"],
+    )
+    assert code == 0 and json.loads(out)["witnesses"]
+    for module, cod in (("half", "R"), ("R", "half")):
+        code, out, _ = run_cli(
+            capsys, ["hom", "--workspace", path, "--module", module, "--cod", cod]
+        )
+        assert code == 0 and json.loads(out)["generators"]
+    path = write_ws(tmp_path, WS_Z, "z.json")
+    code, out, _ = run_cli(capsys, ["hom", "--workspace", path, "--module", "M", "--cod", "M"])
+    assert code == 0 and json.loads(out)["generators"]
     assert builds == []
 
 
