@@ -17,11 +17,12 @@ import importlib
 _EXPORTS = {
     "closure": "ClosureResult ClosureWitness DivisibleModule Subcategory "
     "is_injective_by_structure regular_closure",
+    "commands.snf": "SNFResult smith_normal_form",
     "elements": "Classification ModuleElement classify direct_sum is_closed "
     "is_dense present_module sub_image sub_preimage",
     "errors": "OracleInfeasibleError",
     "homs": "HomGroup Homomorphism hom_group is_injective_module kernel_of_hom",
-    "matrices": "IntMatrix SNFResult kernel_basis smith_normal_form solve_linear",
+    "matrices": "IntMatrix kernel_basis solve_linear",
     "modules": "FPModule Submodule all_submodules free_summand_rank is_bounded "
     "quotient_module sub_as_module sub_join sub_meet",
     "oracles": "AxiomReport ClosednessScan ScanEntry axiom_suite "

@@ -3,8 +3,9 @@
 ``modclose.cli`` imports a command's module only when that command runs, so a
 process compiles the handler it dispatches and no other.  Each module defines
 ``run(ws, args)``, which returns the exit code and the report.  A handler
-imports the library code it calls inside ``run``, and its ``--oracle`` check
-lives in :mod:`modclose.oracles`, which loads only under ``--oracle``.
+imports the library code it calls inside ``run`` (``snf``, which defines the
+public Smith form, at its top), and its ``--oracle`` check lives in
+:mod:`modclose.oracles`, which loads only under ``--oracle``.
 """
 
 from __future__ import annotations

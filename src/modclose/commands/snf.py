@@ -1,10 +1,19 @@
-"""``modclose snf``: Smith normal form with its transforms."""
+"""``modclose snf``: Smith normal form with its transforms.
+
+The public Smith form (``smith_normal_form``, ``SNFResult``) lives here, beside
+its only command, so the requests of the other commands do not compile it;
+``from modclose import smith_normal_form`` loads this module.  The core
+reduction, ``matrices._snf_with_inverses``, stays in ``matrices``, where
+``Lattice.smith_coordinates`` calls it too.
+"""
 
 from __future__ import annotations
 
 import json
 
 from . import matrix_rows
+from ..matrices import IntMatrix, _echelon, _identity_stack, _snf_with_inverses
+from ..rings import ZZ
 
 # Largest side of a matrix that ``snf`` reduces.  The reduction grows faster
 # than cubically in the side: random n x n matrices with entries in [-9, 9]
@@ -21,10 +30,56 @@ def _check_side(rows: int, cols: int) -> None:
         )
 
 
+class SNFResult:
+    """Smith normal form ``D = U @ A @ V`` of an integer matrix.
+
+    ``U`` and ``V`` are unimodular over Z; ``D`` is diagonal with nonnegative
+    entries, each dividing the next.
+    """
+
+    __slots__ = ("u", "d", "v")
+
+    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix):
+        self.u = u
+        self.d = d
+        self.v = v
+
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols)))
+
+    def __repr__(self) -> str:
+        return f"SNFResult(diagonal={list(self.diagonal)!r})"
+
+
+def smith_normal_form(a: IntMatrix) -> SNFResult:
+    """Smith normal form of an integer matrix, with both transforms.
+
+    Modular matrices are refused: the caller builds the integer matrix it
+    means (for a module over Z/n, its relation lattice's basis, n*Z^g
+    included).  The Smith reduction runs on the column Hermite form
+    ``h = a @ w``, read off the echelon of the columns of ``[a; I]`` (its
+    lower block is the unimodular ``w``).  Its entries are reduced below the
+    pivots, which multiply to ``|det a|`` when ``a`` is nonsingular, so the
+    transforms stay near the size of the answer; the returned ``V`` is ``w``
+    times the Smith transform of ``h``.
+    """
+    if a.ring.is_modular:
+        raise ValueError("Smith reduction runs over the integers; build the matrix over Z")
+    rows, cols = a.rows, a.cols
+    basis, _ = _echelon(rows + cols, _identity_stack(a.columns()))
+    h = IntMatrix.from_columns([c[:rows] for c in basis], rows)
+    w = IntMatrix.from_columns([c[rows:] for c in basis], cols)
+    u, d, v, _ = _snf_with_inverses(h)
+    return SNFResult(
+        IntMatrix(u, ZZ, rows=rows, cols=rows),
+        IntMatrix(d, ZZ, rows=rows, cols=cols),
+        w @ IntMatrix(v, ZZ, rows=cols, cols=cols),
+    )
+
+
 def run(ws, args) -> tuple[int, dict]:
-    from ..matrices import IntMatrix, smith_normal_form
     if args.matrix is not None:
-        from ..rings import ZZ
         from ..workspace import decode_int
         try:
             rows = json.loads(args.matrix)

@@ -1,9 +1,10 @@
-"""Element-level code: module elements, certified homomorphisms and their
-arithmetic, and submodule enumeration.
+"""Element-level code: module elements, the homomorphism certificate and
+hom-group elements, and submodule enumeration.
 
 The paper's results are computed on lattices, so the command-line paths call
 none of this: a request loads this module only under ``--oracle``.  Otherwise
-it serves library users and the tests.
+it serves library users and the tests; helpers that only the tests call
+(identity and zero maps, map arithmetic) live with the tests.
 The modules every request loads reach it only lazily: the certifying
 ``Homomorphism`` constructor, ``modules.all_submodules`` and
 ``homs.is_injective_module`` import it when called.  Methods that lived on
@@ -21,7 +22,7 @@ from .homs import Homomorphism, HomGroup, _canonical_matrix
 from .lattices import Lattice
 from .matrices import IntMatrix
 from .modules import FPModule, Submodule, _check_same_parent
-from .rings import Ring, ZZ, _divisors
+from .rings import Ring, _divisors
 
 if TYPE_CHECKING:
     from .closure import Subcategory
@@ -29,18 +30,6 @@ if TYPE_CHECKING:
 
 
 # -- matrices -------------------------------------------------------------------
-
-
-def identity_matrix(n: int, ring: Ring = ZZ) -> IntMatrix:
-    return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], ring)
-
-
-def zero_matrix(rows: int, cols: int, ring: Ring = ZZ) -> IntMatrix:
-    return IntMatrix([[0] * cols for _ in range(rows)], ring, rows=rows, cols=cols)
-
-
-def is_zero_matrix(a: IntMatrix) -> bool:
-    return all(x == 0 for row in a.entries for x in row)
 
 
 def with_ring(a: IntMatrix, ring: Ring) -> IntMatrix:
@@ -56,34 +45,19 @@ def with_ring(a: IntMatrix, ring: Ring) -> IntMatrix:
 # -- lattices -------------------------------------------------------------------
 
 
-def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
-    if a.dim != b.dim:
-        raise ValueError("lattice sum needs a common ambient dimension")
-    return Lattice.from_columns(a.dim, a.basis + b.basis)
-
-
 def invariants_over(lat: Lattice, sub: Lattice) -> tuple[int, ...]:
-    """Invariant factors of lat / sub, for a sublattice ``sub``.
+    """Invariant factors of lat / sub, for a sublattice ``sub``, and
+    ``ValueError`` when ``sub`` does not lie in ``lat``.
 
-    Each basis column of ``sub`` is written in the echelon basis of ``lat``
-    by forward substitution on the pivot rows, and a nonzero remainder
-    raises ``ValueError``.  The quotient is Z^k modulo those coordinate
-    columns, k the rank of ``lat``.
+    The preimage of ``sub`` under the basis of ``lat`` is the lattice of the
+    coordinates of ``sub`` in that basis, so the quotient is Z^k modulo it,
+    k the rank of ``lat``.
     """
     if sub.dim != lat.dim:
         raise ValueError("lattice quotient needs a common ambient dimension")
-    coords = []
-    for vec in sub.basis:
-        v, c = list(vec), []
-        for (r, p), col in zip(lat.pivots, lat.basis):
-            q = v[r] // p
-            c.append(q)
-            for i in range(r, lat.dim):
-                v[i] -= q * col[i]
-        if any(v):
-            raise ValueError("lattice is not contained in this lattice")
-        coords.append(c)
-    return Lattice.from_columns(len(lat.basis), coords).quotient_invariants()
+    if not lat.contains_lattice(sub):
+        raise ValueError("lattice is not contained in this lattice")
+    return sub.preimage(lat.basis).quotient_invariants()
 
 
 # -- modules and their elements ----------------------------------------------------
@@ -153,10 +127,6 @@ class ModuleElement:
         return f"ModuleElement{self.coords!r}"
 
 
-def zero_element(m: FPModule) -> ModuleElement:
-    return ModuleElement(m, (0,) * m.n_gens)
-
-
 def generator(m: FPModule, i: int) -> ModuleElement:
     return ModuleElement(m, tuple(1 if j == i else 0 for j in range(m.n_gens)))
 
@@ -182,15 +152,6 @@ def whole_submodule(m: FPModule) -> Submodule:
     g = m.n_gens
     units = tuple(tuple(int(i == j) for i in range(g)) for j in range(g))
     return Submodule(m, Lattice(g, units, tuple((j, 1) for j in range(g))))
-
-
-def submodule_size(u: Submodule) -> int | None:
-    """Number of elements of the submodule, or ``None`` when infinite."""
-    sub_covol = u.lattice.covolume()
-    amb_covol = u.parent.lattice.covolume()
-    if sub_covol is None or amb_covol is None:
-        return None
-    return amb_covol // sub_covol
 
 
 def is_subset_of(u: Submodule, v: Submodule) -> bool:
@@ -306,49 +267,11 @@ def certified_matrix(dom: FPModule, cod: FPModule, matrix) -> IntMatrix:
     return _canonical_matrix(cod, mat.columns())
 
 
-def hom_identity(m: FPModule) -> Homomorphism:
-    return Homomorphism(m, m, identity_matrix(m.n_gens, m.ring))
-
-
-def hom_zero(dom: FPModule, cod: FPModule) -> Homomorphism:
-    return Homomorphism(dom, cod, zero_matrix(cod.n_gens, dom.n_gens, dom.ring))
-
-
 def hom_apply(f: Homomorphism, x: ModuleElement) -> ModuleElement:
     """f(x)."""
     if x.parent != f.dom:
         raise ValueError("element is not in the domain")
     return ModuleElement(f.cod, f.matrix.apply(x.coords))
-
-
-def hom_compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
-    """f after g."""
-    if g.cod != f.dom:
-        raise ValueError("composition needs matching middle module")
-    return Homomorphism(g.dom, f.cod, f.matrix @ g.matrix)
-
-
-def hom_add(f: Homomorphism, g: Homomorphism) -> Homomorphism:
-    if f.dom != g.dom or f.cod != g.cod:
-        raise ValueError("sum needs equal domain and codomain")
-    grid = [
-        [a + b for a, b in zip(r1, r2)]
-        for r1, r2 in zip(f.matrix.entries, g.matrix.entries)
-    ]
-    return Homomorphism(
-        f.dom, f.cod, IntMatrix(grid, f.dom.ring, rows=f.cod.n_gens, cols=f.dom.n_gens)
-    )
-
-
-def hom_scale(f: Homomorphism, r: int) -> Homomorphism:
-    grid = [[r * x for x in row] for row in f.matrix.entries]
-    return Homomorphism(
-        f.dom, f.cod, IntMatrix(grid, f.dom.ring, rows=f.cod.n_gens, cols=f.dom.n_gens)
-    )
-
-
-def hom_is_zero(f: Homomorphism) -> bool:
-    return is_zero_matrix(f.matrix)
 
 
 def hom_group_order(hg: HomGroup) -> int | None:

@@ -1,14 +1,13 @@
 """Exact matrix arithmetic over Z and Z/n.
 
-The canonical column echelon (Hermite) basis of a lattice, Smith normal form
-with transformation matrices, integer kernels, and linear solving.
-Everything runs on arbitrary-precision Python integers.  Unreduced
-elimination over Z swells entries far past the size of the answer, so the
-echelon reduces while it builds.  Kernels and solutions are preimages
-(``Lattice.preimage``) of 0, over Z/n of n*Z^rows, so one integer code path
-covers both rings.  Smith reduction is used only for invariants and Smith
-coordinates, and the public Smith form starts from the Hermite form, which
-keeps the transforms near the size of the determinant.
+The canonical column echelon (Hermite) basis of a lattice, the core Smith
+reduction, integer kernels, and linear solving.  Everything runs on
+arbitrary-precision Python integers.  Unreduced elimination over Z swells
+entries far past the size of the answer, so the echelon reduces while it
+builds.  Kernels and solutions are preimages (``Lattice.preimage``) of 0,
+over Z/n of n*Z^rows, so one integer code path covers both rings.  Smith
+reduction is used for invariants and Smith coordinates; the public Smith
+form, which only the ``snf`` command runs, lives in ``commands.snf``.
 
 Matrices are immutable values and may be shared freely between threads.
 """
@@ -89,9 +88,6 @@ class IntMatrix:
 
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.cols)]
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -223,28 +219,6 @@ def _identity_stack(columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(c) + tuple(int(i == j) for i in range(k)) for j, c in enumerate(columns)]
 
 
-class SNFResult:
-    """Smith normal form ``D = U @ A @ V`` of an integer matrix.
-
-    ``U`` and ``V`` are unimodular over Z; ``D`` is diagonal with nonnegative
-    entries, each dividing the next.
-    """
-
-    __slots__ = ("u", "d", "v")
-
-    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix):
-        self.u = u
-        self.d = d
-        self.v = v
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return self.d.diagonal()
-
-    def __repr__(self) -> str:
-        return f"SNFResult(diagonal={list(self.diagonal)!r})"
-
-
 def _snf_with_inverses(a: IntMatrix):
     """Core Smith reduction.
 
@@ -359,32 +333,6 @@ def _snf_with_inverses(a: IntMatrix):
             row_sub(k, -1, offender)  # fold the offending row into row k
 
     return u, d, v, uinv
-
-
-def smith_normal_form(a: IntMatrix) -> SNFResult:
-    """Smith normal form of an integer matrix, with both transforms.
-
-    Modular matrices are refused: the caller builds the integer matrix it
-    means (for a module over Z/n, its relation lattice's basis, n*Z^g
-    included).  The Smith reduction runs on the column Hermite form
-    ``h = a @ w``, read off the echelon of the columns of ``[a; I]`` (its
-    lower block is the unimodular ``w``).  Its entries are reduced below the
-    pivots, which multiply to ``|det a|`` when ``a`` is nonsingular, so the
-    transforms stay near the size of the answer; the returned ``V`` is ``w``
-    times the Smith transform of ``h``.
-    """
-    if a.ring.is_modular:
-        raise ValueError("Smith reduction runs over the integers; build the matrix over Z")
-    rows, cols = a.rows, a.cols
-    basis, _ = _echelon(rows + cols, _identity_stack(a.columns()))
-    h = IntMatrix.from_columns([c[:rows] for c in basis], rows)
-    w = IntMatrix.from_columns([c[rows:] for c in basis], cols)
-    u, d, v, _ = _snf_with_inverses(h)
-    return SNFResult(
-        IntMatrix(u, ZZ, rows=rows, cols=rows),
-        IntMatrix(d, ZZ, rows=rows, cols=cols),
-        w @ IntMatrix(v, ZZ, rows=cols, cols=cols),
-    )
 
 
 def _preimage(a: IntMatrix, images, top: int = 0):

@@ -407,10 +407,12 @@ def verify_torsion_theory(
     class outside the universe is never built as a module.  The law that no
     nonzero map runs from T to F reads the same gcd formula on each pair of
     chains.  The radical table and the radical laws compute each radical as
-    the closure of zero, on lattices: t(M) is presented on its canonical
-    generators b by the preimage of M's relations under b, and the radical
-    is idempotent on M when that module's own radical is all of it.  No hom
-    group is built.
+    the closure of zero, on lattices: t(M) is presented on the basis b of
+    its preimage lattice, less the columns it shares with M's relations, by
+    the preimage of those relations under b, and the radical is idempotent
+    on M when that module's own radical is all of it.  No hom group is
+    built, and no radical's generators are reduced (the ``verify`` command
+    reduces each once, for its radical table).
     """
     if universe.ring != cat.ring:
         raise ValueError("universe and subcategory must share a ring")
@@ -451,9 +453,10 @@ def verify_torsion_theory(
     # each law fails
     idem_bad = rad_in_t_bad = quot_bad = None
     for m, t in radical_table:
-        # t(M) presented on its canonical generators b, which map it onto
+        # t(M) presented on the basis b of its preimage lattice, less the
+        # relation columns it shares with M, which map to zero; b maps onto
         # t(M), so t(t(M)) = t(M) exactly when its radical is whole
-        b = t.canonical_gens
+        b = [c for c in t.lattice.basis if c not in m.lattice.basis]
         smod = FPModule(m.ring, len(b), m.lattice.preimage(b))
         if not torsion_radical(smod, cat).is_whole:
             idem_bad = idem_bad or module(m)

@@ -5,6 +5,10 @@ of canonical coordinate tuples, and the lattice operations become plain set
 operations plus subgroup generation.  Kernels, intersections, preimages and
 saturations of integer lattices also have a Smith-form route here, which the
 library's stacked-echelon reads are compared with.
+
+The element-level helpers that only the tests call live here too: identity
+and zero matrices and maps, map arithmetic, the zero element, lattice sums
+and submodule sizes.
 """
 
 from itertools import combinations_with_replacement, product
@@ -16,6 +20,7 @@ from modclose import (
     FPModule,
     Homomorphism,
     IntMatrix,
+    Ring,
     Subcategory,
     Submodule,
     all_submodules,
@@ -28,15 +33,82 @@ from modclose import (
 )
 from modclose.elements import (
     ModuleElement,
-    identity_matrix,
     module_elements,
     whole_submodule,
-    zero_element,
 )
 from modclose.lattices import Lattice
 from modclose.matrices import _kernel_over_z, _snf_with_inverses
 from modclose.oracles import listed_class_pairs, torsion_preimage_by_exponent
 from modclose.rings import _regroup
+
+
+def identity_matrix(n: int, ring: Ring = ZZ) -> IntMatrix:
+    return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], ring)
+
+
+def zero_matrix(rows: int, cols: int, ring: Ring = ZZ) -> IntMatrix:
+    return IntMatrix([[0] * cols for _ in range(rows)], ring, rows=rows, cols=cols)
+
+
+def is_zero_matrix(a: IntMatrix) -> bool:
+    return all(x == 0 for row in a.entries for x in row)
+
+
+def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
+    if a.dim != b.dim:
+        raise ValueError("lattice sum needs a common ambient dimension")
+    return Lattice.from_columns(a.dim, a.basis + b.basis)
+
+
+def zero_element(m: FPModule) -> ModuleElement:
+    return ModuleElement(m, (0,) * m.n_gens)
+
+
+def submodule_size(u: Submodule) -> int | None:
+    """Number of elements of the submodule, or ``None`` when infinite."""
+    sub_covol = u.lattice.covolume()
+    amb_covol = u.parent.lattice.covolume()
+    if sub_covol is None or amb_covol is None:
+        return None
+    return amb_covol // sub_covol
+
+
+def hom_identity(m: FPModule) -> Homomorphism:
+    return Homomorphism(m, m, identity_matrix(m.n_gens, m.ring))
+
+
+def hom_zero(dom: FPModule, cod: FPModule) -> Homomorphism:
+    return Homomorphism(dom, cod, zero_matrix(cod.n_gens, dom.n_gens, dom.ring))
+
+
+def hom_compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
+    """f after g."""
+    if g.cod != f.dom:
+        raise ValueError("composition needs matching middle module")
+    return Homomorphism(g.dom, f.cod, f.matrix @ g.matrix)
+
+
+def hom_add(f: Homomorphism, g: Homomorphism) -> Homomorphism:
+    if f.dom != g.dom or f.cod != g.cod:
+        raise ValueError("sum needs equal domain and codomain")
+    grid = [
+        [a + b for a, b in zip(r1, r2)]
+        for r1, r2 in zip(f.matrix.entries, g.matrix.entries)
+    ]
+    return Homomorphism(
+        f.dom, f.cod, IntMatrix(grid, f.dom.ring, rows=f.cod.n_gens, cols=f.dom.n_gens)
+    )
+
+
+def hom_scale(f: Homomorphism, r: int) -> Homomorphism:
+    grid = [[r * x for x in row] for row in f.matrix.entries]
+    return Homomorphism(
+        f.dom, f.cod, IntMatrix(grid, f.dom.ring, rows=f.cod.n_gens, cols=f.dom.n_gens)
+    )
+
+
+def hom_is_zero(f: Homomorphism) -> bool:
+    return is_zero_matrix(f.matrix)
 
 
 def _solve_over_z(a: IntMatrix, b) -> tuple | None:

@@ -29,8 +29,6 @@ from modclose.closure import _admits_nonzero_map
 from modclose.elements import (
     ModuleElement,
     hom_apply,
-    hom_identity,
-    hom_is_zero,
     whole_submodule,
     zero_submodule,
 )
@@ -40,7 +38,12 @@ from modclose.oracles import (
 )
 
 from conftest import random_finite_module
-from oracles import closure_by_kernel_meets, closure_by_prime_support
+from oracles import (
+    closure_by_kernel_meets,
+    closure_by_prime_support,
+    hom_identity,
+    hom_is_zero,
+)
 
 
 # -- subcategory validation ---------------------------------------------------------

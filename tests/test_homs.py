@@ -21,14 +21,8 @@ from modclose import (
     present_module,
 )
 from modclose.elements import (
-    hom_add,
     hom_apply,
-    hom_compose,
     hom_group_elements,
-    hom_identity,
-    hom_is_zero,
-    hom_scale,
-    hom_zero,
     is_subset_of,
     module_elements,
 )
@@ -43,7 +37,17 @@ from modclose.torsion import (
 )
 
 from conftest import random_finite_module
-from oracles import hom_generators_dense, hom_structure_block_system, regroup_dense
+from oracles import (
+    hom_add,
+    hom_compose,
+    hom_generators_dense,
+    hom_identity,
+    hom_is_zero,
+    hom_scale,
+    hom_structure_block_system,
+    hom_zero,
+    regroup_dense,
+)
 
 
 # -- hom groups -------------------------------------------------------------------

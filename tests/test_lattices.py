@@ -19,7 +19,6 @@ from modclose import (
 )
 from modclose.elements import (
     invariants_over,
-    lattice_sum,
     with_ring,
 )
 from modclose.lattices import Lattice
@@ -32,6 +31,7 @@ from oracles import (
     echelon_unreduced,
     intersect_by_smith,
     kernel_by_smith,
+    lattice_sum,
     preimage_by_smith,
     saturation_by_smith,
 )

@@ -17,15 +17,19 @@ from modclose import (
 )
 from modclose.elements import (
     ModuleElement,
-    identity_matrix,
     whole_submodule,
-    zero_matrix,
 )
 from modclose.lattices import Lattice
 from modclose.cli import main
 from modclose.oracles import det_cofactor, minor_gcd
 
-from oracles import _solve_over_z, det_bareiss, kernel_by_modulus_columns
+from oracles import (
+    _solve_over_z,
+    det_bareiss,
+    identity_matrix,
+    kernel_by_modulus_columns,
+    zero_matrix,
+)
 
 
 def snf_invariants_hold(a):

@@ -21,17 +21,10 @@ from modclose import (
 )
 from modclose.elements import (
     ModuleElement,
-    hom_add,
     hom_apply,
-    hom_identity,
-    hom_scale,
-    hom_zero,
-    identity_matrix,
     is_subset_of,
     module_elements,
-    submodule_size,
     whole_submodule,
-    zero_element,
     zero_submodule,
 )
 from modclose.homs import Homomorphism, hom_group
@@ -42,12 +35,19 @@ from conftest import random_finite_module
 from oracles import (
     basis_matrix,
     canonical_gens_eager,
+    hom_add,
+    hom_identity,
+    hom_scale,
+    hom_zero,
+    identity_matrix,
     image_by_matrix,
     quotient_by_concatenation,
     quotient_with_projection,
+    submodule_size,
     submodules_between,
     whole_by_identity,
     zero_by_relations,
+    zero_element,
 )
 
 from oracles import (

@@ -187,6 +187,27 @@ def test_every_oracle_run_loads_its_own_command_and_agrees(tmp_path, doc, argv):
     assert all(check.values()) if argv[0] == "snf" else check["agrees"] is True
 
 
+@pytest.mark.parametrize("doc, argv", COMMANDS, ids=COMMAND_IDS)
+def test_no_request_compiles_the_smith_form_into_matrices(tmp_path, doc, argv):
+    # the public Smith form lives beside the snf command, which alone runs it
+    argv = _with_workspace(tmp_path, doc, argv)
+    _, out = _fresh(
+        "from modclose import cli, matrices\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted({'SNFResult', 'smith_normal_form'} & set(vars(matrices))),"
+        " hasattr(matrices.IntMatrix, 'diagonal'))"
+    )
+    assert out.splitlines()[-1] == "[] False"
+
+
+def test_the_smith_form_resolves_to_the_snf_command():
+    _, out = _fresh(
+        "import modclose\n"
+        "print(modclose.smith_normal_form.__module__, modclose.SNFResult.__module__)"
+    )
+    assert out == "modclose.commands.snf modclose.commands.snf"
+
+
 WS_Z6 = {
     "ring": "Zmod:6",
     "modules": {"Z2": {"generators": 1, "relations": [[2]]}},

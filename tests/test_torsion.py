@@ -444,6 +444,34 @@ def test_verify_reuses_a_universe_holding_the_subcategory():
     assert rep.all_passed
 
 
+@pytest.mark.parametrize("ring, members, divisible", [
+    ("Zmod:12", ["Z4"], []),
+    ("Z", [], ["Q"]),
+], ids=["Z12-Z4", "Z-Q"])
+def test_verify_reduces_each_radical_once(tmp_path, capsys, monkeypatch, ring, members,
+                                          divisible):
+    # the radical laws read t(M) on its preimage lattice's basis, so only
+    # the radical table reduces a radical's generators
+    import json
+
+    from modclose import cli
+
+    doc = {"ring": ring, "modules": {"Z4": {"generators": 1, "relations": [[4]]}},
+           "subcategories": {"A": {"finite": members, "divisible": divisible}}}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    reads = []
+    real = Submodule.canonical_gens
+    monkeypatch.setattr(Submodule, "canonical_gens",
+                        property(lambda sub: reads.append(sub) or real.fget(sub)))
+    argv = ["verify", "--workspace", str(path), "--cat", "A",
+            "--max-gens", "2", "--max-order", "36"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"] is True
+    assert len(reads) == len(report["universe"]) > 10
+
+
 def _diagonal(ring, chain):
     cols = [tuple(d if i == j else 0 for i in range(len(chain))) for j, d in enumerate(chain)]
     return present_module(ring, len(chain), cols)
