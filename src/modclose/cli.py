@@ -8,10 +8,12 @@ error.
 This module holds only the argument parser, the command table and ``main``,
 because every run compiles it.  Each command's handler is a module of
 :mod:`modclose.commands`, imported when that command is dispatched, so a
-process compiles only the handler it runs; the brute-force oracles load only
-with ``--oracle``.  The arguments are read by a small parser driven by the
-command table and two flag tables, which costs far less start-up than
-``argparse``.
+process compiles only the handler it runs.  Under ``--oracle``, and only
+then, ``main`` imports :mod:`modclose.oracles` and calls the command's check
+``oracle_<name>`` on the arguments its handler returned: the report gains an
+``oracle`` entry, and a disagreement exits 1.  The arguments are read by a
+small parser driven by the command table and two flag tables, which costs
+far less start-up than ``argparse``.
 
 On import, ``gc.freeze`` is registered with :mod:`atexit`: at interpreter
 exit it moves every object left (mostly the compiled library) out of reach
@@ -171,10 +173,16 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
-    command = import_module(f".commands.{args.command.replace('-', '_')}", __package__)
+    name = args.command.replace("-", "_")
+    command = import_module(f".commands.{name}", __package__)
     try:
         ws = load_workspace_file(args.workspace) if args.workspace else None
-        code, report = command.run(ws, args)
+        code, report, check = command.run(ws, args)
+        if args.oracle:
+            from . import oracles
+            agree, report["oracle"] = getattr(oracles, f"oracle_{name}")(*check)
+            if not agree:
+                code = 1
     except (ValueError, OracleInfeasibleError, OSError, json.JSONDecodeError) as exc:
         print(f"modclose: error: {exc}", file=sys.stderr)
         return 2

@@ -2,10 +2,11 @@
 
 ``modclose.cli`` imports a command's module only when that command runs, so a
 process compiles the handler it dispatches and no other.  Each module defines
-``run(ws, args)``, which returns the exit code and the report.  A handler
-imports the library code it calls inside ``run`` (``snf``, which defines the
-public Smith form, at its top), and its ``--oracle`` check lives in
-:mod:`modclose.oracles`, which loads only under ``--oracle``.
+``run(ws, args)``, which returns the exit code, the report and the argument
+tuple of its ``--oracle`` check, ``modclose.oracles.oracle_<name>`` for the
+module's name.  No handler reads ``--oracle``: ``cli.main`` runs the check.
+A handler imports the library code it calls inside ``run`` (``snf``, which
+defines the public Smith form, at its top).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from __future__ import annotations
 from . import matrix_rows, require
 
 
-def run(ws, args) -> tuple[int, dict]:
+def run(ws, args) -> tuple[int, dict, tuple]:
     mname = require(ws, args.module, "module")
     sname = require(ws, args.sub, "sub")
     cname = require(ws, args.cat, "cat")
@@ -34,9 +34,4 @@ def run(ws, args) -> tuple[int, dict]:
         "closed": res.closed,
         "witnesses": witnesses,
     }
-    if args.oracle:
-        from ..oracles import oracle_closure
-        agree, report["oracle"] = oracle_closure(m, n, cat, res.closure)
-        if not agree:
-            return 1, report
-    return 0, report
+    return 0, report, (m, n, cat, res.closure)

@@ -5,15 +5,10 @@ from __future__ import annotations
 from . import require
 
 
-def run(ws, args) -> tuple[int, dict]:
+def run(ws, args) -> tuple[int, dict, tuple]:
     from ..modules import free_summand_rank
     mname = require(ws, args.module, "module")
     m = ws.module(mname)
     value = free_summand_rank(m)
     report = {"module": mname, "free_rank": value}
-    if args.oracle:
-        from ..oracles import oracle_free_rank
-        agree, report["oracle"] = oracle_free_rank(m, value)
-        if not agree:
-            return 1, report
-    return 0, report
+    return 0, report, (m, value)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from . import matrix_rows, require
 
 
-def run(ws, args) -> tuple[int, dict]:
+def run(ws, args) -> tuple[int, dict, tuple]:
     from ..homs import hom_group
     mname = require(ws, args.module, "module")
     if args.cod is None:
@@ -19,9 +19,4 @@ def run(ws, args) -> tuple[int, dict]:
         "structure": list(hg.structure),
         "generators": [matrix_rows(g.matrix) for g in hg.generators],
     }
-    if args.oracle:
-        from ..oracles import oracle_hom
-        agree, report["oracle"] = oracle_hom(hg)
-        if not agree:
-            return 1, report
-    return 0, report
+    return 0, report, (hg,)

@@ -78,7 +78,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     )
 
 
-def run(ws, args) -> tuple[int, dict]:
+def run(ws, args) -> tuple[int, dict, tuple]:
     if args.matrix is not None:
         from ..workspace import decode_int
         try:
@@ -101,9 +101,4 @@ def run(ws, args) -> tuple[int, dict]:
         "u": matrix_rows(res.u),
         "v": matrix_rows(res.v),
     }
-    if args.oracle:
-        from ..oracles import oracle_snf
-        agree, report["oracle"] = oracle_snf(mat, res)
-        if not agree:
-            return 1, report
-    return 0, report
+    return 0, report, (mat, res)

@@ -22,7 +22,7 @@ from .homs import Homomorphism, HomGroup, _canonical_matrix
 from .lattices import Lattice
 from .matrices import IntMatrix
 from .modules import FPModule, Submodule, _check_same_parent
-from .rings import Ring, _divisors
+from .rings import Ring
 
 if TYPE_CHECKING:
     from .closure import Subcategory
@@ -312,6 +312,7 @@ def baer_injective(a: FPModule) -> bool:
             "injectivity testing needs a modular ring; over the integers the "
             "divisible modules Q and Q/Z play this role"
         )
+    from .torsion import _divisors
     n = a.ring.modulus
     elements = [x.coords for x in module_elements(a)]
     lattice = a.lattice

@@ -49,7 +49,7 @@ class FPModule:
     equal iff they present the same quotient on the same generators.
     """
 
-    __slots__ = ("ring", "n_gens", "lattice", "invariant_factors")
+    __slots__ = ("ring", "n_gens", "lattice")
 
     def __init__(self, ring: Ring, n_gens: int, relations=None):
         if n_gens < 0:
@@ -74,7 +74,11 @@ class FPModule:
             self.lattice = _lattice_arg(
                 relations, n_gens, ring, scaled_units, "relation matrix"
             )
-        self.invariant_factors = self.lattice.quotient_invariants()
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        """Read from the Smith form the relation lattice memoizes."""
+        return self.lattice.quotient_invariants()
 
     @property
     def relations(self) -> IntMatrix:

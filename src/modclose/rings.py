@@ -1,11 +1,11 @@
-"""Base rings of scalars: the integers, or the integers modulo n, the
-divisors of a modulus (the ideals of Z/n), the part of a number on the
-primes of another, and the regrouping of a sum of cyclic groups into
-invariant factors."""
+"""Base rings of scalars: the integers, or the integers modulo n, the part
+of a number on the primes of another, and the regrouping of a sum of cyclic
+groups into invariant factors.  The divisors of a modulus (the ideals of
+Z/n) are read from its factorization in :mod:`modclose.torsion`."""
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 from operator import index
 
 
@@ -66,17 +66,6 @@ def Zmod(n: int) -> Ring:
     if n < 2:
         raise ValueError(f"integers mod n need n >= 2, got {n}")
     return Ring(n)
-
-
-def _divisors(n: int, limit: int) -> list[int]:
-    """The divisors ``d`` of ``n`` with ``2 <= d <= limit``, ascending, found
-    in at most ``min(limit, sqrt(n))`` trial divisions."""
-    root = isqrt(n)
-    small = [d for d in range(2, min(root, limit) + 1) if n % d == 0]
-    large = [
-        n // d for d in reversed([1] + small) if d * d != n and n // d <= limit
-    ]
-    return small + large
 
 
 def _seen_part(d: int, e: int) -> int:

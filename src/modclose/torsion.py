@@ -7,6 +7,10 @@ torsion-free class F; ``verify_torsion_theory`` checks the defining laws and
 the closure properties of both classes over a finite universe of modules,
 with finite stand-ins for the infinitary closure conditions.
 
+The divisors of a modulus, which ``enumerate_universe`` and the Baer brute
+force of :mod:`modclose.elements` list, are read from its factorization by
+bounded trial division (``_prime_factors``, ``_divisors``).
+
 The module-level memos are ``functools.lru_cache``s of 1024 entries each, on
 ``torsion_radical``, ``_lr_support`` and ``class_pair_support``; their
 ``cache_info()`` gives the hits and misses of a process.
@@ -16,13 +20,13 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import combinations_with_replacement, product
-from math import gcd, isqrt
+from math import gcd
 from typing import NamedTuple
 
 from .closure import Subcategory, _admits_nonzero_map, _closure_lattice
 from .lattices import Lattice
 from .modules import FPModule, Submodule, quotient_module
-from .rings import Ring, _divisors, _regroup, _seen_part
+from .rings import Ring, _regroup, _seen_part
 
 
 # Memo size 1024: verify misses once per universe object and per radical it
@@ -124,21 +128,22 @@ def _chain_of(types) -> tuple[int, ...]:
     return tuple(reversed(factors))
 
 
-# Largest trial divisor of ``_prime_factors`` and most trial divisions of
-# ``_modulus_divisors``: enough to factor any number below 2^40, in 0.2 s.
+# Largest trial divisor of ``_prime_factors``: enough to factor any number
+# below 2^40, in 0.2 s.
 TRIAL_DIVISION_BOUND = 2**20
 
 
-def _prime_factors(n: int) -> dict[int, int]:
+def _prime_factors(n: int, limit: int | None = None) -> dict[int, int]:
     """The prime factorization of ``n >= 1`` by trial division up to
-    ``TRIAL_DIVISION_BOUND``.
+    ``TRIAL_DIVISION_BOUND``, restricted to the primes up to ``limit`` when
+    one is given.
 
     Raises ``ValueError`` when a cofactor of at least the bound squared is
     left with no divisor below the bound, instead of dividing on for ever.
     """
     out: dict[int, int] = {}
     rest, p = n, 2
-    while p * p <= rest:
+    while p * p <= rest and (limit is None or p <= limit):
         if p > TRIAL_DIVISION_BOUND:
             raise ValueError(
                 f"cannot factor {n}: its cofactor {rest} has no prime factor "
@@ -148,25 +153,20 @@ def _prime_factors(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             rest //= p
         p += 1 if p == 2 else 2
-    if rest > 1:
+    # what is left is 1, a prime, or (stopped at ``limit``) a product of
+    # primes past ``limit``
+    if rest > 1 and (limit is None or rest <= limit):
         out[rest] = out.get(rest, 0) + 1
     return out
 
 
-def _factored_divisors(factors: dict[int, int], limit: int) -> list[int]:
-    """Ascending divisors in ``[2, limit]`` of prod(p**k for p, k in factors)."""
+def _divisors(n: int, limit: int) -> list[int]:
+    """The divisors ``d`` of ``n`` with ``2 <= d <= limit``, ascending, read
+    from ``_prime_factors(n, limit)``."""
     divs = [1]
-    for p, k in factors.items():
+    for p, k in _prime_factors(n, limit).items():
         divs = [d * p**i for d in divs for i in range(k + 1) if d * p**i <= limit]
     return sorted(divs)[1:]
-
-
-def _modulus_divisors(n: int, limit: int) -> list[int]:
-    """``rings._divisors(n, limit)``, read from ``_prime_factors(n)`` (which
-    refuses a modulus it cannot factor) past ``TRIAL_DIVISION_BOUND`` trial divisions."""
-    if min(isqrt(n), limit) <= TRIAL_DIVISION_BOUND:
-        return _divisors(n, limit)
-    return _factored_divisors(_prime_factors(n), limit)
 
 
 # Caps on the pair-set work of one chain, each checked before the work it
@@ -321,7 +321,7 @@ def enumerate_universe(ring: Ring, max_gens: int, max_order: int) -> list[FPModu
     """
     if max_gens < 0 or max_order < 1:
         raise ValueError("bounds must be nonnegative (and order at least 1)")
-    divisors = _modulus_divisors(ring.modulus, max_order) if ring.is_modular else None
+    divisors = _divisors(ring.modulus, max_order) if ring.is_modular else None
     chains: list[tuple[int, ...]] = []
     total = 0
 

@@ -131,28 +131,6 @@ class Workspace:
             raise ValueError(f"unknown subcategory {name!r}")
         return self.subcategories[name]
 
-    # -- construction -------------------------------------------------------
-
-    def add_module(self, name: str, module: FPModule) -> None:
-        if module.ring != self.ring:
-            raise ValueError(f"module {name!r} lives over {module.ring}, not {self.ring}")
-        self.modules[name] = module
-
-    def add_submodule(self, name: str, parent_name: str, gens) -> None:
-        from .modules import Submodule
-        parent = self.module(parent_name)
-        self.submodules[name] = Submodule(parent, gens)
-        self.submodule_parents[name] = parent_name
-
-    def add_subcategory(
-        self, name: str, finite_names: list[str], divisible: list[str]
-    ) -> None:
-        from .closure import DivisibleModule, Subcategory
-        finite = [self.module(m) for m in finite_names]
-        tags = [DivisibleModule(d) for d in divisible]
-        self.subcategories[name] = Subcategory(self.ring, finite, tags)
-        self.subcategory_members[name] = (list(finite_names), list(divisible))
-
 
 def _decode_columns(value, what: str) -> list[tuple[int, ...]]:
     if not isinstance(value, list) or not all(isinstance(c, list) for c in value):
@@ -170,7 +148,7 @@ def _section(doc: dict, key: str) -> dict:
 
 
 def load_workspace(doc: dict) -> Workspace:
-    from .modules import FPModule
+    from .modules import FPModule, Submodule
     if not isinstance(doc, dict):
         raise ValueError("workspace document must be a JSON object")
     ring = parse_ring(doc.get("ring", "Z"))
@@ -193,7 +171,7 @@ def load_workspace(doc: dict) -> Workspace:
                     f"module {name!r}: relation column of length {len(c)}, "
                     f"expected {gens}"
                 )
-        ws.add_module(name, FPModule(ring, gens, cols))
+        ws.modules[name] = FPModule(ring, gens, cols)
 
     for name, spec in _section(doc, "submodules").items():
         parent_name = spec.get("parent")
@@ -209,7 +187,8 @@ def load_workspace(doc: dict) -> Workspace:
                     f"submodule {name!r}: generator column of length {len(c)}, "
                     f"expected {parent.n_gens}"
                 )
-        ws.add_submodule(name, parent_name, cols)
+        ws.submodules[name] = Submodule(parent, cols)
+        ws.submodule_parents[name] = parent_name
 
     for name, spec in _section(doc, "subcategories").items():
         finite_names = spec.get("finite", [])
@@ -219,7 +198,7 @@ def load_workspace(doc: dict) -> Workspace:
         for mname in finite_names:
             if not isinstance(mname, str) or mname not in ws.modules:
                 raise ValueError(f"subcategory {name!r}: unknown module {mname!r}")
-        from .closure import DivisibleModule
+        from .closure import DivisibleModule, Subcategory
         tags = [d.value for d in DivisibleModule]
         for tag in divisible:
             if tag not in tags:
@@ -227,10 +206,13 @@ def load_workspace(doc: dict) -> Workspace:
                     f"subcategory {name!r}: unknown divisible object {tag!r}; "
                     f"use {' or '.join(map(json.dumps, tags))}"
                 )
+        finite = [ws.modules[m] for m in finite_names]
         try:
-            ws.add_subcategory(name, finite_names, divisible)
+            cat = Subcategory(ring, finite, [DivisibleModule(d) for d in divisible])
         except ValueError as exc:
             raise ValueError(f"subcategory {name!r}: {exc}") from None
+        ws.subcategories[name] = cat
+        ws.subcategory_members[name] = (list(finite_names), list(divisible))
 
     return ws
 

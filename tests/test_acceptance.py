@@ -7,8 +7,6 @@ per criterion is printed in the terminal summary (and is visible with -s).
 import random
 import time
 
-import pytest
-
 from modclose import (
     Classification,
     DivisibleModule,
@@ -34,8 +32,6 @@ from modclose import (
     is_injective_module,
     present_module,
     quotient_module,
-    regular_closure,
-    sub_as_module,
     verify_torsion_theory,
 )
 from modclose.elements import (

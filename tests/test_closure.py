@@ -1,4 +1,3 @@
-import random
 from math import gcd
 
 import pytest
@@ -22,7 +21,6 @@ from modclose import (
     present_module,
     quotient_module,
     regular_closure,
-    sub_image,
     sub_meet,
 )
 from modclose.closure import _admits_nonzero_map

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import product
 
 import pytest
@@ -28,13 +29,8 @@ from modclose.elements import (
 )
 
 from modclose.homs import _canonical_matrix
-from modclose.rings import _divisors, _regroup
-from modclose.torsion import (
-    TRIAL_DIVISION_BOUND,
-    _factored_divisors,
-    _modulus_divisors,
-    _prime_factors,
-)
+from modclose.rings import _regroup
+from modclose.torsion import TRIAL_DIVISION_BOUND, _divisors, _prime_factors
 
 from conftest import random_finite_module
 from oracles import (
@@ -367,6 +363,16 @@ def test_injectivity_by_coprime_cofactors_matches_baer_up_to_72():
     assert checked == 718
 
 
+def test_baer_injectivity_refuses_a_modulus_it_cannot_factor():
+    # the divisors of 2^61 - 1 up to itself need its factorization, which
+    # trial division up to TRIAL_DIVISION_BOUND cannot reach; a search up to
+    # sqrt(n) would run for minutes
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cannot factor 2305843009213693951"):
+        is_injective_module(FPModule(Zmod(2**61 - 1), 0))
+    assert time.perf_counter() - start < 5
+
+
 def test_injectivity_over_a_large_prime_modulus_needs_no_factoring():
     p = 2**61 - 1
     ring = Zmod(p)
@@ -390,22 +396,29 @@ def test_prime_factors_are_bounded():
         _prime_factors(2**5 * (2**61 - 1))
 
 
+def _brute_divisors(n: int, limit: int) -> list[int]:
+    """The divisors of ``n`` in ``[2, limit]``, from the pairs (k, n // k)."""
+    pairs = (d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k))
+    return sorted({d for d in pairs if 1 < d <= limit})
+
+
 def test_divisors_read_from_a_factorization_match_trial_division():
     rng = random.Random(5150)
     for _ in range(3000):
         n = rng.randint(2, 10**6)
         limit = rng.choice([n, rng.randint(1, n), rng.randint(1, 2000)])
-        assert _factored_divisors(_prime_factors(n), limit) == _divisors(n, limit), (n, limit)
-    # within TRIAL_DIVISION_BOUND trial divisions the universe's divisors are
-    # rings._divisors; past it they come from the factorization, which
-    # refuses a modulus it cannot factor
+        assert _divisors(n, limit) == _brute_divisors(n, limit), (n, limit)
+    # up to TRIAL_DIVISION_BOUND no modulus is refused: the factorization
+    # stops at the limit, and a prime cofactor past it is dropped
     for n in (12, 2**40, 2**61 - 1):
-        assert _modulus_divisors(n, TRIAL_DIVISION_BOUND) == _divisors(n, TRIAL_DIVISION_BOUND)
+        expected = [d for d in range(2, TRIAL_DIVISION_BOUND + 1) if n % d == 0]
+        assert _divisors(n, TRIAL_DIVISION_BOUND) == expected
     n, limit = 2**30 * 3**20, 10**20
     expected = sorted(
         2**a * 3**b for a in range(31) for b in range(21) if 1 < 2**a * 3**b <= limit
     )
-    assert _modulus_divisors(n, limit) == expected
-    assert _modulus_divisors(2**50, 10**20) == [2**i for i in range(1, 51)]
+    assert _divisors(n, limit) == expected
+    assert _divisors(2**50, 10**20) == [2**i for i in range(1, 51)]
+    # past the bound a modulus that cannot be factored is refused
     with pytest.raises(ValueError, match="cannot factor 2305843009213693951"):
-        _modulus_divisors(2**61 - 1, TRIAL_DIVISION_BOUND + 1)
+        _divisors(2**61 - 1, TRIAL_DIVISION_BOUND + 1)

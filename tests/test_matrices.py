@@ -1,7 +1,6 @@
 import json
 import random
 from itertools import product
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st

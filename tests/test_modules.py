@@ -568,7 +568,7 @@ def test_quotient_module_runs_no_echelon(echelon_calls):
 def test_modules_store_only_their_lattices():
     m = present_module(Zmod(6), 2, IntMatrix([[4, 0], [0, 3]], Zmod(6)))
     u = Submodule(m, [(1, 1)])
-    assert set(FPModule.__slots__) == {"ring", "n_gens", "lattice", "invariant_factors"}
+    assert set(FPModule.__slots__) == {"ring", "n_gens", "lattice"}
     assert set(Submodule.__slots__) == {"parent", "lattice"}
     for obj in (m, u):
         assert not any(isinstance(getattr(obj, a), IntMatrix) for a in obj.__slots__)

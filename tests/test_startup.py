@@ -437,6 +437,35 @@ def test_every_module_reference_in_the_readme_resolves():
             pytest.fail(f"README.md names `{ref}`, which modclose does not define")
 
 
+def test_no_module_level_import_goes_unused():
+    # a name that a module-level import binds (inside module-level ``if`` and
+    # ``try`` blocks too) is read somewhere in the file
+    import ast
+
+    root = Path(__file__).resolve().parents[1]
+    unused = []
+    for path in sorted([*root.glob("src/modclose/**/*.py"), *root.glob("tests/*.py")]):
+        tree = ast.parse(path.read_text())
+        bound = {}
+        blocks = [tree.body]
+        while blocks:
+            for node in blocks.pop():
+                if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                ):
+                    for alias in node.names:
+                        bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+                elif isinstance(node, (ast.If, ast.Try)):
+                    blocks += [node.body, node.orelse]
+                    blocks += [h.body for h in getattr(node, "handlers", ())]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            f"{path.relative_to(root)}:{line}: {name}"
+            for name, line in bound.items() if name not in read
+        ]
+    assert unused == []
+
+
 def test_ring_value_semantics():
     assert Ring(0) == ZZ and hash(Ring(0)) == hash(ZZ)
     assert Zmod(12) == Ring(12) and hash(Zmod(12)) == hash(Ring(12))

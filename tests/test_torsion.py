@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 from functools import lru_cache
 
 import pytest

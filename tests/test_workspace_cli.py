@@ -958,6 +958,60 @@ def test_cli_verify_oracle_reports_a_wrong_sum_chain(tmp_path, capsys, monkeypat
     ]}
 
 
+# -- the --oracle contract, the same for every command ---------------------------------
+
+ORACLE_COMMANDS = [
+    (WS_MOD4, ["closure", "--module", "R", "--sub", "twoR", "--cat", "A"]),
+    (WS_MOD4, ["verify", "--cat", "A", "--max-gens", "1", "--max-order", "4"]),
+    (None, ["snf", "--matrix", "[[2,4],[6,8]]"]),
+    (WS_MOD4, ["hom", "--module", "half", "--cod", "R"]),
+    (WS_Z, ["bounded", "--module", "M"]),
+    (WS_Z, ["free-rank", "--module", "M"]),
+]
+ORACLE_IDS = [argv[0] for _, argv in ORACLE_COMMANDS]
+
+
+def _oracle_argv(tmp_path, doc, argv):
+    workspace = [] if doc is None else ["--workspace", write_ws(tmp_path, doc)]
+    return [*argv, *workspace, "--oracle"]
+
+
+@pytest.mark.parametrize("doc, argv", ORACLE_COMMANDS, ids=ORACLE_IDS)
+def test_cli_oracle_mismatch_exits_1_with_the_oracle_entry(
+    tmp_path, capsys, monkeypatch, doc, argv
+):
+    import modclose.oracles as oracles
+    name = argv[0].replace("-", "_")
+    monkeypatch.setattr(oracles, f"oracle_{name}", lambda *check: (False, {"agrees": False}))
+    code, out, _ = run_cli(capsys, _oracle_argv(tmp_path, doc, argv))
+    assert code == 1
+    assert json.loads(out)["oracle"] == {"agrees": False}
+
+
+@pytest.mark.parametrize("doc, argv", ORACLE_COMMANDS, ids=ORACLE_IDS)
+def test_cli_oracle_infeasible_exits_2_with_empty_stdout(
+    tmp_path, capsys, monkeypatch, doc, argv
+):
+    import modclose.oracles as oracles
+    from modclose.errors import OracleInfeasibleError
+
+    def infeasible(*check):
+        raise OracleInfeasibleError("rigged: past the oracle's bound")
+
+    monkeypatch.setattr(oracles, f"oracle_{argv[0].replace('-', '_')}", infeasible)
+    code, out, err = run_cli(capsys, _oracle_argv(tmp_path, doc, argv))
+    assert code == 2
+    assert out == ""
+    assert "rigged: past the oracle's bound" in err
+
+
+def test_every_command_has_an_oracle():
+    import modclose.oracles as oracles
+    from modclose import cli
+    for command in cli._COMMANDS:
+        assert callable(getattr(oracles, f"oracle_{command.replace('-', '_')}", None)), command
+
+
 def _diagonal(k, d):
     return [[d if i == j else 0 for i in range(k)] for j in range(k)]
 
