@@ -4,7 +4,8 @@ The public Smith form (``smith_normal_form``, ``SNFResult``) lives here, beside
 its only command, so the requests of the other commands do not compile it;
 ``from modclose import smith_normal_form`` loads this module.  The core
 reduction, ``matrices._snf_with_inverses``, stays in ``matrices``, where
-``Lattice.smith_coordinates`` calls it too.
+``Lattice.smith_coordinates`` calls it too; this module runs it on the
+matrix as given and only wraps the transforms it returns.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 import json
 
 from . import matrix_rows
-from ..matrices import IntMatrix, _echelon, _identity_stack, _snf_with_inverses
+from ..matrices import IntMatrix, _snf_with_inverses
 from ..rings import ZZ
 
 # Largest side of a matrix that ``snf`` reduces.  The reduction grows faster
-# than cubically in the side: random n x n matrices with entries in [-9, 9]
-# took 0.24 s at n = 64, 3.5 s at n = 96 and 14 s at n = 128 on a 2-core VM.
+# than cubically in the side: a whole ``snf`` request on a random n x n matrix
+# with entries in [-9, 9] took 0.3 s at n = 64, 1.9-2.4 s at n = 96 and
+# 10-12 s at n = 128 on a 2-core VM.
 # The benchmark's largest is 32 x 32.
 SNF_SIDE_CAP = 128
 
@@ -57,24 +59,19 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 
     Modular matrices are refused: the caller builds the integer matrix it
     means (for a module over Z/n, its relation lattice's basis, n*Z^g
-    included).  The Smith reduction runs on the column Hermite form
-    ``h = a @ w``, read off the echelon of the columns of ``[a; I]`` (its
-    lower block is the unimodular ``w``).  Its entries are reduced below the
-    pivots, which multiply to ``|det a|`` when ``a`` is nonsingular, so the
-    transforms stay near the size of the answer; the returned ``V`` is ``w``
-    times the Smith transform of ``h``.
+    included).  The reduction's first pass is the column Hermite form of
+    ``a``, whose entries are reduced below the pivots, which multiply to
+    ``|det a|`` when ``a`` is nonsingular, so the transforms stay near the
+    size of the answer.
     """
     if a.ring.is_modular:
         raise ValueError("Smith reduction runs over the integers; build the matrix over Z")
     rows, cols = a.rows, a.cols
-    basis, _ = _echelon(rows + cols, _identity_stack(a.columns()))
-    h = IntMatrix.from_columns([c[:rows] for c in basis], rows)
-    w = IntMatrix.from_columns([c[rows:] for c in basis], cols)
-    u, d, v, _ = _snf_with_inverses(h)
+    u, d, v, _ = _snf_with_inverses(a)
     return SNFResult(
         IntMatrix(u, ZZ, rows=rows, cols=rows),
         IntMatrix(d, ZZ, rows=rows, cols=cols),
-        w @ IntMatrix(v, ZZ, rows=cols, cols=cols),
+        IntMatrix(v, ZZ, rows=cols, cols=cols),
     )
 
 

@@ -64,9 +64,10 @@ class Lattice:
         integers each dividing the next.
 
         Its basis is canonical as it stands, and it is its own Smith form:
-        the pivot search of ``_snf_with_inverses`` takes each diagonal entry
-        in place, so the coordinates are the chain with identity transforms.
-        Neither an echelon nor a Smith reduction runs.
+        a chain is already Hermite both ways, so no pass of
+        ``_snf_with_inverses`` moves it, and the coordinates are the chain
+        with identity transforms.  Neither an echelon nor a Smith reduction
+        runs.
         """
         k = len(chain)
         units = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))

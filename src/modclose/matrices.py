@@ -4,10 +4,12 @@ The canonical column echelon (Hermite) basis of a lattice, the core Smith
 reduction, integer kernels, and linear solving.  Everything runs on
 arbitrary-precision Python integers.  Unreduced elimination over Z swells
 entries far past the size of the answer, so the echelon reduces while it
-builds.  Kernels and solutions are preimages (``Lattice.preimage``) of 0,
-over Z/n of n*Z^rows, so one integer code path covers both rings.  Smith
-reduction is used for invariants and Smith coordinates; the public Smith
-form, which only the ``snf`` command runs, lives in ``commands.snf``.
+builds.  It is the one elimination engine: kernels and solutions are
+preimages (``Lattice.preimage``) of 0, over Z/n of n*Z^rows, so one integer
+code path covers both rings, and the Smith reduction alternates column and
+row echelons.  Smith reduction is used for invariants and Smith coordinates;
+the public Smith form, which only the ``snf`` command runs, lives in
+``commands.snf``.
 
 Matrices are immutable values and may be shared freely between threads.
 """
@@ -220,119 +222,57 @@ def _identity_stack(columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
 
 def _snf_with_inverses(a: IntMatrix):
-    """Core Smith reduction.
+    """Core Smith reduction, by repeated Hermite forms (Kannan and Bachem,
+    SIAM J. Comput. 8, 1979).
 
-    Returns the four matrices ``(u, d, v, uinv)`` as lists of lists with
-    ``d = u @ a @ v`` and ``uinv = u^-1``.
+    Returns the four matrices ``(u, d, v, uinv)`` as lists of rows with
+    ``d = u @ a @ v`` diagonal, nonnegative, each entry dividing the next and
+    zeros last, and ``uinv = u^-1``.
 
-    Pivoting is deterministic: the nonzero entry of minimal absolute value is
-    chosen, ties broken by lowest (row, col), so results are reproducible.
+    Column echelons of ``[d; v]`` alternate with column echelons of
+    ``[d^T; u^T]`` (row passes) until ``d`` is diagonal.  Where ``d_i`` does
+    not divide a later ``d_j`` (the first such i, the last such j), column j
+    is added into column i and a row pass follows, which puts
+    ``gcd(d_i, d_j)`` at ``d_i``; a column pass would echelonize the diagonal
+    straight back.  ``uinv`` is the lower block of the echelon of ``[u; I]``,
+    whose upper block is I.  The echelon is canonical, so results are
+    reproducible.
     """
     rows, cols = a.rows, a.cols
     d = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, k):
-        d[i], d[k] = d[k], d[i]
-        u[i], u[k] = u[k], u[i]
-        for r in uinv:
-            r[i], r[k] = r[k], r[i]
-
-    def swap_cols(j, l):
-        for r in d:
-            r[j], r[l] = r[l], r[j]
-        for r in v:
-            r[j], r[l] = r[l], r[j]
-
-    def row_sub(i, q, k):
-        # row i -= q * row k
-        di, dk = d[i], d[k]
-        for j in range(cols):
-            di[j] -= q * dk[j]
-        ui, uk = u[i], u[k]
-        for j in range(rows):
-            ui[j] -= q * uk[j]
-        for r in uinv:
-            r[k] += q * r[i]
-
-    def col_sub(j, q, k):
-        # col j -= q * col k
-        for r in d:
-            r[j] -= q * r[k]
-        for r in v:
-            r[j] -= q * r[k]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
-
-    for k in range(min(rows, cols)):
-        # deterministic pivot: least |entry| in the trailing block,
-        # row-major scan keeps the first hit on ties
-        best = None
-        best_abs = 0
-        for i in range(k, rows):
-            row = d[i]
-            for j in range(k, cols):
-                e = row[j]
-                if e and (best is None or abs(e) < best_abs):
-                    best = (i, j)
-                    best_abs = abs(e)
-        if best is None:
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for i in range(cols)] for j in range(cols)]  # columns
+    column_pass = True
+    while True:
+        if column_pass:
+            basis, _ = _echelon(rows + cols, [[r[j] for r in d] + v[j] for j in range(cols)])
+            d = [[b[i] for b in basis] for i in range(rows)]
+            v = [b[rows:] for b in basis]
+        else:
+            basis, _ = _echelon(cols + rows, [d[i] + u[i] for i in range(rows)])
+            d = [b[:cols] for b in basis]
+            u = [b[cols:] for b in basis]
+        column_pass = not column_pass
+        if any(x for i, r in enumerate(d) for j, x in enumerate(r) if i != j):
+            continue
+        diag = [d[i][i] for i in range(min(rows, cols))]
+        fix = next(
+            ((i, j) for i, x in enumerate(diag) for j in range(len(diag) - 1, i, -1)
+             if x and diag[j] % x),
+            None,
+        )
+        if fix is None:
             break
-        swap_rows(k, best[0])
-        swap_cols(k, best[1])
-
-        while True:
-            if d[k][k] < 0:
-                negate_row(k)
-            p = d[k][k]
-            # clear column k; a nonzero remainder becomes the new, smaller pivot
-            dirty = False
-            for i in range(k + 1, rows):
-                e = d[i][k]
-                if e:
-                    q, r = divmod(e, p)
-                    row_sub(i, q, k)
-                    if r:
-                        swap_rows(i, k)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # clear row k by column operations
-            dirty = False
-            for j in range(k + 1, cols):
-                e = d[k][j]
-                if e:
-                    q, r = divmod(e, p)
-                    col_sub(j, q, k)
-                    if r:
-                        swap_cols(j, k)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # enforce the divisibility chain: pivot must divide the whole
-            # trailing block before moving on
-            offender = None
-            for i in range(k + 1, rows):
-                row = d[i]
-                for j in range(k + 1, cols):
-                    if row[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_sub(k, -1, offender)  # fold the offending row into row k
-
-    return u, d, v, uinv
+        i, j = fix
+        d[j][i] = diag[j]
+        v[i] = [x + y for x, y in zip(v[i], v[j])]
+        column_pass = False
+    # last column first: the echelon's output does not depend on the order,
+    # and u's first columns, often unit vectors on rank-deficient inputs, are
+    # best met last (a 64 x 48 lattice basis: 1.2 s in order, 0.02 s reversed)
+    basis, _ = _echelon(2 * rows, _identity_stack(list(zip(*u)))[::-1])
+    uinv = [[b[rows + i] for b in basis] for i in range(rows)]
+    return u, d, [[c[i] for c in v] for i in range(cols)], uinv
 
 
 def _preimage(a: IntMatrix, images, top: int = 0):

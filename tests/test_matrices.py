@@ -19,6 +19,8 @@ from modclose.elements import (
     whole_submodule,
 )
 from modclose.lattices import Lattice
+from modclose import matrices
+from modclose.matrices import _snf_with_inverses
 from modclose.cli import main
 from modclose.oracles import det_cofactor, minor_gcd
 
@@ -144,6 +146,83 @@ def test_cli_snf_on_a_swelling_matrix(capsys):
     assert out.count("\n") == 1
     doc = json.loads(out)
     assert len(doc["d"]) == 32 and len(doc["u"]) == 32 and len(doc["v"]) == 32
+
+
+# -- the Smith core on inputs random 5x5 matrices rarely reach ------------------
+
+
+def _rank_three_6x6():
+    rng = random.Random(66)
+    left = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(6)]
+    right = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(3)]
+    return IntMatrix(left) @ IntMatrix([[2, 0, 0], [0, 6, 0], [0, 0, 12]]) @ IntMatrix(right)
+
+
+def _z360_lattice_basis():
+    # 16 generators of a lattice containing 360*Z^16, as matrix columns
+    rng = random.Random(360)
+    cols = []
+    for c in (4, 6, 10, 12, 30, 36, 60, 90, 120, 180, 2, 3, 5, 8, 9, 20):
+        cols.append(tuple(c * rng.randint(0, 360 // c - 1) for _ in range(16)))
+    cols += [tuple(360 * (i == j) for i in range(16)) for j in range(16)]
+    lat = Lattice.from_columns(16, cols)
+    return IntMatrix.from_columns(lat.basis, 16)
+
+
+_SMITH_CORE_CASES = {
+    "diag(2,3)": lambda: IntMatrix([[2, 0], [0, 3]]),
+    "diag(6,4)": lambda: IntMatrix([[6, 0], [0, 4]]),
+    "diag(0,5)": lambda: IntMatrix([[0, 0], [0, 5]]),
+    "[[4,6,0],[0,0,0]]": lambda: IntMatrix([[4, 6, 0], [0, 0, 0]]),
+    "1x3": lambda: IntMatrix([[4, 6, 10]]),
+    "3x1": lambda: IntMatrix([[4], [6], [10]]),
+    "0x3": lambda: IntMatrix([], rows=0, cols=3),
+    "3x0": lambda: IntMatrix([(), (), ()], rows=3, cols=0),
+    "rank 3 6x6": _rank_three_6x6,
+    "Z/360 lattice, 16 generators": _z360_lattice_basis,
+}
+
+
+@pytest.mark.parametrize("build", list(_SMITH_CORE_CASES.values()), ids=list(_SMITH_CORE_CASES))
+def test_smith_core_edge_cases(build, monkeypatch):
+    # a pass order that echelonizes a fixed diagonal straight back never
+    # returns: fail once the core has run far more echelons than it needs
+    real, calls = matrices._echelon, []
+
+    def bounded(dim, columns):
+        calls.append(dim)
+        assert len(calls) <= 40, "the Smith core keeps running echelons"
+        return real(dim, columns)
+
+    a = build()
+    rows, cols = a.rows, a.cols
+    monkeypatch.setattr(matrices, "_echelon", bounded)
+    u, d, v, uinv = _snf_with_inverses(a)
+    monkeypatch.undo()
+    um = IntMatrix(u, rows=rows, cols=rows)
+    dm = IntMatrix(d, rows=rows, cols=cols)
+    assert um @ a @ IntMatrix(v, rows=cols, cols=cols) == dm
+    assert um @ IntMatrix(uinv, rows=rows, cols=rows) == identity_matrix(rows)
+    diag = [d[i][i] for i in range(min(rows, cols))]
+    assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    assert all(x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):
+        assert y == 0 if x == 0 else y % x == 0
+    if max(rows, cols) <= 8:
+        prod = 1
+        for k, x in enumerate(diag, 1):
+            prod *= x
+            assert minor_gcd(a, k) == prod
+    if rows == 16:
+        assert all(360 % x == 0 for x in diag)
+
+
+@pytest.mark.parametrize("chain", [(), (3,), (1, 2, 4)], ids=str)
+def test_diagonal_lattice_presets_the_smith_reduction(chain):
+    preset = Lattice.diagonal(chain)
+    fresh = Lattice.from_columns(len(chain), preset.basis)
+    assert fresh == preset and fresh._smith is None
+    assert preset.smith_coordinates() == fresh.smith_coordinates()
 
 
 # -- kernels -----------------------------------------------------------------
