@@ -17,14 +17,16 @@ import importlib
 _EXPORTS = {
     "closure": "ClosureResult ClosureWitness DivisibleModule Subcategory "
     "is_injective_by_structure regular_closure",
+    "commands.bounded": "is_bounded",
+    "commands.free_rank": "free_summand_rank",
     "commands.snf": "SNFResult smith_normal_form",
-    "elements": "Classification ModuleElement classify direct_sum is_closed "
-    "is_dense present_module sub_image sub_preimage",
+    "elements": "Classification ModuleElement all_submodules classify direct_sum "
+    "is_closed is_dense is_injective_module kernel_of_hom present_module "
+    "sub_as_module sub_image sub_join sub_meet sub_preimage",
     "errors": "OracleInfeasibleError",
-    "homs": "HomGroup Homomorphism hom_group is_injective_module kernel_of_hom",
-    "matrices": "IntMatrix kernel_basis solve_linear",
-    "modules": "FPModule Submodule all_submodules free_summand_rank is_bounded "
-    "quotient_module sub_as_module sub_join sub_meet",
+    "homs": "HomGroup Homomorphism hom_group",
+    "intmatrix": "IntMatrix kernel_basis solve_linear",
+    "modules": "FPModule Submodule quotient_module",
     "oracles": "AxiomReport ClosednessScan ScanEntry axiom_suite "
     "closedness_witness_scan enumerate_homs is_hom_vanishing",
     "rings": "Ring ZZ Zmod",

@@ -188,7 +188,7 @@ def regular_closure(m: FPModule, n: Submodule, cat: Subcategory) -> ClosureResul
         from .homs import Homomorphism, hom_group
 
         witnesses += [
-            ClosureWitness(obj, Homomorphism._trusted(m, obj, gen.matrix), i)
+            ClosureWitness(obj, Homomorphism._trusted(m, obj, gen.rows), i)
             for i, obj in enumerate(cat.finite_objects)
             for gen in hom_group(q, obj).generators
         ]

@@ -6,7 +6,8 @@ process compiles the handler it dispatches and no other.  Each module defines
 tuple of its ``--oracle`` check, ``modclose.oracles.oracle_<name>`` for the
 module's name.  No handler reads ``--oracle``: ``cli.main`` runs the check.
 A handler imports the library code it calls inside ``run`` (``snf``, which
-defines the public Smith form, at its top).
+defines the public Smith form, at its top).  Only ``snf`` builds an
+``IntMatrix``; the other reports read hom maps' canonical ``rows``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from ..matrices import IntMatrix
     from ..modules import FPModule
     from ..workspace import Workspace
 
@@ -24,10 +24,6 @@ def label(module: FPModule) -> str:
     if not module.invariant_factors:
         return "0"
     return "+".join(str(f) for f in module.invariant_factors)
-
-
-def matrix_rows(mat: IntMatrix) -> list[list[int]]:
-    return [list(r) for r in mat.entries]
 
 
 def require(ws: Workspace | None, flag_value: str | None, what: str) -> str:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import matrix_rows, require
+from . import require
 
 
 def run(ws, args) -> tuple[int, dict, tuple]:
@@ -23,7 +23,7 @@ def run(ws, args) -> tuple[int, dict, tuple]:
             witnesses.append({"object": w.source.value, "hom_matrix": None})
         else:
             witnesses.append(
-                {"object": finite_names[w.position], "hom_matrix": matrix_rows(w.hom.matrix)}
+                {"object": finite_names[w.position], "hom_matrix": list(map(list, w.hom.rows))}
             )
     report = {
         "module": mname,

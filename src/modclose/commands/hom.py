@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import matrix_rows, require
+from . import require
 
 
 def run(ws, args) -> tuple[int, dict, tuple]:
@@ -17,6 +17,6 @@ def run(ws, args) -> tuple[int, dict, tuple]:
         "dom": mname,
         "cod": args.cod,
         "structure": list(hg.structure),
-        "generators": [matrix_rows(g.matrix) for g in hg.generators],
+        "generators": [list(map(list, g.rows)) for g in hg.generators],
     }
     return 0, report, (hg,)

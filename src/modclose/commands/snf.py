@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 
-from . import matrix_rows
-from ..matrices import IntMatrix, _snf_with_inverses
+from ..intmatrix import IntMatrix
+from ..matrices import _snf_with_inverses
 from ..rings import ZZ
 
 # Largest side of a matrix that ``snf`` reduces.  The reduction grows faster
@@ -73,6 +73,10 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         IntMatrix(d, ZZ, rows=rows, cols=cols),
         IntMatrix(v, ZZ, rows=cols, cols=cols),
     )
+
+
+def matrix_rows(mat: IntMatrix) -> list[list[int]]:
+    return [list(r) for r in mat.entries]
 
 
 def run(ws, args) -> tuple[int, dict, tuple]:

@@ -1,15 +1,15 @@
-"""Element-level code: module elements, the homomorphism certificate and
-hom-group elements, and submodule enumeration.
+"""Element-level code: module elements, the submodule lattice, and the
+homomorphism certificate, kernels, hom-group elements and Baer test.
 
 The paper's results are computed on lattices, so the command-line paths call
 none of this: a request loads this module only under ``--oracle``.  Otherwise
 it serves library users and the tests; helpers that only the tests call
 (identity and zero maps, map arithmetic) live with the tests.
 The modules every request loads reach it only lazily: the certifying
-``Homomorphism`` constructor, ``modules.all_submodules`` and
-``homs.is_injective_module`` import it when called.  Methods that lived on
-those modules' classes are functions here, taking the object they act on
-first.
+``Homomorphism`` constructor imports it when called, and the names moved
+here from ``modules`` and ``homs`` resolve at their old paths when read.
+Methods that lived on those modules' classes are functions here, taking the
+object they act on first.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from itertools import product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .homs import Homomorphism, HomGroup, _canonical_matrix
+from .intmatrix import IntMatrix
 from .lattices import Lattice
-from .matrices import IntMatrix
-from .modules import FPModule, Submodule, _check_same_parent
+from .modules import FPModule, Submodule
 from .rings import Ring
 
 if TYPE_CHECKING:
@@ -154,13 +154,45 @@ def whole_submodule(m: FPModule) -> Submodule:
     return Submodule(m, Lattice(g, units, tuple((j, 1) for j in range(g))))
 
 
+def _check_same_parent(u: Submodule, v: Submodule) -> None:
+    if u.parent != v.parent:
+        raise ValueError("submodules have different parent modules")
+
+
 def is_subset_of(u: Submodule, v: Submodule) -> bool:
     _check_same_parent(u, v)
     return v.lattice.contains_lattice(u.lattice)
 
 
-def enumerate_submodules(m: FPModule) -> list[Submodule]:
-    """Every submodule of a finite module (``modules.all_submodules``).
+def sub_meet(u: Submodule, v: Submodule) -> Submodule:
+    """Intersection of two submodules of the same parent."""
+    _check_same_parent(u, v)
+    return Submodule(u.parent, u.lattice.intersect(v.lattice))
+
+
+def sub_join(u: Submodule, v: Submodule) -> Submodule:
+    """Sum of two submodules of the same parent."""
+    _check_same_parent(u, v)
+    lat = Lattice.from_columns(u.parent.n_gens, u.lattice.basis + v.lattice.basis)
+    return Submodule(u.parent, lat)
+
+
+def sub_as_module(u: Submodule):
+    """Present a submodule as a module in its own right.
+
+    Returns ``(module, inclusion)`` where the module is generated by the
+    columns of ``canonical_gens`` and the inclusion maps those generators back
+    into the parent.
+    """
+    parent = u.parent
+    b = u.canonical_gens
+    smod = FPModule(parent.ring, len(b), parent.lattice.preimage(b))
+    inclusion = IntMatrix.from_columns(b, parent.n_gens, parent.ring)
+    return smod, Homomorphism(smod, parent, inclusion)
+
+
+def all_submodules(m: FPModule) -> list[Submodule]:
+    """Every submodule of a finite module.
 
     Computed on preimage lattices as the join-closure of the cyclic
     submodules: one generator is kept per distinct cyclic lattice, a lattice
@@ -245,8 +277,8 @@ def _is_compatible(dom: FPModule, cod: FPModule, columns: list) -> bool:
     return True
 
 
-def certified_matrix(dom: FPModule, cod: FPModule, matrix) -> IntMatrix:
-    """The canonical matrix of the map ``matrix`` (an :class:`IntMatrix` or
+def certified_matrix(dom: FPModule, cod: FPModule, matrix) -> tuple:
+    """The canonical rows of the map ``matrix`` (an :class:`IntMatrix` or
     rows), after checking that every relation of the domain is sent into the
     relation lattice of the codomain; the ``Homomorphism`` constructor."""
     if dom.ring != cod.ring:
@@ -265,6 +297,11 @@ def certified_matrix(dom: FPModule, cod: FPModule, matrix) -> IntMatrix:
             "domain is not sent into the relation lattice of the codomain"
         )
     return _canonical_matrix(cod, mat.columns())
+
+
+def kernel_of_hom(f: Homomorphism) -> Submodule:
+    """The submodule ``{x : f(x) = 0}`` of the domain."""
+    return Submodule(f.dom, f.cod.lattice.preimage(f.matrix.columns()))
 
 
 def hom_apply(f: Homomorphism, x: ModuleElement) -> ModuleElement:
@@ -290,7 +327,7 @@ def hom_group_elements(hg: HomGroup) -> Iterator[Homomorphism]:
     if hom_group_order(hg) is None:
         raise ValueError("cannot enumerate an infinite hom group")
     b, a = hg.cod.n_gens, hg.dom.n_gens
-    gen_grids = [g.matrix.entries for g in hg.generators]
+    gen_grids = [g.rows for g in hg.generators]
     for coeffs in product(*(range(d) for d in hg.structure)):
         cols = [
             [sum(r * g[i][j] for r, g in zip(coeffs, gen_grids)) for i in range(b)]
@@ -299,9 +336,9 @@ def hom_group_elements(hg: HomGroup) -> Iterator[Homomorphism]:
         yield Homomorphism._trusted(hg.dom, hg.cod, _canonical_matrix(hg.cod, cols))
 
 
-def baer_injective(a: FPModule) -> bool:
-    """Baer-criterion brute force over a modular ring
-    (``homs.is_injective_module``).
+def is_injective_module(a: FPModule) -> bool:
+    """Baer-criterion brute force over a modular ring, the oracle for
+    :func:`modclose.closure.is_injective_by_structure`.
 
     The ideals of Z/n are exactly the cyclic ideals generated by divisors of
     n, so injectivity reduces to: for each divisor d > 1 (d = 1 holds

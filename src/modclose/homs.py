@@ -6,21 +6,29 @@ Hom(sum_j Z/d_j, sum_i Z/e_i) = sum_{i,j} Z/gcd(d_j, e_i), with
 Hom(Z/d, Z) = 0 for d != 0, the pieces regrouped into invariant factors by
 pairwise gcds and lcms (``rings._regroup``).  ``HOM_PIECE_CAP`` bounds the
 piece count s, and with it the answer: at most s generators, each a matrix
-of the size of the presentations.  A map is held by its canonical matrix.
-The certificate of a map given by a matrix, the arithmetic of maps, the
-listing of a hom group's elements and the Baer-criterion injectivity test
-(the oracle of ``closure.is_injective_by_structure``) live in
-:mod:`modclose.elements`, which a request loads only under ``--oracle``;
-the brute-force enumeration oracle is ``oracles.enumerate_homs``.
+of the size of the presentations.  A map is held by its canonical rows.
+The certificate of a map given by a matrix, ``kernel_of_hom``, the listing
+of a hom group's elements and the Baer-criterion injectivity test
+(``is_injective_module``, the oracle of ``closure.is_injective_by_structure``)
+live in :mod:`modclose.elements`, which a request loads only under
+``--oracle``; their old paths here resolve there (PEP 562).  The brute-force
+enumeration oracle is ``oracles.enumerate_homs``.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .matrices import IntMatrix
-from .modules import FPModule, Submodule
+from .modules import FPModule
 from .rings import _regroup
+
+
+def __getattr__(name: str):
+    if name in ("kernel_of_hom", "is_injective_module"):
+        from . import elements
+
+        return getattr(elements, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Homomorphism:
@@ -28,26 +36,34 @@ class Homomorphism:
 
     Construction certifies well-definedness (``elements.certified_matrix``):
     every relation of the domain must map into the relation lattice of the
-    codomain.  Columns are stored in canonical coordinates, so the zero map
-    has the zero matrix and equal maps have equal matrices.
+    codomain.  The map is stored as ``rows``, a tuple of ``cod.n_gens`` row
+    tuples whose columns are in canonical coordinates, so the zero map has
+    zero rows and equal maps have equal rows.
     """
 
-    __slots__ = ("dom", "cod", "matrix")
+    __slots__ = ("dom", "cod", "rows")
 
     def __init__(self, dom: FPModule, cod: FPModule, matrix):
         from .elements import certified_matrix
 
         self.dom = dom
         self.cod = cod
-        self.matrix = certified_matrix(dom, cod, matrix)
+        self.rows = certified_matrix(dom, cod, matrix)
 
     @classmethod
-    def _trusted(cls, dom: FPModule, cod: FPModule, canonical: IntMatrix):
+    def _trusted(cls, dom: FPModule, cod: FPModule, rows: tuple):
         obj = object.__new__(cls)
         obj.dom = dom
         obj.cod = cod
-        obj.matrix = canonical
+        obj.rows = rows
         return obj
+
+    @property
+    def matrix(self):
+        """The ``IntMatrix`` of ``rows`` over the codomain's ring, built on read."""
+        from .intmatrix import IntMatrix
+
+        return IntMatrix._trusted(self.rows, self.dom.n_gens, self.cod.ring)
 
     # -- value semantics ---------------------------------------------------------
 
@@ -56,26 +72,24 @@ class Homomorphism:
             isinstance(other, Homomorphism)
             and self.dom == other.dom
             and self.cod == other.cod
-            and self.matrix == other.matrix
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.dom, self.cod, self.matrix))
+        return hash((self.dom, self.cod, self.rows))
 
     def __repr__(self) -> str:
-        return f"Homomorphism({list(map(list, self.matrix.entries))!r})"
+        return f"Homomorphism({list(map(list, self.rows))!r})"
 
 
-def _canonical_matrix(cod: FPModule, columns) -> IntMatrix:
-    """The matrix of integer image columns, each reduced by the codomain's
-    relation lattice, which over Z/n contains n*Z^g, so the entries are read
-    whatever their ring.  The reduced entries are ints, and over Z/n every
-    row is a pivot row whose pivot divides n, so they already lie in
-    ``[0, n)`` and the matrix is taken as is."""
+def _canonical_matrix(cod: FPModule, columns) -> tuple:
+    """The rows of the matrix of integer image columns, each reduced by the
+    codomain's relation lattice, which over Z/n contains n*Z^g, so the
+    entries are read whatever their ring.  The reduced entries are ints, and
+    over Z/n every row is a pivot row whose pivot divides n, so they already
+    lie in ``[0, n)`` and the rows are taken as they are."""
     reduced = [cod.lattice.reduce(c) for c in columns]
-    return IntMatrix._trusted(
-        tuple(zip(*reduced)) or ((),) * cod.n_gens, len(reduced), cod.ring
-    )
+    return tuple(zip(*reduced)) or ((),) * cod.n_gens
 
 
 class HomGroup:
@@ -161,17 +175,3 @@ def hom_group(m: FPModule, n: FPModule) -> HomGroup:
                         col[r] += x * left[r]
         gens.append(Homomorphism._trusted(m, n, _canonical_matrix(n, cols)))
     return HomGroup(m, n, tuple(gens), structure)
-
-
-def kernel_of_hom(f: Homomorphism) -> Submodule:
-    """The submodule ``{x : f(x) = 0}`` of the domain."""
-    return Submodule(f.dom, f.cod.lattice.preimage(f.matrix.columns()))
-
-
-def is_injective_module(a: FPModule) -> bool:
-    """Baer-criterion brute force over a modular ring
-    (``elements.baer_injective``), the oracle for
-    :func:`modclose.closure.is_injective_by_structure`."""
-    from .elements import baer_injective
-
-    return baer_injective(a)

@@ -6,7 +6,7 @@ lattice in Hermite-style canonical form makes equality syntactic and coset
 reduction deterministic.
 
 Intersections and preimages are read from one echelon of stacked columns
-(``from_stacked``); the kernels and linear solves of ``matrices`` are
+(``from_stacked``); the kernels and linear solves of ``intmatrix`` are
 preimages too.  Smith reduction is used only for the quotient's Smith
 coordinates, from which the saturation is read.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 from operator import index
 from typing import Iterable, Sequence
 
-from .matrices import IntMatrix, _identity_stack, _snf_with_inverses, _stacked_echelon
+from .matrices import _Grid, _identity_stack, _snf_with_inverses, _stacked_echelon
 from .rings import _seen_part
 
 
@@ -151,7 +151,7 @@ class Lattice:
             # the basis transposed into rows, read as they stand
             basis = self.basis
             rows = tuple(zip(*basis)) if basis else ((),) * self.dim
-            u, d, _, uinv = _snf_with_inverses(IntMatrix._trusted(rows, len(basis)))
+            u, d, _, uinv = _snf_with_inverses(_Grid(rows, len(basis)))
             diag_len = min(self.dim, len(basis))
             self._smith = (
                 tuple(d[i][i] if i < diag_len else 0 for i in range(self.dim)),

@@ -1,17 +1,14 @@
-"""Exact matrix arithmetic over Z and Z/n.
+"""Exact elimination over Z, for modules over Z and Z/n alike.
 
-The canonical column echelon (Hermite) basis of a lattice, the core Smith
-reduction, integer kernels, and linear solving.  Everything runs on
-arbitrary-precision Python integers.  Unreduced elimination over Z swells
-entries far past the size of the answer, so the echelon reduces while it
-builds.  It is the one elimination engine: kernels and solutions are
-preimages (``Lattice.preimage``) of 0, over Z/n of n*Z^rows, so one integer
-code path covers both rings, and the Smith reduction alternates column and
-row echelons.  Smith reduction is used for invariants and Smith coordinates;
-the public Smith form, which only the ``snf`` command runs, lives in
-``commands.snf``.
-
-Matrices are immutable values and may be shared freely between threads.
+The canonical column echelon (Hermite) basis of a lattice and the core Smith
+reduction.  Everything runs on arbitrary-precision Python integers.
+Unreduced elimination over Z swells entries far past the size of the answer,
+so the echelon reduces while it builds.  It is the one elimination engine:
+intersections, preimages, kernels and solutions are read from it, and the
+Smith reduction alternates column and row echelons.  The public Smith form
+lives in ``commands.snf``; ``IntMatrix``, ``kernel_basis`` and
+``solve_linear`` live in ``intmatrix``, and their old paths here resolve
+there when read (PEP 562), so a request that builds no matrix compiles none.
 """
 
 from __future__ import annotations
@@ -20,120 +17,22 @@ from bisect import bisect_left
 from operator import index
 from typing import Iterable, Sequence
 
-from .rings import Ring, ZZ
+
+def __getattr__(name: str):
+    if name in ("IntMatrix", "_preimage", "kernel_basis", "_kernel_over_z", "solve_linear"):
+        from . import intmatrix
+
+        return getattr(intmatrix, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class IntMatrix:
-    """An immutable rows x cols matrix of integers over a :class:`Ring`.
+class _Grid:
+    """Rows of ``cols`` ints taken as is: what the Smith core reads of a matrix."""
 
-    Entries are stored row-major; modular entries are kept reduced into
-    ``[0, n)``.  Entries must be integers (``operator.index``); anything else
-    raises ``TypeError`` instead of being truncated.  Matrices with zero rows
-    or zero columns are legal and denote zero maps and zero modules.
-    """
+    __slots__ = ("rows", "cols", "entries")
 
-    __slots__ = ("rows", "cols", "entries", "ring")
-
-    def __init__(
-        self,
-        entries: Iterable[Sequence[int]],
-        ring: Ring = ZZ,
-        *,
-        rows: int | None = None,
-        cols: int | None = None,
-    ):
-        n = ring.modulus
-        if n:
-            data = [tuple(index(x) % n for x in row) for row in entries]
-        else:
-            data = [tuple(map(index, row)) for row in entries]
-        if rows is None:
-            rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError(
-                f"entry grid does not match declared shape {rows}x{cols}"
-            )
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(data)
-        self.ring = ring
-
-    @classmethod
-    def from_columns(
-        cls, columns: Iterable[Sequence[int]], rows: int, ring: Ring = ZZ
-    ) -> "IntMatrix":
-        cols = list(columns)
-        for c in cols:
-            if len(c) != rows:
-                raise ValueError(f"column of length {len(c)} in a {rows}-row matrix")
-        grid = [[c[i] for c in cols] for i in range(rows)]
-        return cls(grid, ring, rows=rows, cols=len(cols))
-
-    @classmethod
-    def _trusted(cls, entries: tuple, cols: int, ring: Ring = ZZ) -> "IntMatrix":
-        """The matrix whose rows are ``entries``, a tuple of ``cols``-long
-        tuples of ints already reduced over ``ring``, taken as is: no entry
-        is converted or reduced and no shape is checked."""
-        mat = object.__new__(cls)
-        mat.rows = len(entries)
-        mat.cols = cols
-        mat.entries = entries
-        mat.ring = ring
-        return mat
-
-    # -- accessors ---------------------------------------------------------
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        if self.ring != other.ring:
-            raise ValueError("matrix product needs a common ring")
-        a, b = self.entries, other.entries
-        grid = [
-            [sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return IntMatrix(grid, self.ring, rows=self.rows, cols=other.cols)
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix-vector product, returned as a plain integer tuple."""
-        if len(vec) != self.cols:
-            raise ValueError(
-                f"dimension mismatch: {self.rows}x{self.cols} matrix, vector of length {len(vec)}"
-            )
-        return tuple(
-            self.ring.reduce(sum(row[k] * vec[k] for k in range(self.cols)))
-            for row in self.entries
-        )
-
-    # -- value semantics ----------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.ring == other.ring
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({list(map(list, self.entries))!r}, ring={self.ring})"
+    def __init__(self, entries: tuple, cols: int):
+        self.rows, self.cols, self.entries = len(entries), cols, entries
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -155,8 +54,10 @@ def _echelon(dim: int, columns: Iterable[Sequence[int]]):
     increasing pivot rows, positive pivots, and entries of earlier columns
     reduced into ``[0, pivot)`` at every pivot row.  Entries stay near the
     size of the answer while the basis is built: an incoming entry is reduced
-    modulo the pivot before the gcd step, and each new pivot column is
-    reduced at the later pivot rows.
+    modulo the pivot before the gcd step, and a column made by a gcd step is
+    reduced at the later pivot rows.  A column inserted at a new pivot row is
+    reduced only by the final pass, so the order of ``columns`` can change
+    intermediate sizes, though not the result.
     """
     basis: list[list[int]] = []
     pivrows: list[int] = []
@@ -221,13 +122,14 @@ def _identity_stack(columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(c) + tuple(int(i == j) for i in range(k)) for j, c in enumerate(columns)]
 
 
-def _snf_with_inverses(a: IntMatrix):
+def _snf_with_inverses(a):
     """Core Smith reduction, by repeated Hermite forms (Kannan and Bachem,
     SIAM J. Comput. 8, 1979).
 
-    Returns the four matrices ``(u, d, v, uinv)`` as lists of rows with
-    ``d = u @ a @ v`` diagonal, nonnegative, each entry dividing the next and
-    zeros last, and ``uinv = u^-1``.
+    Of ``a`` only ``rows``, ``cols`` and ``entries`` are read (a ``_Grid``
+    or an ``IntMatrix``).  Returns the four matrices ``(u, d, v, uinv)`` as
+    lists of rows with ``d = u @ a @ v`` diagonal, nonnegative, each entry
+    dividing the next and zeros last, and ``uinv = u^-1``.
 
     Column echelons of ``[d; v]`` alternate with column echelons of
     ``[d^T; u^T]`` (row passes) until ``d`` is diagonal.  Where ``d_i`` does
@@ -273,37 +175,3 @@ def _snf_with_inverses(a: IntMatrix):
     basis, _ = _echelon(2 * rows, _identity_stack(list(zip(*u)))[::-1])
     uinv = [[b[rows + i] for b in basis] for i in range(rows)]
     return u, d, [[c[i] for c in v] for i in range(cols)], uinv
-
-
-def _preimage(a: IntMatrix, images, top: int = 0):
-    """The canonical basis of the preimage of 0 (over Z/n, of n*Z^rows)
-    under ``images``, and the matrix of its columns zero above row ``top``,
-    cut there, without those that vanish mod n.  Over Z/n the preimage
-    contains n*Z^cols, so its entries already lie in ``[0, n)``."""
-    from .lattices import Lattice
-
-    n = a.ring.modulus
-    target = Lattice.diagonal((n,) * a.rows) if n else Lattice(a.rows, (), ())
-    basis = target.preimage(images).basis
-    kernel = [c[top:] for c in basis if not any(c[:top])]
-    if n:
-        kernel = [c for c in kernel if any(x % n for x in c)]
-    return basis, IntMatrix.from_columns(kernel, a.cols, a.ring)
-
-
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Generators of ``{x : a @ x = 0}`` over the ring, as matrix columns:
-    the canonical basis of the integer solutions, over Z/n of ``a x`` in
-    n*Z^rows, without the columns that vanish mod n."""
-    return _preimage(a, a.columns())[1]
-
-
-_kernel_over_z = kernel_basis  # the name perfbench/traced.py counts
-
-
-def solve_linear(a: IntMatrix, b: Sequence[int]) -> tuple[tuple | None, IntMatrix]:
-    """``(particular, kernel_basis(a))`` for ``a @ x = b``, ``particular``
-    ``None`` when unsolvable: read from the preimage of ``(-b, a e_1, ...)``,
-    whose first basis column is ``(1, particular)`` iff a solution exists."""
-    basis, kernel = _preimage(a, [tuple(-index(x) for x in b)] + a.columns(), 1)
-    return (basis[0][1:] if basis and basis[0][0] == 1 else None), kernel

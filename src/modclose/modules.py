@@ -1,38 +1,51 @@
-"""Finitely presented modules over Z or Z/n and their submodule lattices.
+"""Finitely presented modules over Z or Z/n, their submodules and quotients.
 
 A module is a quotient Z^g / L where L is the column span of a relation
 matrix (plus n*Z^g in the modular case).  A module stores only L, and a
 submodule only its preimage lattice, never element sets or matrices;
 constructions pass the lattice they hold, and over Z/n every such lattice
 contains n*Z^g.
-Boundedness and free-summand rank over the integers are read off the free
-rank.  Elements, their enumeration, images and preimages under maps, direct
-sums and the enumeration behind ``all_submodules`` live in
-:mod:`modclose.elements`, which a request loads only under ``--oracle``.
+Elements, their enumeration, the submodule lattice (``sub_meet``,
+``sub_join``, ``all_submodules``), a submodule as a module
+(``sub_as_module``), images and preimages under maps and direct sums live
+in :mod:`modclose.elements`, which a request loads only under ``--oracle``;
+``is_bounded`` and ``free_summand_rank`` live beside their commands.  Their
+old paths here resolve there when read (PEP 562).
 """
 
 from __future__ import annotations
 
+from importlib import import_module
+
 from .lattices import Lattice
-from .matrices import IntMatrix
 from .rings import Ring
+
+
+def __getattr__(name: str):
+    for home, names in (
+        ("elements", "_check_same_parent all_submodules sub_as_module sub_join sub_meet"),
+        ("commands.bounded", "is_bounded"),
+        ("commands.free_rank", "free_summand_rank"),
+    ):
+        if name in names.split():
+            return getattr(import_module(f".{home}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _lattice_arg(value, dim: int, ring: Ring, base, what: str) -> Lattice:
     """The lattice spanned by ``base`` and a matrix or column list over ring."""
-    if value is None:
-        columns = []
-    elif isinstance(value, IntMatrix):
-        if value.rows != dim:
-            raise ValueError(
-                f"{what} has {value.rows} rows but the module has {dim} generators"
-            )
-        if value.ring != ring and value.ring.is_modular:
-            raise ValueError(f"cannot recast a {value.ring} matrix into {ring}")
-        # entries reduced mod n span the same lattice once n*Z^g is in base
-        columns = value.columns()
-    else:
-        columns = list(value)
+    columns = () if value is None else value
+    if not isinstance(columns, (list, tuple)):
+        from .intmatrix import IntMatrix  # a matrix or another iterable
+        if isinstance(value, IntMatrix):
+            if value.rows != dim:
+                raise ValueError(
+                    f"{what} has {value.rows} rows but the module has {dim} generators"
+                )
+            if value.ring != ring and value.ring.is_modular:
+                raise ValueError(f"cannot recast a {value.ring} matrix into {ring}")
+            # entries reduced mod n span the same lattice once n*Z^g is in base
+            columns = value.columns()
     return Lattice.from_columns(dim, [*base, *columns])
 
 
@@ -81,8 +94,9 @@ class FPModule:
         return self.lattice.quotient_invariants()
 
     @property
-    def relations(self) -> IntMatrix:
-        """The canonical basis of the relation lattice, over the ring."""
+    def relations(self):
+        """The canonical basis of the relation lattice, an ``IntMatrix`` over the ring."""
+        from .intmatrix import IntMatrix
         return IntMatrix.from_columns(self.lattice.basis, self.n_gens, self.ring)
 
     # -- structure ----------------------------------------------------------
@@ -120,21 +134,6 @@ class FPModule:
             f"FPModule({self.ring}, gens={self.n_gens}, "
             f"invariants={list(self.invariant_factors)})"
         )
-
-
-def is_bounded(m: FPModule) -> bool:
-    """Whether a Z-module admits no nonzero map to Z: for finitely generated
-    modules, no free summand, i.e. no zero among the invariant factors."""
-    if m.ring.is_modular:
-        raise ValueError("boundedness is defined over the integers; use ring Z")
-    return m.free_rank() == 0
-
-
-def free_summand_rank(m: FPModule) -> int:
-    """Rank of the largest free direct summand of a Z-module."""
-    if m.ring.is_modular:
-        raise ValueError("free-summand rank is defined over the integers; use ring Z")
-    return m.free_rank()
 
 
 class Submodule:
@@ -209,24 +208,6 @@ class Submodule:
         return f"Submodule(gens={[list(c) for c in self.canonical_gens]!r})"
 
 
-def _check_same_parent(u: Submodule, v: Submodule) -> None:
-    if u.parent != v.parent:
-        raise ValueError("submodules have different parent modules")
-
-
-def sub_meet(u: Submodule, v: Submodule) -> Submodule:
-    """Intersection of two submodules of the same parent."""
-    _check_same_parent(u, v)
-    return Submodule(u.parent, u.lattice.intersect(v.lattice))
-
-
-def sub_join(u: Submodule, v: Submodule) -> Submodule:
-    """Sum of two submodules of the same parent."""
-    _check_same_parent(u, v)
-    lat = Lattice.from_columns(u.parent.n_gens, u.lattice.basis + v.lattice.basis)
-    return Submodule(u.parent, lat)
-
-
 def quotient_module(m: FPModule, n: Submodule) -> FPModule:
     """The quotient of ``m`` by a submodule, presented on the same generators:
     its relation lattice is the submodule's preimage lattice, taken as is (no
@@ -234,27 +215,3 @@ def quotient_module(m: FPModule, n: Submodule) -> FPModule:
     if n.parent != m:
         raise ValueError("submodule does not live in the module being quotiented")
     return FPModule(m.ring, m.n_gens, n.lattice)
-
-
-def sub_as_module(u: Submodule):
-    """Present a submodule as a module in its own right.
-
-    Returns ``(module, inclusion)`` where the module is generated by the
-    columns of ``canonical_gens`` and the inclusion maps those generators back
-    into the parent.
-    """
-    parent = u.parent
-    b = u.canonical_gens
-    smod = FPModule(parent.ring, len(b), parent.lattice.preimage(b))
-    from .homs import Homomorphism
-
-    inclusion = IntMatrix.from_columns(b, parent.n_gens, parent.ring)
-    return smod, Homomorphism(smod, parent, inclusion)
-
-
-def all_submodules(m: FPModule) -> list[Submodule]:
-    """Every submodule of a finite module, in a deterministic order
-    (``elements.enumerate_submodules``)."""
-    from .elements import enumerate_submodules
-
-    return enumerate_submodules(m)

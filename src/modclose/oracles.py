@@ -20,12 +20,12 @@ from math import gcd
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import OracleInfeasibleError
-from .matrices import IntMatrix
 from .rings import ZZ
 
 if TYPE_CHECKING:
     from .closure import Subcategory
     from .homs import Homomorphism
+    from .intmatrix import IntMatrix
     from .modules import FPModule, Submodule
 
 
@@ -72,9 +72,9 @@ def closure_by_full_enumeration(
     independent formulas: annihilator-by-exponent for Q, N itself for Q/Z.
     """
     from .closure import DivisibleModule
-    from .elements import whole_submodule
-    from .homs import Homomorphism, kernel_of_hom
-    from .modules import quotient_module, sub_meet
+    from .elements import kernel_of_hom, sub_meet, whole_submodule
+    from .homs import Homomorphism
+    from .modules import quotient_module
 
     q = quotient_module(m, n)
     running = whole_submodule(m)
@@ -229,8 +229,8 @@ def closedness_witness_scan(
     m: FPModule, n: Submodule, cat: Subcategory
 ) -> ClosednessScan:
     from .closure import _admits_nonzero_map, _check_compat
-    from .elements import invariants_over, is_closed
-    from .modules import all_submodules, quotient_module
+    from .elements import all_submodules, invariants_over, is_closed
+    from .modules import quotient_module
 
     _check_compat(m, n, cat)
     q = quotient_module(m, n)
@@ -385,8 +385,7 @@ def listed_class_pairs(m: FPModule) -> tuple:
     over the listed submodules S of the finite module ``m``, in first-seen
     order over ``all_submodules(m)``; both chains are read from S's preimage
     lattice.  The oracle of ``torsion.class_pair_support``."""
-    from .elements import invariants_over
-    from .modules import all_submodules
+    from .elements import all_submodules, invariants_over
 
     return tuple(dict.fromkeys(
         (invariants_over(s.lattice, m.lattice), s.lattice.quotient_invariants())
@@ -509,8 +508,8 @@ def oracle_hom(hg):
 
     if not hom_group_order(hg):
         raise OracleInfeasibleError("oracle infeasible: the hom group is infinite")
-    spanned = {h.matrix for h in hom_group_elements(hg)}
-    listed = {h.matrix for h in enumerate_homs(hg.dom, hg.cod)}
+    spanned = {h.rows for h in hom_group_elements(hg)}
+    listed = {h.rows for h in enumerate_homs(hg.dom, hg.cod)}
     agree = spanned == listed
     return agree, {"agrees": agree, "hom_count": len(listed)}
 

@@ -36,8 +36,9 @@ from modclose.elements import (
     module_elements,
     whole_submodule,
 )
+from modclose.intmatrix import _kernel_over_z
 from modclose.lattices import Lattice
-from modclose.matrices import _kernel_over_z, _snf_with_inverses
+from modclose.matrices import _snf_with_inverses
 from modclose.oracles import listed_class_pairs, torsion_preimage_by_exponent
 from modclose.rings import _regroup
 

@@ -200,8 +200,8 @@ def test_regroup_matches_the_dense_smith_reduction():
 
 
 def test_canonical_matrix_equals_the_converted_matrix():
-    # the reduced image columns are taken as is: the same matrix, entries
-    # and shape, as converting them through IntMatrix.from_columns
+    # the reduced image columns are taken as is: the same rows, read as a
+    # matrix of k columns, as converting them through IntMatrix.from_columns
     rng = random.Random(3030)
     rings = [ZZ] + [Zmod(n) for n in (2, 4, 6, 12, 36)]
     for t in range(600):
@@ -214,8 +214,34 @@ def test_canonical_matrix_equals_the_converted_matrix():
         expected = IntMatrix.from_columns(
             [cod.lattice.reduce(c) for c in cols], g, ring
         )
-        assert got == expected
-        assert all(type(x) is int for row in got.entries for x in row)
+        assert IntMatrix._trusted(got, k, ring) == expected
+        assert all(type(x) is int for row in got for x in row)
+
+
+def test_a_map_is_held_by_its_rows_and_builds_its_matrix_when_read():
+    # hom_group's generators never build a matrix; recertifying one from the
+    # matrix it reads gives an equal map, with equal hash and repr
+    rng = random.Random(3434)
+    rings = [ZZ, Zmod(12), Zmod(36)]
+    seen = 0
+    for t in range(60):
+        ring = rings[t % len(rings)]
+        m, n = (
+            FPModule(ring, g, [tuple(rng.randint(-9, 9) for _ in range(g)) for _ in range(g - 1)])
+            for g in (rng.randint(0, 3), rng.randint(1, 3))
+        )
+        for g in hom_group(m, n).generators:
+            again = Homomorphism(g.dom, g.cod, g.matrix)
+            assert (again, hash(again), repr(again)) == (g, hash(g), repr(g))
+            assert g.matrix == IntMatrix(g.rows, ring, rows=n.n_gens, cols=m.n_gens)
+            seen += 1
+    assert seen > 50
+    # no rows, or rows of no entries: the matrix keeps the domain's columns
+    m, zero = FPModule(ZZ, 2, [(0, 2)]), FPModule(ZZ, 0)
+    into_zero = Homomorphism(m, zero, IntMatrix([], rows=0, cols=2))
+    assert into_zero.rows == () and (into_zero.matrix.rows, into_zero.matrix.cols) == (0, 2)
+    out_of_zero = Homomorphism(zero, m, IntMatrix([(), ()], rows=2, cols=0))
+    assert out_of_zero.rows == ((), ()) and out_of_zero.matrix == IntMatrix([(), ()], cols=0)
 
 
 def test_well_definedness_certified_at_construction():

@@ -21,8 +21,8 @@ from modclose.elements import (
     invariants_over,
     with_ring,
 )
+from modclose.intmatrix import _kernel_over_z
 from modclose.lattices import Lattice
-from modclose.matrices import _kernel_over_z
 from modclose.rings import _seen_part
 
 from conftest import random_finite_module

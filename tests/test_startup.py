@@ -115,20 +115,21 @@ COMMAND_IDS = [argv[0] for _, argv in COMMANDS]
 # The modclose.* modules each command loads, besides ``cli``, ``errors``,
 # ``workspace``, ``rings``, ``commands`` and its own handler.  The element
 # code (``elements``) loads only under --oracle, and the bounded and
-# free-rank oracles never list an element.
+# free-rank oracles never list an element.  The matrix API (``intmatrix``)
+# loads for snf, which builds its matrix, and with the element code.
 _LOADS = {
     "closure": {"closure", "homs", "lattices", "matrices", "modules"},
     "verify": {"closure", "lattices", "matrices", "modules", "torsion"},
-    "snf": {"matrices"},
+    "snf": {"intmatrix", "matrices"},
     "hom": {"closure", "homs", "lattices", "matrices", "modules"},
     "bounded": {"lattices", "matrices", "modules"},
     "free-rank": {"lattices", "matrices", "modules"},
 }
 _ORACLE_LOADS = {
-    "closure": {"elements", "oracles"},
-    "verify": {"elements", "homs", "oracles"},
+    "closure": {"elements", "intmatrix", "oracles"},
+    "verify": {"elements", "homs", "intmatrix", "oracles"},
     "snf": {"oracles"},
-    "hom": {"elements", "oracles"},
+    "hom": {"elements", "intmatrix", "oracles"},
     "bounded": {"homs", "oracles"},
     "free-rank": {"homs", "oracles"},
 }
@@ -198,6 +199,61 @@ def test_no_request_compiles_the_smith_form_into_matrices(tmp_path, doc, argv):
         " hasattr(matrices.IntMatrix, 'diagonal'))"
     )
     assert out.splitlines()[-1] == "[] False"
+
+
+# the names moved out of the modules every request loads: old module -> name
+# -> the module that defines it now
+MOVED = {
+    "matrices": dict.fromkeys(
+        ["IntMatrix", "_preimage", "kernel_basis", "_kernel_over_z", "solve_linear"], "intmatrix"
+    ),
+    "modules": {
+        **dict.fromkeys(
+            ["sub_meet", "sub_join", "sub_as_module", "all_submodules", "_check_same_parent"],
+            "elements",
+        ),
+        "is_bounded": "commands.bounded",
+        "free_summand_rank": "commands.free_rank",
+    },
+    "homs": dict.fromkeys(["kernel_of_hom", "is_injective_module"], "elements"),
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [c for c in COMMANDS if c[1][0] != "snf"],
+    ids=[name for name in COMMAND_IDS if name != "snf"],
+)
+def test_only_snf_compiles_the_matrix_api(tmp_path, doc, argv):
+    # nor does any other request compile a name moved out of the hot modules
+    argv = _with_workspace(tmp_path, doc, argv)
+    loaded, out = _fresh(
+        "from modclose import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        f"print([f'{{old}}.{{name}}' for old, names in {MOVED!r}.items()"
+        " for name in names if name in getattr(sys.modules.get(f'modclose.{old}'), '__dict__', {})])"
+    )
+    assert "modclose.intmatrix" not in loaded
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_every_moved_name_is_one_object_at_each_of_its_paths():
+    _, out = _fresh(
+        "import importlib, modclose\n"
+        f"for old, names in {MOVED!r}.items():\n"
+        "    module = importlib.import_module(f'modclose.{old}')\n"
+        "    for name, home in names.items():\n"
+        "        value = getattr(importlib.import_module(f'modclose.{home}'), name)\n"
+        "        exec(f'from modclose.{old} import {name} as imported')\n"
+        "        assert getattr(module, name) is imported is value, name\n"
+        "        assert name.startswith('_') or getattr(modclose, name) is value, name\n"
+        "        assert name not in vars(module), name\n"
+        "    try:\n"
+        "        module.nope\n"
+        "    except AttributeError:\n"
+        "        print('AttributeError')\n"
+    )
+    assert out.splitlines() == ["AttributeError"] * 3
 
 
 def test_the_smith_form_resolves_to_the_snf_command():

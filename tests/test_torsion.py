@@ -227,12 +227,12 @@ def test_universe_flags_undecided_on_infinite_objects():
 
 
 def test_universe_flags_propagate_enumeration_errors(monkeypatch):
-    import modclose.modules as modules_mod
+    import modclose.elements as elements_mod
 
     def broken(m):
         raise ValueError("enumeration broke")
 
-    monkeypatch.setattr(modules_mod, "all_submodules", broken)
+    monkeypatch.setattr(elements_mod, "all_submodules", broken)
     # the flags read the pair sets; only the oracle's listed pairs enumerate
     u = ModuleUniverse(Zmod(4), [present_module(Zmod(4), 1)])
     with pytest.raises(ValueError, match="enumeration broke"):
@@ -408,7 +408,7 @@ def test_verify_adjoin_enumerates_each_object_once(monkeypatch):
     # pair set of Z/12 alone (one new miss of a fresh pair-set memo), a
     # verify whose laws all pass lists no submodule, and the report equals
     # that over a universe holding Z/12 from the start
-    import modclose.modules as modules_mod
+    import modclose.elements as elements_mod
     import modclose.torsion as torsion_mod
 
     r12 = Zmod(12)
@@ -418,8 +418,8 @@ def test_verify_adjoin_enumerates_each_object_once(monkeypatch):
     monkeypatch.setattr(torsion_mod, "class_pair_support", support)
     u = ModuleUniverse(r12, objects)
     misses = support.cache_info().misses
-    listings, listing = [], modules_mod.all_submodules
-    monkeypatch.setattr(modules_mod, "all_submodules", lambda m: listings.append(m) or listing(m))
+    listings, listing = [], elements_mod.all_submodules
+    monkeypatch.setattr(elements_mod, "all_submodules", lambda m: listings.append(m) or listing(m))
     rep = verify_torsion_theory(u, cat)
     assert rep.all_passed
     assert len(objects) == 7 and len(rep.universe.objects) == 8

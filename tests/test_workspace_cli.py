@@ -709,7 +709,7 @@ def test_cli_verify_bounds_its_divisor_search(tmp_path, capsys, modulus, max_gen
 def builds(monkeypatch):
     """The arguments of the ``IntMatrix.__init__`` calls made while the test
     runs."""
-    from modclose.matrices import IntMatrix
+    from modclose.intmatrix import IntMatrix
 
     calls = []
     init = IntMatrix.__init__
